@@ -109,6 +109,7 @@ from repro.distributed.placement import one_site_per_fragment, round_robin_place
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_by_size, cut_matching
 from repro.workloads.xmark import SiteSpec, generate_sites_document
+from repro.xmltree.errors import XMLSyntaxError
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.serializer import serialize
 from repro.xpath.centralized import evaluate_centralized
@@ -445,6 +446,18 @@ def _add_kernel_bench_knobs(parser: argparse.ArgumentParser, default_output: str
                         help=f"report path (default {default_output})")
 
 
+def _load_document(path: str):
+    """Parse the XML file at *path*; a failure is one line on stderr and exit 2."""
+    try:
+        return parse_xml_file(path)
+    except OSError as error:
+        reason = error.strerror or str(error)
+    except (XMLSyntaxError, UnicodeDecodeError) as error:
+        reason = str(error)
+    print(f"repro: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _fragment_document(tree, fragment_size: Optional[int], fragment_at: Optional[str]):
     """Build the fragmentation requested on the command line."""
     if fragment_size is not None and fragment_at is not None:
@@ -457,7 +470,7 @@ def _fragment_document(tree, fragment_size: Optional[int], fragment_at: Optional
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    tree = parse_xml_file(args.document)
+    tree = _load_document(args.document)
 
     if args.algorithm == "centralized":
         answer_ids = evaluate_centralized(tree, args.xpath).answer_ids
@@ -501,7 +514,7 @@ def _print_answers(tree, answer_ids, args) -> None:
 
 
 def _cmd_fragment(args: argparse.Namespace) -> int:
-    tree = parse_xml_file(args.document)
+    tree = _load_document(args.document)
     fragmentation = _fragment_document(tree, args.fragment_size, args.fragment_at)
     fragmentation.validate()
     print(fragmentation.summary())
@@ -619,7 +632,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     for name, path in documents:
-        tree = parse_xml_file(path)
+        tree = _load_document(path)
         fragmentation = _fragment_document(tree, args.fragment_size, args.fragment_at)
         if args.sites is not None:
             placement = round_robin_placement(

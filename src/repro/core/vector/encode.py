@@ -57,8 +57,8 @@ _MISSING_NUMPY_HINT = (
 
 #: numeric comparison ops over whole columns; same op strings as
 #: repro.xpath.runtime._NUMERIC_OPS, but the operator module versions
-#: broadcast over numpy arrays (NaN rows are masked out by has_numeric
-#: before these run, matching the kernel's explicit None check)
+#: broadcast over numpy arrays (non-numeric rows are masked out by
+#: has_numeric, matching the kernel's explicit None check)
 _COLUMN_OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -156,15 +156,18 @@ class VectorFragment:
         self.text_code = codes
         self.text_intern = intern
 
-        # Numeric column with NaN for non-numeric rows; has_numeric is the
-        # kernel's `value is None` check as a mask (NaN compares are wrong
-        # for `!=`, so every val() test is ANDed with it).
+        # Numeric column with NaN filling the non-numeric rows; has_numeric
+        # is the kernel's `value is not None` check as a mask, ANDed into
+        # every val() test.  It cannot be read back off the column: text
+        # like "nan" is numeric (float("nan")), and `nan != 5` must hold.
         numeric = np.full(n, np.nan, dtype=np.float64)
+        has_numeric = np.zeros(n, dtype=bool)
         for index, value in enumerate(flat.numeric):
             if value is not None:
                 numeric[index] = value
+                has_numeric[index] = True
         self.numeric = numeric
-        self.has_numeric = ~np.isnan(numeric)
+        self.has_numeric = has_numeric
 
         # Per-tag sorted pre-order index (CSR layout over element rows).
         n_tags = len(flat.tags)

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import FlatFragment, build_flat_fragment
-from repro.xmltree.nodes import NodeId, XMLNode, XMLTree
+from repro.xmltree.nodes import ELEMENT, NodeId, XMLNode, XMLTree
 
 __all__ = ["Fragmentation", "FragmentationError", "build_fragmentation"]
 
@@ -72,10 +72,15 @@ class Fragmentation:
             fragment = self.fragments[fragment_id]
             hasher.update(fragment_id.encode("utf-8"))
             hasher.update(struct.pack("<q", fragment.root.node_id))
-        for node in self.tree.root.iter_subtree():
-            value = node.tag if node.is_element else node.value
-            hasher.update(b"\x00" if value is None else value.encode("utf-8"))
-            hasher.update(b"\x01")
+        # One label per node in document order, each followed by \x01 (a
+        # missing label reads \x00): joined and hashed in a single update.
+        labels = [
+            node.tag if node.kind == ELEMENT else node.value
+            for node in self.tree.root.iter_subtree()
+        ]
+        labels.append("")
+        stream = "\x01".join(["\x00" if label is None else label for label in labels])
+        hasher.update(stream.encode("utf-8"))
         return hasher.hexdigest()
 
     def content_version(self, refresh: bool = False) -> str:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.xmltree.nodes import NodeId
+from repro.xmltree.nodes import TEXT, NodeId, parse_numeric
 
 __all__ = ["FlatFragment", "KIND_ELEMENT", "KIND_TEXT", "build_flat_fragment"]
 
@@ -188,55 +188,64 @@ def build_flat_fragment(fragment) -> FlatFragment:
     kind: List[int] = []
     tag_id: List[int] = []
     parent: List[int] = []
+    subtree_size: List[int] = []
     node_ids: List[NodeId] = []
     text_norm: List[Optional[str]] = []
     numeric: List[Optional[float]] = []
     tags: List[str] = []
     tag_index: Dict[str, int] = {}
-    virtual_at: Dict[int, Tuple[str, ...]] = {}
+    virtuals: Dict[int, List[str]] = {}
 
-    # Pre-order walk mirroring Fragment.iter_span, tracking the parent's
-    # flat index with an explicit stack of (node, parent_flat_index).
-    stack = [(fragment.root, -1)]
-    while stack:
-        node, parent_index = stack.pop()
-        index = len(kind)
-        node_ids.append(node.node_id)
-        parent.append(parent_index)
-        if node.is_element:
-            kind.append(KIND_ELEMENT)
-            tag = node.tag
-            tid = tag_index.get(tag)
-            if tid is None:
-                tid = tag_index[tag] = len(tags)
-                tags.append(tag)
-            tag_id.append(tid)
-            # The canonical test semantics live on XMLNode; precompute from
-            # them so the kernel and reference paths can never diverge.
-            text_norm.append(node.text().strip().lower())
-            numeric.append(node.numeric_value())
-            virtuals = tuple(
-                virtual_children[child.node_id]
-                for child in node.children
-                if child.node_id in virtual_children
-            )
-            if virtuals:
-                virtual_at[index] = virtuals
-        else:
-            kind.append(KIND_TEXT)
-            tag_id.append(-1)
-            text_norm.append(None)
+    # Pre-order walk mirroring Fragment.iter_span.  *siblings* iterates the
+    # children of the open element at flat index *parent_index*, so every
+    # node is looked at once, as a child: a text child gets its row and adds
+    # to the open element's direct text, a sub-fragment root is recorded, an
+    # element child gets its row and is opened in turn.  The open element's
+    # text_norm slot holds its raw direct text until it is closed.
+    suspended = []
+    siblings = iter((fragment.root,))
+    parent_index = -1
+    while True:
+        for node in siblings:
+            if node.kind == TEXT:
+                kind.append(KIND_TEXT)
+                tag_id.append(-1)
+                text_norm.append(None)
+                text_norm[parent_index] += node.value or ""
+            elif node.node_id in virtual_children:
+                virtuals.setdefault(parent_index, []).append(virtual_children[node.node_id])
+                continue
+            else:
+                index = len(kind)
+                kind.append(KIND_ELEMENT)
+                tag = node.tag
+                tid = tag_index.get(tag)
+                if tid is None:
+                    tid = tag_index[tag] = len(tags)
+                    tags.append(tag)
+                tag_id.append(tid)
+                text_norm.append("")
+            node_ids.append(node.node_id)
+            parent.append(parent_index)
+            subtree_size.append(1)
             numeric.append(None)
-        for child in reversed(node.children):
-            if child.node_id not in virtual_children:
-                stack.append((child, index))
-
-    # Subtree sizes: every node contributes 1 to each ancestor; a reverse
-    # pre-order sweep folds child sizes into parents in O(n).
-    n = len(kind)
-    subtree_size = [1] * n
-    for index in range(n - 1, 0, -1):
-        subtree_size[parent[index]] += subtree_size[index]
+            if node.children:
+                suspended.append((siblings, parent_index))
+                siblings = iter(node.children)
+                parent_index = index
+                break
+        else:
+            if parent_index < 0:
+                break
+            # All of the open element's span descendants have their rows.
+            subtree_size[parent_index] = len(kind) - parent_index
+            # Same definitions as XMLNode.text() / numeric_value(), so the
+            # kernel and reference paths can never diverge.
+            stripped = text_norm[parent_index].strip()
+            text_norm[parent_index] = stripped.lower()
+            if stripped:
+                numeric[parent_index] = parse_numeric(stripped)
+            siblings, parent_index = suspended.pop()
 
     return FlatFragment(
         fragment_id=fragment.fragment_id,
@@ -248,5 +257,5 @@ def build_flat_fragment(fragment) -> FlatFragment:
         tags=tags,
         text_norm=text_norm,
         numeric=numeric,
-        virtual_at=virtual_at,
+        virtual_at={index: tuple(ids) for index, ids in virtuals.items()},
     )

@@ -18,12 +18,29 @@ from typing import Callable, Iterator, Optional
 
 from repro.xmltree.errors import XMLTreeError
 
-__all__ = ["NodeId", "XMLNode", "XMLTree", "ELEMENT", "TEXT"]
+__all__ = ["NodeId", "XMLNode", "XMLTree", "ELEMENT", "TEXT", "parse_numeric"]
 
 NodeId = int
 
 ELEMENT = "element"
 TEXT = "text"
+
+
+def parse_numeric(stripped: str) -> Optional[float]:
+    """What ``val()`` sees in already-stripped text; ``None`` if not numeric.
+
+    A leading currency symbol is tolerated because the paper's running
+    example stores prices as ``$374``.  The one definition behind
+    :meth:`XMLNode.numeric_value` and the flat ``numeric`` column.
+    """
+    if stripped.startswith("$"):
+        stripped = stripped[1:]
+    if not stripped:
+        return None
+    try:
+        return float(stripped)
+    except ValueError:
+        return None
 
 
 class XMLNode:
@@ -52,12 +69,14 @@ class XMLNode:
         tag: Optional[str] = None,
         value: Optional[str] = None,
     ):
-        if kind not in (ELEMENT, TEXT):
+        if kind == ELEMENT:
+            if not tag:
+                raise XMLTreeError("element nodes require a tag")
+        elif kind == TEXT:
+            if value is None:
+                raise XMLTreeError("text nodes require a value")
+        else:
             raise XMLTreeError(f"unknown node kind: {kind!r}")
-        if kind == ELEMENT and not tag:
-            raise XMLTreeError("element nodes require a tag")
-        if kind == TEXT and value is None:
-            raise XMLTreeError("text nodes require a value")
         self.node_id: NodeId = -1
         self.kind = kind
         self.tag = tag
@@ -112,19 +131,9 @@ class XMLNode:
     def numeric_value(self) -> Optional[float]:
         """The node's text parsed as a number, or ``None`` if not numeric.
 
-        ``val() op num`` qualifiers use this; a leading currency symbol is
-        tolerated because the paper's running example stores prices as
-        ``$374``.
+        ``val() op num`` qualifiers use this (see :func:`parse_numeric`).
         """
-        raw = self.text().strip()
-        if raw.startswith("$"):
-            raw = raw[1:]
-        if not raw:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return None
+        return parse_numeric(self.text().strip())
 
     # -- navigation -------------------------------------------------------
 
@@ -138,7 +147,8 @@ class XMLNode:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children))
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def iter_descendants(self) -> Iterator["XMLNode"]:
         """Pre-order iteration over proper descendants."""
@@ -208,6 +218,19 @@ class XMLTree:
         self._next_node_id: NodeId = 0
         if reindex:
             self.reindex()
+
+    @classmethod
+    def from_preorder_index(cls, by_id: dict[NodeId, XMLNode]) -> "XMLTree":
+        """A tree over nodes already numbered ``0..n-1`` in document order.
+
+        *by_id* is the finished id index (root at ``0``) and becomes the
+        tree's own; for builders that create nodes in document order and can
+        number them as they go, sparing the :meth:`reindex` walk.
+        """
+        tree = cls(by_id[0], reindex=False)
+        tree._by_id = by_id
+        tree._next_node_id = len(by_id)
+        return tree
 
     # -- indexing -----------------------------------------------------------
 

@@ -1,99 +1,38 @@
-"""A small XML parser for the subset of XML the reproduction uses.
+"""XML text to :class:`XMLTree`, driven by :mod:`xml.parsers.expat`.
 
-The workload generator and the examples write plain element/text documents
-(no attributes are required by the paper's queries, but attributes are
-accepted and ignored so that real XMark output can be loaded).  Supported:
+expat does the scanning and enforces well-formedness; the handlers here
+build the node model.  What reaches the tree:
 
-* element tags with optional attributes (attributes are discarded),
-* self-closing tags,
-* text content with the five standard entities,
-* comments and processing instructions / XML declarations (skipped),
-* CDATA sections.
+* elements (attributes are parsed and discarded — the query fragment ``X``
+  cannot observe them) and text, with entity and character references
+  expanded and ``\\r\\n`` normalised to ``\\n``;
+* a comment, a processing instruction or a CDATA boundary ends the current
+  text run, so ``x<!-- c -->y`` is two text nodes; a reference does not,
+  so ``x&amp;y`` is one;
+* entity declarations are refused (no billion laughs), a bare
+  ``<!DOCTYPE name>`` is accepted.
 
-The parser is a straightforward single-pass scanner; error positions are
-reported as character offsets.
+Nodes are numbered as they are created — creation order is document order —
+so the finished tree needs no numbering walk.  Every failure on a ``str`` is
+an :class:`XMLSyntaxError` whose ``position`` is a character offset.
 """
 
 from __future__ import annotations
 
+import gc
 import os
-import re
 import sys
+from xml.parsers import expat
 
 from repro.xmltree.errors import XMLSyntaxError
-from repro.xmltree.nodes import ELEMENT, TEXT, XMLNode, XMLTree
+from repro.xmltree.nodes import ELEMENT, TEXT, NodeId, XMLNode, XMLTree
 
 __all__ = ["parse_xml", "parse_xml_file"]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-:]*")
-_ENTITIES = {
-    "&lt;": "<",
-    "&gt;": ">",
-    "&amp;": "&",
-    "&apos;": "'",
-    "&quot;": '"',
-}
 
-
-def _unescape(raw: str) -> str:
-    """Replace the five predefined entities (and numeric references)."""
-    if "&" not in raw:
-        return raw
-    out = raw
-    for entity, char in _ENTITIES.items():
-        out = out.replace(entity, char)
-    out = re.sub(r"&#(\d+);", lambda match: chr(int(match.group(1))), out)
-    out = re.sub(r"&#x([0-9A-Fa-f]+);", lambda match: chr(int(match.group(1), 16)), out)
-    return out
-
-
-class _Scanner:
-    """Cursor over the document text."""
-
-    def __init__(self, data: str):
-        self.data = data
-        self.pos = 0
-        self.length = len(data)
-
-    def at_end(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.data[index] if index < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.data.startswith(token, self.pos)
-
-    def skip(self, count: int) -> None:
-        self.pos += count
-
-    def skip_until(self, token: str, what: str) -> None:
-        index = self.data.find(token, self.pos)
-        if index < 0:
-            raise XMLSyntaxError(f"unterminated {what}", self.pos)
-        self.pos = index + len(token)
-
-    def take_until(self, token: str, what: str) -> str:
-        index = self.data.find(token, self.pos)
-        if index < 0:
-            raise XMLSyntaxError(f"unterminated {what}", self.pos)
-        chunk = self.data[self.pos:index]
-        self.pos = index + len(token)
-        return chunk
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.data[self.pos].isspace():
-            self.pos += 1
-
-    def read_name(self) -> str:
-        match = _NAME_RE.match(self.data, self.pos)
-        if not match:
-            raise XMLSyntaxError("expected a name", self.pos)
-        self.pos = match.end()
-        # Interned so tag comparisons downstream (node tests, dispatch
-        # tables) are pointer comparisons and flat tag tables dedup for free.
-        return sys.intern(match.group(0))
+def _char_offset(data: str, byte_index: int) -> int:
+    """expat counts UTF-8 bytes; :class:`XMLSyntaxError` counts characters."""
+    return len(data.encode("utf-8")[: max(byte_index, 0)].decode("utf-8", "ignore"))
 
 
 def parse_xml(data: str, keep_whitespace_text: bool = False) -> XMLTree:
@@ -103,108 +42,89 @@ def parse_xml(data: str, keep_whitespace_text: bool = False) -> XMLTree:
     *keep_whitespace_text* is true, matching how the paper's trees are drawn
     (pure structure plus meaningful leaf text).
     """
-    scanner = _Scanner(data)
-    root: XMLNode | None = None
+    by_id: dict[NodeId, XMLNode] = {}
     stack: list[XMLNode] = []
+    pieces: list[str] = []
+    intern = sys.intern
 
-    def emit_text(raw: str) -> None:
-        if not raw:
-            return
-        if not keep_whitespace_text and not raw.strip():
-            return
-        if not stack:
-            if raw.strip():
-                raise XMLSyntaxError("text content outside the root element", scanner.pos)
-            return
-        # Text payloads are interned too: workload generators draw from a
-        # fixed vocabulary, so repeated values (prices, country names, ...)
-        # collapse to one string object each.
-        stack[-1].append(XMLNode(TEXT, value=sys.intern(_unescape(raw))))
-
-    while not scanner.at_end():
-        if scanner.peek() != "<":
-            start = scanner.pos
-            index = scanner.data.find("<", start)
-            if index < 0:
-                index = scanner.length
-            emit_text(scanner.data[start:index])
-            scanner.pos = index
-            continue
-
-        if scanner.startswith("<?"):
-            scanner.skip_until("?>", "processing instruction")
-            continue
-        if scanner.startswith("<!--"):
-            scanner.skip_until("-->", "comment")
-            continue
-        if scanner.startswith("<![CDATA["):
-            scanner.skip(len("<![CDATA["))
-            emit_text(scanner.take_until("]]>", "CDATA section"))
-            continue
-        if scanner.startswith("<!"):
-            scanner.skip_until(">", "declaration")
-            continue
-
-        if scanner.startswith("</"):
-            scanner.skip(2)
-            tag = scanner.read_name()
-            scanner.skip_whitespace()
-            if scanner.peek() != ">":
-                raise XMLSyntaxError(f"malformed closing tag </{tag}", scanner.pos)
-            scanner.skip(1)
-            if not stack:
-                raise XMLSyntaxError(f"closing tag </{tag}> without an open element", scanner.pos)
-            open_node = stack.pop()
-            if open_node.tag != tag:
-                raise XMLSyntaxError(
-                    f"closing tag </{tag}> does not match <{open_node.tag}>", scanner.pos
-                )
-            continue
-
-        # Opening (or self-closing) tag.
-        scanner.skip(1)
-        tag = scanner.read_name()
-        node = XMLNode(ELEMENT, tag=tag)
-        # Skip attributes (quoted values may contain '>' so they must be
-        # consumed properly, not just scanned for the next '>').
-        while True:
-            scanner.skip_whitespace()
-            char = scanner.peek()
-            if char == ">":
-                scanner.skip(1)
-                self_closing = False
-                break
-            if char == "/" and scanner.peek(1) == ">":
-                scanner.skip(2)
-                self_closing = True
-                break
-            if not char:
-                raise XMLSyntaxError(f"unterminated tag <{tag}", scanner.pos)
-            scanner.read_name()
-            scanner.skip_whitespace()
-            if scanner.peek() == "=":
-                scanner.skip(1)
-                scanner.skip_whitespace()
-                quote = scanner.peek()
-                if quote not in ("'", '"'):
-                    raise XMLSyntaxError("attribute value must be quoted", scanner.pos)
-                scanner.skip(1)
-                scanner.take_until(quote, "attribute value")
-
+    def attach(node: XMLNode) -> None:
+        # What XMLTree.reindex and XMLNode.append would do, minus the walk
+        # and the checks that hold by construction here.
+        node.node_id = len(by_id)
+        by_id[node.node_id] = node
         if stack:
-            stack[-1].append(node)
-        elif root is None:
-            root = node
-        else:
-            raise XMLSyntaxError("multiple root elements", scanner.pos)
-        if not self_closing:
-            stack.append(node)
+            parent = node.parent = stack[-1]
+            parent.children.append(node)
 
-    if stack:
-        raise XMLSyntaxError(f"unclosed element <{stack[-1].tag}>", scanner.pos)
-    if root is None:
-        raise XMLSyntaxError("document has no root element", 0)
-    return XMLTree(root)
+    def flush_text() -> None:
+        # buffer_text still delivers a run in pieces around references and
+        # past buffer_size; one run is one node.
+        raw = "".join(pieces)
+        pieces.clear()
+        if keep_whitespace_text or raw.strip():
+            # Interned: generators draw text from a fixed vocabulary, so
+            # repeated values collapse to one string object each.
+            attach(XMLNode(TEXT, None, intern(raw)))
+
+    def start_element(tag: str, _attributes: dict) -> None:
+        if pieces:
+            flush_text()
+        # Interned so tag comparisons downstream are pointer comparisons and
+        # flat tag tables dedup for free.
+        node = XMLNode(ELEMENT, intern(tag))
+        attach(node)
+        stack.append(node)
+
+    def end_element(_tag: str) -> None:
+        if pieces:
+            flush_text()
+        stack.pop()
+
+    def boundary(*_ignored) -> None:
+        if pieces:
+            flush_text()
+
+    def fail(message: str) -> None:
+        raise XMLSyntaxError(message, _char_offset(data, parser.CurrentByteIndex))
+
+    def refuse_entity(*_ignored) -> None:
+        fail("entity declarations are not supported")
+
+    def undefined_entity(name: str, _is_parameter: bool) -> None:
+        # Only reachable behind an (unread) external DTD, where expat skips
+        # the reference instead of failing; dropping text silently is worse.
+        fail(f"undefined entity &{name};")
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = pieces.append
+    parser.CommentHandler = boundary
+    parser.ProcessingInstructionHandler = boundary
+    parser.StartCdataSectionHandler = boundary
+    parser.EndCdataSectionHandler = boundary
+    parser.EntityDeclHandler = refuse_entity
+    parser.SkippedEntityHandler = undefined_entity
+
+    # The build allocates one object per node, all reachable from the root
+    # and none garbage; generational passes over them only cost time.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as error:
+        raise XMLSyntaxError(
+            f"{expat.ErrorString(error.code)} (line {error.lineno}, column {error.offset})",
+            _char_offset(data, parser.ErrorByteIndex),
+        ) from None
+    except UnicodeEncodeError as error:  # a lone surrogate: expat takes UTF-8
+        raise XMLSyntaxError(f"character not encodable: {error.reason}", error.start) from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return XMLTree.from_preorder_index(by_id)
 
 
 def parse_xml_file(path: str | os.PathLike, keep_whitespace_text: bool = False) -> XMLTree:

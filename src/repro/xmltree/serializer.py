@@ -16,30 +16,36 @@ def _escape(raw: str) -> str:
     )
 
 
-def _write_node(node: XMLNode, parts: list[str], indent: int, pretty: bool) -> None:
-    pad = "  " * indent if pretty else ""
+def _write_node(root: XMLNode, parts: list[str], pretty: bool) -> None:
     newline = "\n" if pretty else ""
-    if node.is_text:
-        parts.append(f"{pad}{_escape(node.value or '')}{newline}")
-        return
-    if not node.children:
-        parts.append(f"{pad}<{node.tag}/>{newline}")
-        return
-    only_text = all(child.is_text for child in node.children)
-    if only_text:
-        content = _escape("".join(child.value or "" for child in node.children))
-        parts.append(f"{pad}<{node.tag}>{content}</{node.tag}>{newline}")
-        return
-    parts.append(f"{pad}<{node.tag}>{newline}")
-    for child in node.children:
-        _write_node(child, parts, indent + 1, pretty)
-    parts.append(f"{pad}</{node.tag}>{newline}")
+    # Depth-first without recursion (documents nest deeper than Python's
+    # call stack).  An entry is a node still to write with its depth, or the
+    # ready-made closing tag of an element whose children sit above it.
+    stack: list[tuple[XMLNode, int] | str] = [(root, 0)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            parts.append(entry)
+            continue
+        node, depth = entry
+        pad = "  " * depth if pretty else ""
+        if node.is_text:
+            parts.append(f"{pad}{_escape(node.value or '')}{newline}")
+        elif not node.children:
+            parts.append(f"{pad}<{node.tag}/>{newline}")
+        elif all(child.is_text for child in node.children):
+            content = _escape("".join(child.value or "" for child in node.children))
+            parts.append(f"{pad}<{node.tag}>{content}</{node.tag}>{newline}")
+        else:
+            parts.append(f"{pad}<{node.tag}>{newline}")
+            stack.append(f"{pad}</{node.tag}>{newline}")
+            stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def serialize_node(node: XMLNode, pretty: bool = False) -> str:
     """Serialize a single subtree to XML text."""
     parts: list[str] = []
-    _write_node(node, parts, 0, pretty)
+    _write_node(node, parts, pretty)
     return "".join(parts)
 
 

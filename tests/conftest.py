@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
+from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_random
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.workloads.scenarios import build_ft1, build_ft2
@@ -36,6 +38,37 @@ def make_random_fragmentation(tree: XMLTree, seed: int, max_fragments: int = 6):
     """A random fragmentation of *tree* with nested cuts allowed."""
     rng = random.Random(seed)
     return cut_random(tree, fragment_count=rng.randint(1, max_fragments), seed=seed)
+
+
+#: text payloads for :func:`fragmented_documents`: padded, currency-marked,
+#: non-finite, empty and non-numeric, so every branch of the text / val()
+#: normalisation is drawn
+MIXED_TEXTS = ["x", " 42 ", "$13.5", "Hello", "", " ", "nan", "-inf", "1e3", "é\n"]
+
+
+@st.composite
+def fragmented_documents(draw, max_nodes: int = 40):
+    """A drawn document with mixed content and a drawn (nested) fragmentation.
+
+    Each step hangs a new child below an earlier element — an element, or
+    with the same odds a text node, so elements collect several text children
+    between element children; any subset of the non-root elements is cut.
+    """
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, 10_000), st.sampled_from(RANDOM_TAGS + MIXED_TEXTS)),
+        min_size=1, max_size=max_nodes,
+    ))
+    root = XMLNode(ELEMENT, tag="r")
+    elements = [root]
+    for pick, label in steps:
+        parent = elements[pick % len(elements)]
+        if label in RANDOM_TAGS:
+            elements.append(parent.append(XMLNode(ELEMENT, tag=label)))
+        else:
+            parent.append(XMLNode(TEXT, value=label))
+    tree = XMLTree(root)
+    cuts = draw(st.sets(st.sampled_from(elements[1:]), max_size=6)) if len(elements) > 1 else set()
+    return build_fragmentation(tree, [node.node_id for node in cuts])
 
 
 @pytest.fixture

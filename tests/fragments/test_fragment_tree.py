@@ -1,11 +1,20 @@
 """Unit tests for fragments and the induced fragment tree."""
 
+import struct
+from hashlib import blake2b
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fragments.fragment_tree import FragmentationError, build_fragmentation
+from repro.updates import MixedWorkload, apply_mutation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
+from repro.workloads.scenarios import build_ft2
 from repro.xmltree.builder import element
 from repro.xmltree.nodes import XMLTree
+
+from tests.conftest import fragmented_documents
 
 
 @pytest.fixture
@@ -115,3 +124,75 @@ class TestFragmentSpan:
         assert fragment.node_count() == sum(1 for _ in fragment.iter_span())
         assert fragment.element_count() == sum(1 for _ in fragment.iter_span_elements())
         assert fragment.node_count() == fragment.node_count()
+
+
+def reference_fingerprint(fragmentation) -> str:
+    """The digest as it was computed before the single-update rewrite (two
+    ``update`` calls per node), kept as the executable spec: cache keys and
+    version tags are built on these bytes and must not move."""
+    hasher = blake2b(digest_size=8)
+    hasher.update(struct.pack("<Q", fragmentation.tree.size()))
+    for fragment_id in fragmentation.fragment_ids():
+        hasher.update(fragment_id.encode("utf-8"))
+        hasher.update(struct.pack("<q", fragmentation[fragment_id].root.node_id))
+    for node in fragmentation.tree.root.iter_subtree():
+        value = node.tag if node.is_element else node.value
+        hasher.update(b"\x00" if value is None else value.encode("utf-8"))
+        hasher.update(b"\x01")
+    return hasher.hexdigest()
+
+
+#: content_fingerprint() of the paper's Figure 1 fragmentation at the parent commit
+PAPER_EXAMPLE_DIGEST = "30cc9133c22f8551"
+
+
+class TestContentFingerprint:
+    @settings(max_examples=200, deadline=None)
+    @given(fragmentation=fragmented_documents())
+    def test_digest_for_digest_on_drawn_documents(self, fragmentation):
+        assert fragmentation.content_fingerprint() == reference_fingerprint(fragmentation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fragmentation=fragmented_documents(),
+        seed=st.integers(0, 1_000),
+        writes=st.integers(1, 12),
+    )
+    def test_digest_for_digest_after_mutations(self, fragmentation, seed, writes):
+        workload = MixedWorkload(fragmentation, ["//a"], write_ratio=1.0, seed=seed)
+        for _ in range(writes):
+            apply_mutation(fragmentation, workload.next_mutation())
+        assert fragmentation.content_fingerprint() == reference_fingerprint(fragmentation)
+
+    def test_pinned_digest_of_the_paper_example(self, paper_fragmentation):
+        # a literal, so the reference function itself cannot drift unnoticed
+        assert paper_fragmentation.content_fingerprint() == PAPER_EXAMPLE_DIGEST
+        assert reference_fingerprint(paper_fragmentation) == PAPER_EXAMPLE_DIGEST
+
+    def test_a_label_that_is_missing_or_empty_or_holds_the_separator(self):
+        tree = XMLTree(element("a", element("b", ""), element("b", "\x01"), element("b", "x")))
+        fragmentation = build_fragmentation(tree, [])
+        texts = [node for node in tree.iter_nodes() if node.is_text]
+        digests = {fragmentation.content_fingerprint()}
+        assert digests == {reference_fingerprint(fragmentation)}
+        texts[2].value = None  # only reachable by poking the slot; hashed as \x00
+        assert fragmentation.content_fingerprint() == reference_fingerprint(fragmentation)
+        digests.add(fragmentation.content_fingerprint())
+        assert len(digests) == 2
+
+    def test_full_walks_count_one_per_fingerprint_and_none_per_cached_read(self):
+        fragmentation = build_ft2(total_bytes=15_000, seed=2).fragmentation
+        fragmentation.invalidate_flat()
+        before = fragmentation.full_walks
+        fragmentation.content_fingerprint()
+        fragmentation.content_fingerprint()
+        assert fragmentation.full_walks == before + 2
+        fragmentation.content_version()  # not cached yet: one walk
+        assert fragmentation.full_walks == before + 3
+        for fragment_id in fragmentation.fragment_ids():
+            fragmentation.flat(fragment_id)
+        fragmentation.content_version()
+        fragmentation.version_token()
+        assert fragmentation.full_walks == before + 3
+        fragmentation.content_version(refresh=True)
+        assert fragmentation.full_walks == before + 4

@@ -8,6 +8,7 @@ import pytest
 
 from repro import (
     DistributedQueryEngine,
+    build_fragmentation,
     cut_by_size,
     cut_matching,
     evaluate_centralized,
@@ -15,6 +16,8 @@ from repro import (
     round_robin_placement,
     serialize,
 )
+from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
+from repro.core.vector import numpy_available, vector_fragment
 from repro.workloads.xmark import SiteSpec, generate_sites_document
 
 
@@ -101,3 +104,41 @@ class TestXMarkWorkflow:
         engine = DistributedQueryEngine(fragmentation)
         text = engine.explain("/sites/site/people/person")
         assert "evaluate" in text
+
+
+class TestPathologicalDepth:
+    def test_3000_deep_document_from_text_to_answers_on_every_engine(self):
+        """Deeper than Python's call stack at every layer: parse, serialize
+        (plain and pretty), re-parse, both encodings, PaX2 on each engine."""
+        depth = 3000
+        document = "<a>" * depth + "<b>7</b><b>x</b>" + "</a>" * depth
+        tree = parse_xml(document)
+        assert serialize(tree) == document
+        pretty = serialize(tree, pretty=True)
+        assert pretty.count("\n") == 2 * depth + 2
+        tree = parse_xml(pretty)
+        assert tree.size() == depth + 4
+
+        innermost = tree.node(depth - 1)
+        fragmentation = build_fragmentation(
+            tree, [tree.node(depth // 3).node_id, tree.node(2 * depth // 3).node_id]
+        )
+        spans = [fragmentation.flat(fid) for fid in fragmentation.fragment_ids()]
+        assert sum(flat.n for flat in spans) == tree.size()
+        assert [flat.subtree_size[0] for flat in spans] == [flat.n for flat in spans]
+
+        engines = [REFERENCE, KERNEL]
+        if numpy_available():
+            engines.append(VECTOR)
+            levels = [int(vector_fragment(flat).level.max()) for flat in spans]
+            assert levels == [depth // 3 - 1, depth // 3 - 1, depth // 3 + 1]  # <b> and its text below
+        expected = {
+            "//b[val() = 7]": [innermost.children[0].node_id],
+            "//a[b/text() = 'x']": [innermost.node_id],
+            "/a/a//b": [child.node_id for child in innermost.children],
+        }
+        for query, answer in expected.items():
+            assert evaluate_centralized(tree, query).answer_ids == answer
+            for engine in engines:
+                runner = DistributedQueryEngine(fragmentation, algorithm="pax2", engine=engine)
+                assert runner.execute(query).answer_ids == answer, (query, engine)

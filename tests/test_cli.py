@@ -186,6 +186,54 @@ class TestServeCommand:
             main(["serve", "--queries", str(queries)])
 
 
+class TestUnreadableDocuments:
+    """Bad input ends in one line on stderr and exit code 2, never a traceback."""
+
+    @staticmethod
+    def exit_code(argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        return caught.value.code
+
+    @pytest.fixture
+    def queries_path(self, tmp_path):
+        path = tmp_path / "queries.txt"
+        path.write_text("//book\n", encoding="utf-8")
+        return str(path)
+
+    def argv(self, command, document, queries_path):
+        return {
+            "query": ["query", document, "//book"],
+            "fragment": ["fragment", document],
+            "serve": ["serve", document, "--queries", queries_path],
+            "serve --doc": ["serve", "--doc", f"shop={document}", "--queries", queries_path],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["query", "fragment", "serve", "serve --doc"])
+    def test_malformed_xml(self, command, tmp_path, queries_path, capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<shop><book></shop>", encoding="utf-8")
+        assert self.exit_code(self.argv(command, str(bad), queries_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: {bad}: mismatched tag (line 1, column 14) (at offset 14)\n"
+
+    @pytest.mark.parametrize("command", ["query", "fragment", "serve", "serve --doc"])
+    def test_missing_file(self, command, tmp_path, queries_path, capsys):
+        missing = tmp_path / "nowhere.xml"
+        assert self.exit_code(self.argv(command, str(missing), queries_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: {missing}: No such file or directory\n"
+
+    def test_not_utf8(self, tmp_path, capsys):
+        binary = tmp_path / "binary.xml"
+        binary.write_bytes(b"\xff\xfe<a/>")
+        assert self.exit_code(["query", str(binary), "//a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {binary}: ") and err.count("\n") == 1
+
+
 class TestServeTracingFlags:
     def test_trace_artifacts_written(self, catalog_path, tmp_path, capsys):
         import json

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fragments.fragment_tree import build_fragmentation
+from repro.updates import MixedWorkload, apply_mutation
 from repro.workloads.scenarios import build_ft2
 from repro.xmltree.builder import element, text
 from repro.xmltree.flat import KIND_ELEMENT, KIND_TEXT, build_flat_fragment
 from repro.xmltree.nodes import XMLTree
+
+from tests.conftest import fragmented_documents
 
 
 def random_tree(rng: random.Random, max_nodes: int = 60) -> XMLTree:
@@ -154,3 +159,86 @@ class TestCache:
         before = fragmentation.flat(fragment_id)
         fragmentation.invalidate_flat()
         assert fragmentation.flat(fragment_id) is not before
+
+
+def reference_flat_columns(fragment) -> dict:
+    """The encoder as it was before the one-sweep rewrite, kept as the
+    executable spec: text and numeric straight from the ``XMLNode`` methods,
+    three looks at every element's children, subtree sizes folded afterwards.
+    Returns the ten constructor fields of ``FlatFragment`` by name."""
+    virtual_children = fragment.virtual_children
+    kind, tag_id, parent, node_ids, text_norm, numeric = [], [], [], [], [], []
+    tags, tag_index, virtual_at = [], {}, {}
+    stack = [(fragment.root, -1)]
+    while stack:
+        node, parent_index = stack.pop()
+        index = len(kind)
+        node_ids.append(node.node_id)
+        parent.append(parent_index)
+        if node.is_element:
+            kind.append(KIND_ELEMENT)
+            if node.tag not in tag_index:
+                tag_index[node.tag] = len(tags)
+                tags.append(node.tag)
+            tag_id.append(tag_index[node.tag])
+            text_norm.append(node.text().strip().lower())
+            numeric.append(node.numeric_value())
+            virtuals = tuple(
+                virtual_children[child.node_id]
+                for child in node.children
+                if child.node_id in virtual_children
+            )
+            if virtuals:
+                virtual_at[index] = virtuals
+        else:
+            kind.append(KIND_TEXT)
+            tag_id.append(-1)
+            text_norm.append(None)
+            numeric.append(None)
+        for child in reversed(node.children):
+            if child.node_id not in virtual_children:
+                stack.append((child, index))
+    subtree_size = [1] * len(kind)
+    for index in range(len(kind) - 1, 0, -1):
+        subtree_size[parent[index]] += subtree_size[index]
+    return {
+        "fragment_id": fragment.fragment_id, "kind": kind, "tag_id": tag_id, "parent": parent,
+        "subtree_size": subtree_size, "node_ids": node_ids, "tags": tags, "text_norm": text_norm,
+        "numeric": numeric, "virtual_at": virtual_at,
+    }
+
+
+def assert_flat_matches_reference(fragmentation) -> None:
+    for fragment_id in fragmentation.fragment_ids():
+        flat = fragmentation.flat(fragment_id)
+        for name, expected in reference_flat_columns(fragmentation[fragment_id]).items():
+            actual = getattr(flat, name)
+            if name == "numeric":  # nan != nan; reprs compare
+                actual, expected = list(map(repr, actual)), list(map(repr, expected))
+            assert actual == expected, (fragment_id, name)
+
+
+class TestAgainstReferenceEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(fragmentation=fragmented_documents())
+    def test_column_for_column_on_drawn_documents(self, fragmentation):
+        assert_flat_matches_reference(fragmentation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fragmentation=fragmented_documents(),
+        seed=st.integers(0, 1_000),
+        writes=st.integers(1, 12),
+    )
+    def test_column_for_column_after_mutations(self, fragmentation, seed, writes):
+        fragmentation.content_version()
+        walks = fragmentation.full_walks
+        workload = MixedWorkload(fragmentation, ["//a"], write_ratio=1.0, seed=seed)
+        for _ in range(writes):
+            apply_mutation(fragmentation, workload.next_mutation())
+            # the touched fragment is re-encoded, the others come from cache
+            assert_flat_matches_reference(fragmentation)
+        assert fragmentation.full_walks == walks  # re-encodes never re-fingerprint
+
+    def test_column_for_column_on_xmark(self):
+        assert_flat_matches_reference(build_ft2(total_bytes=30_000, seed=3).fragmentation)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.xmltree.builder import element, text
 from repro.xmltree.errors import XMLTreeError
-from repro.xmltree.nodes import ELEMENT, TEXT, XMLNode, XMLTree
+from repro.xmltree.nodes import ELEMENT, TEXT, XMLNode, XMLTree, parse_numeric
 
 
 @pytest.fixture
@@ -182,3 +182,42 @@ class TestIdAllocation:
         fresh.node_id = 0
         with pytest.raises(XMLTreeError, match="without an assigned id"):
             XMLTree(fresh, reindex=False).adopt_preassigned_ids()
+
+    def test_from_preorder_index_takes_the_numbering_as_given(self):
+        root = element("root", element("a", "t"), element("b"))
+        by_id = {}
+        for node in root.iter_subtree():
+            node.node_id = len(by_id)
+            by_id[node.node_id] = node
+        tree = XMLTree.from_preorder_index(by_id)
+        assert tree.root is root and tree.size() == 4
+        assert [tree.node(index) for index in range(4)] == list(tree.iter_nodes())
+        # fresh ids resume past the pre-order range, and a later reindex agrees
+        graft = element("c")
+        graft.parent = root
+        root.children.append(graft)
+        tree.register_subtree(graft)
+        assert graft.node_id == 4
+        tree.reindex()
+        assert [node.node_id for node in tree.iter_nodes()] == list(range(5))
+
+    def test_from_preorder_index_checks_the_root_like_the_constructor(self):
+        stray = text("oops")
+        stray.node_id = 0
+        with pytest.raises(XMLTreeError):
+            XMLTree.from_preorder_index({0: stray})
+
+
+class TestParseNumeric:
+    @pytest.mark.parametrize(
+        "stripped, expected",
+        [("12", 12.0), ("$374", 374.0), ("1e3", 1000.0), ("-0.5", -0.5), ("inf", float("inf")),
+         ("", None), ("$", None), ("abc", None), ("1 2", None), ("$$1", None)],
+    )
+    def test_values(self, stripped, expected):
+        assert parse_numeric(stripped) == expected
+
+    def test_numeric_value_strips_then_parses(self):
+        assert element("price", "  $9.50\n").numeric_value() == 9.5
+        assert element("price", text(" 1"), element("x"), text("0 ")).numeric_value() == 10.0
+        assert element("price").numeric_value() is None

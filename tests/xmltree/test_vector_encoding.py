@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+
 np = pytest.importorskip("numpy")
 
 from repro.core.vector.encode import vector_fragment
@@ -20,6 +22,8 @@ from repro.workloads.scenarios import build_ft2
 from repro.xmltree.builder import element, text
 from repro.xmltree.flat import KIND_ELEMENT, build_flat_fragment
 from repro.xmltree.nodes import XMLTree
+
+from tests.conftest import fragmented_documents
 
 
 def random_tree(rng: random.Random, max_nodes: int = 60) -> XMLTree:
@@ -102,6 +106,16 @@ def assert_encoding_matches_object_tree(fragment, flat):
     assert sorted(covered) == vf.elem_idx.tolist()
     assert vf.rows_with_tag(None).tolist() == vf.elem_idx.tolist()
 
+    # Value columns: the interned codes read back as text_norm (-1 on text
+    # rows); has_numeric marks exactly the rows with a value — "nan" text is
+    # one — and the numeric column holds it (NaN where there is none).
+    text_of = {code: value for value, code in vf.text_intern.items()}
+    assert [text_of.get(code) for code in vf.text_code.tolist()] == flat.text_norm
+    assert vf.has_numeric.tolist() == [value is not None for value in flat.numeric]
+    assert [repr(value) for value in vf.numeric.tolist()] == [
+        repr(float("nan") if value is None else value) for value in flat.numeric
+    ]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(25))
@@ -113,6 +127,14 @@ class TestRoundTrip:
             fragment = fragmentation[fragment_id]
             flat = build_flat_fragment(fragment)
             assert_encoding_matches_object_tree(fragment, flat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fragmentation=fragmented_documents(max_nodes=25))
+    def test_window_columns_match_object_tree_on_drawn_documents(self, fragmentation):
+        for fragment_id in fragmentation.fragment_ids():
+            assert_encoding_matches_object_tree(
+                fragmentation[fragment_id], fragmentation.flat(fragment_id)
+            )
 
     def test_window_columns_match_on_xmark(self):
         scenario = build_ft2(total_bytes=30_000, seed=3)
