@@ -24,6 +24,19 @@ Design notes
   complementary literals at one level), which keeps the residual formulas
   small: in every setting the paper considers, an entry stays linear in the
   query size because each variable family appears at most once per entry.
+* The complement check inside :func:`_combine` is a *lookup*, not a
+  construction: ``Not`` is interned, so if no ``Not(x)`` object is alive it
+  cannot be among the operands already collected, and asking
+  ``Not._interned.get(x)`` answers that without allocating (and interning,
+  and immediately dropping) a negation per operand.  Together with hashes
+  cached at creation, folding plain variables allocates only its result.
+* Flatten / dedupe-in-first-occurrence-order / absorb is associative, so
+  ``disj(*parts)`` returns the very object ``reduce(disj, parts, False)``
+  would — but visits each operand once, where the left fold re-walks the
+  growing accumulator at every step (1 + 2 + … + k visits for k parts).  The
+  n-ary call is the linear way to fold; the columnar engines aggregate a
+  node's children with it, and the reference engine's ``QualAggregate`` keeps
+  the binary fold as the executable spec they are compared against.
 * Python ``bool`` values are valid formulas.  Every public helper accepts
   either a ``bool`` or a :class:`BoolFormula`, so algorithm code never has to
   special-case the fully-known case.
@@ -113,7 +126,7 @@ class Var(BoolFormula):
     *name*, so two variables with the same name are the same object.
     """
 
-    __slots__ = ("name", "_vars", "__weakref__")
+    __slots__ = ("name", "_vars", "_hash", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary[str, Var]" = weakref.WeakValueDictionary()
 
@@ -124,6 +137,7 @@ class Var(BoolFormula):
         self = super().__new__(cls)
         self.name = name
         self._vars = _UNSET
+        self._hash = hash(("Var", name))
         cls._interned[name] = self
         return self
 
@@ -159,7 +173,7 @@ class Var(BoolFormula):
         return self is other or (isinstance(other, Var) and other.name == self.name)
 
     def __hash__(self) -> int:
-        return hash(("Var", self.name))
+        return self._hash
 
 
 class _NaryOp(BoolFormula):
@@ -340,11 +354,11 @@ def _combine(op: type, parts: Iterable[FormulaLike]) -> FormulaLike:
     collected: list[BoolFormula] = []
     seen: set[BoolFormula] = set()
     for part in parts:
-        part = simplify(part)
-        if isinstance(part, bool):
-            if part == absorbing:
+        if not isinstance(part, BoolFormula):
+            # a constant (coerced as simplify() would): absorb or drop
+            if bool(part) == absorbing:
                 return absorbing
-            continue  # identity element: drop
+            continue
         if type(part) is op:
             inner = part.operands
         else:
@@ -352,9 +366,11 @@ def _combine(op: type, parts: Iterable[FormulaLike]) -> FormulaLike:
         for sub in inner:
             if sub in seen:
                 continue
-            # x & !x == False ; x | !x == True (single-level check).
-            complement = sub.operand if isinstance(sub, Not) else Not(sub)
-            if complement in seen:
+            # x & !x == False ; x | !x == True (single-level check).  The
+            # complement is looked up, never built: *seen* holds its members
+            # strongly, so a Not(sub) that is not alive cannot be among them.
+            complement = sub.operand if isinstance(sub, Not) else Not._interned.get(sub)
+            if complement is not None and complement in seen:
                 return absorbing
             seen.add(sub)
             collected.append(sub)

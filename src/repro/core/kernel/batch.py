@@ -11,7 +11,7 @@ whole wave:
   are read **once per node**, not once per node per query;
 * the per-tag dispatch — :class:`BatchPlanTables` merges the per-query
   :class:`~repro.core.kernel.tables.PlanTables` into one fused table per
-  (wave, fragment): the ``sel_child_ok`` columns of all queries are stacked
+  (wave, document): the ``sel_child_ok`` columns of all queries are stacked
   into a single per-tag tuple (indexed through per-query step offsets) and
   the ``head_by_tag`` item ids are unified into one per-tag structure with
   the ``rest`` ids inlined, so each node does one table lookup for the whole
@@ -43,6 +43,7 @@ from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, conj, disj, is_false, is_true
 from repro.core.combined import FragmentCombinedOutput, _LazyPlaceholders
 from repro.core.kernel.combined import evaluate_fragment_combined_flat
+from repro.core.kernel.qualifier import fold_child_rows
 from repro.core.kernel.tables import (
     ITEM_CHILD,
     ITEM_DESC,
@@ -63,7 +64,7 @@ __all__ = ["BatchPlanTables", "batch_plan_tables", "evaluate_fragment_combined_b
 
 
 class BatchPlanTables:
-    """The dispatch tables of a whole query wave, fused per fragment.
+    """The dispatch tables of a whole query wave, fused per document.
 
     Built on top of the (cached) per-query :class:`PlanTables`; the fused
     structures exist so the inner loops of the batch kernel touch one object
@@ -123,29 +124,31 @@ class BatchPlanTables:
         ]
 
 
-#: per-fragment cap on cached fused tables; wave compositions vary with
+#: per-document cap on cached fused tables; wave compositions vary with
 #: traffic timing, so this cache is kept separate from (and smaller than)
 #: the single-query PlanTables cache it is built on top of — a churn of
 #: one-off waves can never evict a hot per-plan entry
-_MAX_BATCH_TABLES_PER_FRAGMENT = 64
+_MAX_BATCH_TABLES_PER_DOCUMENT = 64
 
 
 def batch_plan_tables(flat: FlatFragment, plans: Sequence[QueryPlan]) -> BatchPlanTables:
-    """The (cached) fused tables of a wave of plans over *flat*'s tag table.
+    """The (cached) fused tables of a wave of plans over *flat*'s document.
 
     Keyed by the tuple of plan fingerprints, in wave order.  The kernel
     entry point sorts waves into canonical fingerprint order before calling
     in, so the same *set* of in-flight queries hits one cache entry no
-    matter the order requests arrived in.
+    matter the order requests arrived in.  As with
+    :func:`~repro.core.kernel.tables.plan_tables`, an entry fused before the
+    document's tag table grew is rebuilt, never indexed past its rows.
     """
     key = tuple(plan.fingerprint for plan in plans)
-    cache = flat._batch_tables
+    cache = flat.tag_table.batch_tables
     tables = cache.get(key)
-    if tables is None:
-        tables = BatchPlanTables(flat, plans)
-        while len(cache) >= _MAX_BATCH_TABLES_PER_FRAGMENT:
-            cache.pop(next(iter(cache)))  # FIFO: oldest wave's tables go first
-        cache[key] = tables
+    if tables is None or len(tables.head_by_tag) < len(flat.tags):
+        if tables is None:
+            while len(cache) >= _MAX_BATCH_TABLES_PER_DOCUMENT:
+                cache.pop(next(iter(cache)))  # FIFO: oldest wave's tables go first
+        tables = cache[key] = BatchPlanTables(flat, plans)
     return tables
 
 
@@ -352,43 +355,22 @@ def _evaluate_wave(
                 h_at = head_at[q]
                 d_at = desc_at[q]
 
-                agg_head: Optional[List[FormulaLike]] = None
-                agg_desc: Optional[List[FormulaLike]] = None
-                if virtuals is not None:
-                    agg_head = [False] * ni
-                    agg_desc = [False] * ni
-                    for child_fragment_id in virtuals:
-                        for item_id in head_item_ids:
-                            agg_head[item_id] = disj(
-                                agg_head[item_id], head_var(child_fragment_id, item_id)
-                            )
-                        for item_id in desc_item_ids:
-                            agg_desc[item_id] = disj(
-                                agg_desc[item_id], desc_var(child_fragment_id, item_id)
-                            )
+                head_rows: List[object] = []
+                desc_rows: List[object] = []
                 for child in children:
                     child_head = h_at[child]
                     child_desc = d_at[child]
                     h_at[child] = None
                     d_at[child] = None
                     if child_head is not false_row:
-                        if agg_head is None:
-                            agg_head = [False] * ni
-                            agg_desc = [False] * ni
-                        for item_id in head_item_ids:
-                            value = child_head[item_id]
-                            if value is not False:
-                                agg_head[item_id] = disj(agg_head[item_id], value)
+                        head_rows.append(child_head)
                     if child_desc is not false_row:
-                        if agg_head is None:
-                            agg_head = [False] * ni
-                            agg_desc = [False] * ni
-                        for item_id in desc_item_ids:
-                            value = child_desc[item_id]
-                            if value is not False:
-                                agg_desc[item_id] = disj(agg_desc[item_id], value)
-                agg_h = false_row if agg_head is None else agg_head
-                agg_d = false_row if agg_desc is None else agg_desc
+                        desc_rows.append(child_desc)
+                agg_h = agg_d = false_row
+                if virtuals is not None or head_rows:
+                    agg_h = fold_child_rows(virtuals, head_var, head_rows, head_item_ids, ni)
+                if virtuals is not None or desc_rows:
+                    agg_d = fold_child_rows(virtuals, desc_var, desc_rows, desc_item_ids, ni)
 
                 ex: List[FormulaLike] = [False] * ni
                 for instr in t.item_prog:

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, conj, disj, is_false, is_true
 from repro.core.combined import FragmentCombinedOutput, _LazyPlaceholders
+from repro.core.kernel.qualifier import fold_child_rows
 from repro.core.kernel.tables import (
     ITEM_CHILD,
     ITEM_DESC,
@@ -166,45 +167,23 @@ def evaluate_fragment_combined_flat(
         for index in range(n - 1, -1, -1):
             if kind[index] != KIND_ELEMENT:
                 continue
-            agg_head: Optional[List[FormulaLike]] = None
-            agg_desc: Optional[List[FormulaLike]] = None
-            if has_virtuals:
-                virtuals = virtual_at.get(index)
-                if virtuals is not None:
-                    agg_head = [False] * n_items
-                    agg_desc = [False] * n_items
-                    for child_fragment_id in virtuals:
-                        for item_id in head_item_ids:
-                            agg_head[item_id] = disj(
-                                agg_head[item_id], head_var(child_fragment_id, item_id)
-                            )
-                        for item_id in desc_item_ids:
-                            agg_desc[item_id] = disj(
-                                agg_desc[item_id], desc_var(child_fragment_id, item_id)
-                            )
+            virtuals = virtual_at.get(index) if has_virtuals else None
+            head_rows: List[object] = []
+            desc_rows: List[object] = []
             for child in flat.element_children(index):
                 child_head = head_at[child]
                 child_desc = desc_at[child]
                 head_at[child] = None
                 desc_at[child] = None
                 if child_head is not false_row:
-                    if agg_head is None:
-                        agg_head = [False] * n_items
-                        agg_desc = [False] * n_items
-                    for item_id in head_item_ids:
-                        value = child_head[item_id]
-                        if value is not False:
-                            agg_head[item_id] = disj(agg_head[item_id], value)
+                    head_rows.append(child_head)
                 if child_desc is not false_row:
-                    if agg_head is None:
-                        agg_head = [False] * n_items
-                        agg_desc = [False] * n_items
-                    for item_id in desc_item_ids:
-                        value = child_desc[item_id]
-                        if value is not False:
-                            agg_desc[item_id] = disj(agg_desc[item_id], value)
-            agg_h = false_row if agg_head is None else agg_head
-            agg_d = false_row if agg_desc is None else agg_desc
+                    desc_rows.append(child_desc)
+            agg_h = agg_d = false_row
+            if virtuals is not None or head_rows:
+                agg_h = fold_child_rows(virtuals, head_var, head_rows, head_item_ids, n_items)
+            if virtuals is not None or desc_rows:
+                agg_d = fold_child_rows(virtuals, desc_var, desc_rows, desc_item_ids, n_items)
 
             ex: List[FormulaLike] = [False] * n_items
             for instr in item_prog:

@@ -16,7 +16,7 @@ fragments allocate almost nothing per node.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.booleans.formula import FormulaLike, conj, disj
 from repro.core.kernel.tables import (
@@ -34,7 +34,31 @@ from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
 from repro.xpath.plan import QueryPlan, evaluate_qual_expr
 
-__all__ = ["evaluate_fragment_qualifiers_flat"]
+__all__ = ["evaluate_fragment_qualifiers_flat", "fold_child_rows"]
+
+
+def fold_child_rows(
+    virtuals: Optional[Sequence[str]],
+    virtual_var: Callable[[str, int], FormulaLike],
+    rows: Sequence[Sequence[FormulaLike]],
+    item_ids: Sequence[int],
+    n_items: int,
+) -> List[FormulaLike]:
+    """One aggregate row over a node's children, an n-ary ``disj`` per item.
+
+    Per exchanged item the operands are the virtual children's variables
+    first, then the element children's *rows* in document order — the order
+    the reference's ``QualAggregate`` left-folds in.  Flatten / dedupe /
+    absorb is associative, so the single n-ary call returns the very object
+    the fold would, at O(k) instead of O(k^2) operand visits for k children.
+    """
+    aggregate: List[FormulaLike] = [False] * n_items
+    for item_id in item_ids:
+        parts = [row[item_id] for row in rows]
+        if virtuals is not None:
+            parts = [virtual_var(fid, item_id) for fid in virtuals] + parts
+        aggregate[item_id] = disj(*parts)
+    return aggregate
 
 
 def evaluate_fragment_qualifiers_flat(
@@ -76,44 +100,23 @@ def evaluate_fragment_qualifiers_flat(
 
         # -- aggregate the children's contributions (virtuals first, then
         #    real element children in document order, as the reference does)
-        agg_head: Optional[List[FormulaLike]] = None
-        agg_desc: Optional[List[FormulaLike]] = None
         virtuals = virtual_at.get(index)
-        if virtuals is not None:
-            agg_head = [False] * n_items
-            agg_desc = [False] * n_items
-            for child_fragment_id in virtuals:
-                for item_id in head_item_ids:
-                    agg_head[item_id] = disj(
-                        agg_head[item_id], head_var(child_fragment_id, item_id)
-                    )
-                for item_id in desc_item_ids:
-                    agg_desc[item_id] = disj(
-                        agg_desc[item_id], desc_var(child_fragment_id, item_id)
-                    )
+        head_rows: List[object] = []
+        desc_rows: List[object] = []
         for child in flat.element_children(index):
             child_head = head_at[child]
             child_desc = desc_at[child]
             head_at[child] = None
             desc_at[child] = None
             if child_head is not false_row:
-                if agg_head is None:
-                    agg_head = [False] * n_items
-                    agg_desc = [False] * n_items
-                for item_id in head_item_ids:
-                    value = child_head[item_id]
-                    if value is not False:
-                        agg_head[item_id] = disj(agg_head[item_id], value)
+                head_rows.append(child_head)
             if child_desc is not false_row:
-                if agg_head is None:
-                    agg_head = [False] * n_items
-                    agg_desc = [False] * n_items
-                for item_id in desc_item_ids:
-                    value = child_desc[item_id]
-                    if value is not False:
-                        agg_desc[item_id] = disj(agg_desc[item_id], value)
-        agg_h = false_row if agg_head is None else agg_head
-        agg_d = false_row if agg_desc is None else agg_desc
+                desc_rows.append(child_desc)
+        agg_h = agg_d = false_row
+        if virtuals is not None or head_rows:
+            agg_h = fold_child_rows(virtuals, head_var, head_rows, head_item_ids, n_items)
+        if virtuals is not None or desc_rows:
+            agg_d = fold_child_rows(virtuals, desc_var, desc_rows, desc_item_ids, n_items)
 
         # -- EX vector via the precompiled item program
         ex: List[FormulaLike] = [False] * n_items

@@ -4,24 +4,31 @@ The object-tree passes re-interpret the :class:`~repro.xpath.plan.QueryPlan`
 at every node: each qualifier item re-reads its dataclass attributes, each
 CHILD step re-runs ``matches_tag`` against the node's tag string, and each
 terminal ``text()``/``val()`` test re-normalizes the node's text.  The
-kernels instead compile the plan once per (plan, fragment tag table) pair:
+kernels instead compile the plan once per (plan, document) pair — tag ids
+are document-wide (:class:`~repro.xmltree.flat.TagTable`), so one compiled
+set serves every fragment of the document:
 
 * ``item_prog`` / ``sel_prog`` — the qualifier items and selection steps
   flattened to tuples of ints and payloads, so the inner loop dispatches on
   a small integer instead of string kinds and attribute lookups;
-* ``head_by_tag[tag_id]`` — for every tag of the fragment, the qualifier
+* ``head_by_tag[tag_id]`` — for every tag of the document, the qualifier
   item ids whose CHILD step can match that tag (wildcards included), so the
   HEAD loop touches only items that can match the current element;
 * ``sel_child_ok[tag_id]`` — per selection position, whether a CHILD step at
   that position matches the tag, replacing per-node tag comparisons with a
   precomputed boolean lookup.
 
-Tables are cached on the :class:`~repro.xmltree.flat.FlatFragment`, keyed by
-the plan's *normalized fingerprint* (:attr:`QueryPlan.fingerprint`):
+Tables are cached on the document's tag table (every
+:class:`~repro.xmltree.flat.FlatFragment` of the document references it,
+re-encodes after a write and pinned MVCC snapshots included), keyed by the
+plan's *normalized fingerprint* (:attr:`QueryPlan.fingerprint`):
 compilation is deterministic from the normalized path, so trivially
 different spellings of the same query (``//a/./b`` vs ``//a/b``) share one
 set of compiled tables.  The same fingerprint is the dedup key the batch
-kernels use to collapse duplicate queries to a single slot.
+kernels use to collapse duplicate queries to a single slot.  A never-seen
+query therefore compiles once per document, not once per fragment, and at
+most :data:`_MAX_TABLES_PER_DOCUMENT` sets are alive per document however
+many fragments it has.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ SEL_SELFQUAL = 2      # (code, position, qual_index)
 
 
 class PlanTables:
-    """One plan compiled against one fragment's tag table."""
+    """One plan compiled against one document's tag table (as of its length
+    at compile time: the per-tag lists have one row per tag then known)."""
 
     __slots__ = (
         "item_prog",
@@ -121,39 +129,52 @@ class PlanTables:
         #: shared all-false qualifier row (read-only: a tuple cannot be mutated)
         self.false_items: Tuple[bool, ...] = (False,) * plan.n_items
 
-        tags = flat.tags
-        self.head_by_tag: List[Tuple[int, ...]] = [
-            tuple(
+        # One row per tag of the document.  A tag the plan does not name
+        # matches wildcards only, so all such tags share one row; only the
+        # (few) named tags get a row of their own.
+        def head_row(tag: Optional[str]) -> Tuple[int, ...]:
+            return tuple(
                 item_id
                 for item_id in self.head_item_ids
                 if items[item_id].tag is None or items[item_id].tag == tag
             )
-            for tag in tags
-        ]
-        n_steps = plan.n_steps
-        sel_child_ok: List[Tuple[bool, ...]] = []
-        for tag in tags:
-            ok = [False] * (n_steps + 1)
-            for position, step in enumerate(plan.selection, start=1):
-                if step.kind == CHILD:
-                    ok[position] = step.tag is None or step.tag == tag
-            sel_child_ok.append(tuple(ok))
-        self.sel_child_ok = sel_child_ok
+
+        def ok_row(tag: Optional[str]) -> Tuple[bool, ...]:
+            return (False,) + tuple(
+                step.kind == CHILD and (step.tag is None or step.tag == tag)
+                for step in plan.selection
+            )
+
+        n_tags = len(flat.tags)
+        tag_ids = flat.tag_table.index
+        self.head_by_tag: List[Tuple[int, ...]] = [head_row(None)] * n_tags
+        for tag in {items[item_id].tag for item_id in self.head_item_ids}:
+            if tag in tag_ids:
+                self.head_by_tag[tag_ids[tag]] = head_row(tag)
+        self.sel_child_ok: List[Tuple[bool, ...]] = [ok_row(None)] * n_tags
+        for tag in {step.tag for step in plan.selection if step.kind == CHILD}:
+            if tag in tag_ids:
+                self.sel_child_ok[tag_ids[tag]] = ok_row(tag)
 
 
-#: per-fragment cap on cached PlanTables; the service can see an unbounded
+#: per-document cap on cached PlanTables; the service can see an unbounded
 #: stream of distinct queries, so the cache must not grow with it
-_MAX_TABLES_PER_FRAGMENT = 256
+_MAX_TABLES_PER_DOCUMENT = 256
 
 
 def plan_tables(flat: FlatFragment, plan: QueryPlan) -> PlanTables:
-    """The (cached, bounded) dispatch tables of *plan* over *flat*'s tag table."""
+    """The (cached, bounded) dispatch tables of *plan* over *flat*'s document.
+
+    The tag table is append-only, so an entry compiled before a write added
+    tags is merely short: it is recompiled (in its FIFO place) before any
+    fragment could index it with an id it has no row for.
+    """
     key = plan.fingerprint
-    cache = flat._tables
+    cache = flat.tag_table.plan_tables
     tables = cache.get(key)
-    if tables is None:
-        tables = PlanTables(flat, plan)
-        while len(cache) >= _MAX_TABLES_PER_FRAGMENT:
-            cache.pop(next(iter(cache)))  # FIFO: oldest query's tables go first
-        cache[key] = tables
+    if tables is None or len(tables.head_by_tag) < len(flat.tags):
+        if tables is None:
+            while len(cache) >= _MAX_TABLES_PER_DOCUMENT:
+                cache.pop(next(iter(cache)))  # FIFO: oldest query's tables go first
+        tables = cache[key] = PlanTables(flat, plan)
     return tables

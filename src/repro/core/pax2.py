@@ -94,6 +94,7 @@ def run_pax2(
     else:
         evaluated = fragmentation.fragment_ids()
     stats.fragments_evaluated = list(evaluated)
+    evaluated_set = set(evaluated)
 
     answers: set[int] = set()
     prewarm_fragments(fragmentation, evaluated, engine=engine)
@@ -106,7 +107,7 @@ def run_pax2(
 
     for site_id in stage1_sites:
         site = network.sites[site_id]
-        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated]
+        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated_set]
         network.send(
             coordinator_id, site_id, MessageKind.EXEC_REQUEST,
             units=plan_units(plan) * len(fragment_ids),

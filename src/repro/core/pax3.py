@@ -112,6 +112,7 @@ def run_pax3(
     else:
         selection_fragments = fragmentation.fragment_ids()
     stats.fragments_evaluated = list(selection_fragments)
+    selection_set = set(selection_fragments)
 
     answers: set[int] = set()
     qual_env = Environment()
@@ -161,7 +162,7 @@ def run_pax3(
 
     for site_id in stage2_sites:
         site = network.sites[site_id]
-        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in selection_fragments]
+        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in selection_set]
         network.send(
             coordinator_id, site_id, MessageKind.EXEC_REQUEST,
             units=plan_units(plan) * len(fragment_ids),

@@ -16,7 +16,9 @@ An XPath-accelerator encoding of one fragment span, derived once from the
     Per-tag sorted pre-order index: ``tag_rows`` holds all element rows
     grouped by ``tag_id`` (pre-order within each group) and ``tag_starts``
     the CSR offsets, so "the elements with tag t inside window (lo, hi)"
-    is a ``searchsorted`` slice instead of a scan.
+    is a ``searchsorted`` slice instead of a scan.  Tag ids are
+    document-wide (:class:`~repro.xmltree.flat.TagTable`), so ``tag_starts``
+    has one entry per tag of the *document* as of the encode.
 
 Instances hang off ``FlatFragment._vector``: the flat encodings are cached
 on :class:`~repro.fragments.fragment_tree.Fragmentation` under the content
@@ -107,7 +109,6 @@ class VectorFragment:
         "numeric",
         "has_numeric",
         "n_tags",
-        "tag_index",
         "tag_starts",
         "tag_rows",
         "anc_idx",
@@ -169,10 +170,10 @@ class VectorFragment:
         self.numeric = numeric
         self.has_numeric = has_numeric
 
-        # Per-tag sorted pre-order index (CSR layout over element rows).
+        # Per-tag sorted pre-order index (CSR layout over element rows),
+        # one group per tag the document-wide table holds right now.
         n_tags = len(flat.tags)
         self.n_tags = n_tags
-        self.tag_index = {tag: tid for tid, tag in enumerate(flat.tags)}
         if self.elem_idx.size:
             order = np.argsort(self.tag_id[self.elem_idx], kind="stable")
             self.tag_rows = self.elem_idx[order]
@@ -239,8 +240,10 @@ class VectorFragment:
         """Element rows matching *tag* in pre-order (all elements if None)."""
         if tag is None:
             return self.elem_idx
-        tid = self.tag_index.get(tag)
-        if tid is None:
+        # The document's tag table may have grown since tag_starts was
+        # sized; a tag interned later has no rows in this encoding.
+        tid = self.flat.tag_table.index.get(tag)
+        if tid is None or tid >= self.n_tags:
             return self.elem_idx[:0]
         return self.tag_rows[self.tag_starts[tid] : self.tag_starts[tid + 1]]
 

@@ -156,40 +156,39 @@ def qualifier_analysis(
             return np.searchsorted(hits, lo) < np.searchsorted(hits, hi)
 
         for index in vf.anc_idx.tolist():
-            # -- child aggregation: virtuals first, then element children
-            #    in document order, same fold order as both other engines
-            agg_head: List[FormulaLike] = [False] * n_items
-            agg_desc: List[FormulaLike] = [False] * n_items
-            virtuals = virtual_at.get(index)
-            if virtuals is not None:
-                for child_fragment_id in virtuals:
-                    for item_id in head_item_ids:
-                        agg_head[item_id] = disj(
-                            agg_head[item_id], head_var(child_fragment_id, item_id)
-                        )
-                    for item_id in desc_item_ids:
-                        agg_desc[item_id] = disj(
-                            agg_desc[item_id], desc_var(child_fragment_id, item_id)
-                        )
+            # -- child aggregation: per item, virtuals' variables first, then
+            #    element children in document order (the operand order of
+            #    both other engines), folded by one n-ary disj per item
+            virtuals = virtual_at.get(index, ())
+            head_parts: Dict[int, List[FormulaLike]] = {
+                item_id: [head_var(fid, item_id) for fid in virtuals]
+                for item_id in head_item_ids
+            }
+            desc_parts: Dict[int, List[FormulaLike]] = {
+                item_id: [desc_var(fid, item_id) for fid in virtuals]
+                for item_id in desc_item_ids
+            }
             for child in flat.element_children(index):
                 if anc_mask[child]:
                     _child_ex, child_head, child_desc = sym_rows[child]
-                    for item_id in head_item_ids:
-                        value = child_head[item_id]
-                        if value is not False:
-                            agg_head[item_id] = disj(agg_head[item_id], value)
-                    for item_id in desc_item_ids:
-                        value = child_desc[item_id]
-                        if value is not False:
-                            agg_desc[item_id] = disj(agg_desc[item_id], value)
+                    for item_id, parts in head_parts.items():
+                        parts.append(child_head[item_id])
+                    for item_id, parts in desc_parts.items():
+                        parts.append(child_desc[item_id])
                 else:
                     for item_id in head_by_tag[tag_ids[child]]:
                         if ex_cols[head_rest[item_id]][child]:
-                            agg_head[item_id] = disj(agg_head[item_id], True)
+                            head_parts[item_id].append(True)
                     child_end = child + subtree_size[child]
-                    for item_id in desc_item_ids:
+                    for item_id, parts in desc_parts.items():
                         if window_holds(item_id, child, child_end):
-                            agg_desc[item_id] = disj(agg_desc[item_id], True)
+                            parts.append(True)
+            agg_head: List[FormulaLike] = [False] * n_items
+            for item_id, parts in head_parts.items():
+                agg_head[item_id] = disj(*parts)
+            agg_desc: List[FormulaLike] = [False] * n_items
+            for item_id, parts in desc_parts.items():
+                agg_desc[item_id] = disj(*parts)
 
             # -- EX row via the same compiled item program as the kernel
             ex: List[FormulaLike] = [False] * n_items

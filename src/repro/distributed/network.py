@@ -36,6 +36,11 @@ class Network:
         if root_fragment_id not in self.placement:
             raise ValueError("placement does not cover the root fragment")
         self.coordinator_id: str = self.placement[root_fragment_id]
+        #: site id -> its fragments in fragment-id order, indexed once here
+        #: (every algorithm asks per site, per stage, per query)
+        self._fragments_on: Dict[str, List[str]] = {site_id: [] for site_id in self.sites}
+        for fragment_id in fragmentation.fragment_ids():
+            self._fragments_on[self.placement[fragment_id]].append(fragment_id)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -52,7 +57,7 @@ class Network:
 
     def fragments_on(self, site_id: str) -> List[str]:
         """Fragment ids stored on a site, in fragment-id order."""
-        return [fid for fid in self.fragmentation.fragment_ids() if self.placement[fid] == site_id]
+        return list(self._fragments_on.get(site_id, ()))
 
     def sites_holding(self, fragment_ids: Iterable[str]) -> List[str]:
         """Distinct site ids holding any of the given fragments (sorted)."""

@@ -7,7 +7,7 @@ from hashlib import blake2b
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.fragments.fragment import Fragment
-from repro.xmltree.flat import FlatFragment, build_flat_fragment
+from repro.xmltree.flat import FlatFragment, TagTable, build_flat_fragment
 from repro.xmltree.nodes import ELEMENT, NodeId, XMLNode, XMLTree
 
 __all__ = ["Fragmentation", "FragmentationError", "build_fragmentation"]
@@ -33,9 +33,16 @@ class Fragmentation:
         self.fragment_root_ids: Dict[NodeId, str] = {}
         #: columnar span encodings, valid for _content_version (see flat())
         self._flat_cache: Dict[str, FlatFragment] = {}
+        #: the document-wide tag ids every flat encoding interns into, and
+        #: the plan-table caches compiled against them; append-only, so it
+        #: outlives the encodings (dropping them never renumbers a tag)
+        self._tag_table = TagTable()
         self._content_version: Optional[str] = None
         #: per-fragment mutation epochs (see bump_epoch / version_token)
         self._epochs: Dict[str, int] = {}
+        #: bottom_up_order() / top_down_order(), sorted once per fragment set
+        self._bottom_up: Optional[List[str]] = None
+        self._top_down: Optional[List[str]] = None
         #: full-document fingerprint walks performed so far; tests assert the
         #: steady-state query path never increments this
         self.full_walks = 0
@@ -50,6 +57,7 @@ class Fragmentation:
         if fragment.parent_id is None:
             self.root_fragment_id = fragment.fragment_id
         self._epochs[fragment.fragment_id] = 0
+        self._bottom_up = self._top_down = None
         self.invalidate_flat()
 
     # -- columnar encodings ---------------------------------------------------
@@ -144,7 +152,7 @@ class Fragmentation:
         self.content_version()
         encoded = self._flat_cache.get(fragment_id)
         if encoded is None:
-            encoded = build_flat_fragment(self.fragments[fragment_id])
+            encoded = build_flat_fragment(self.fragments[fragment_id], self._tag_table)
             self._flat_cache[fragment_id] = encoded
         return encoded
 
@@ -205,12 +213,15 @@ class Fragmentation:
 
     def bottom_up_order(self) -> List[str]:
         """Fragment ids ordered so children precede their parents."""
-        order = sorted(self.fragments, key=self.depth, reverse=True)
-        return order
+        if self._bottom_up is None:
+            self._bottom_up = sorted(self.fragments, key=self.depth, reverse=True)
+        return list(self._bottom_up)
 
     def top_down_order(self) -> List[str]:
         """Fragment ids ordered so parents precede their children."""
-        return sorted(self.fragments, key=self.depth)
+        if self._top_down is None:
+            self._top_down = sorted(self.fragments, key=self.depth)
+        return list(self._top_down)
 
     def parent_node_of(self, fragment_id: str) -> Optional[XMLNode]:
         """The node (in the parent fragment) whose child is this fragment's root."""

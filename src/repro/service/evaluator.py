@@ -307,6 +307,7 @@ async def _run_pax2_async(
     else:
         evaluated = fragmentation.fragment_ids()
     stats.fragments_evaluated = list(evaluated)
+    evaluated_set = set(evaluated)
 
     answers: set[int] = set()
 
@@ -318,7 +319,7 @@ async def _run_pax2_async(
         site_id: str,
     ) -> Tuple[str, Dict[str, FragmentCombinedOutput], List[int]]:
         site = network.sites[site_id]
-        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated]
+        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated_set]
 
         async def attempt(buffer: Optional[RoundBuffer]):
             await transport.send(
@@ -459,7 +460,7 @@ async def _run_pax2_async(
             fid
             for site_id in failed_sites
             for fid in network.fragments_on(site_id)
-            if fid in evaluated
+            if fid in evaluated_set
         }
         stats.incomplete = True
         stats.missing_sites = sorted(failed_sites)

@@ -16,8 +16,13 @@ sub-fragments excluded):
 ``kind[i]``
     :data:`KIND_ELEMENT` or :data:`KIND_TEXT`.
 ``tag_id[i]``
-    Index into the per-fragment :attr:`tags` table (interned strings);
-    ``-1`` for text nodes.
+    Index into the **document-wide** :class:`TagTable` (interned strings,
+    shared as :attr:`FlatFragment.tags`); ``-1`` for text nodes.  The table
+    is append-only and owned by the
+    :class:`~repro.fragments.fragment_tree.Fragmentation`, so an id means
+    the same tag in every fragment, in every re-encode after a write and in
+    every pinned MVCC snapshot — which is what lets one compiled set of
+    plan tables serve the whole document (see :class:`TagTable`).
 ``parent[i]``
     Flat index of the parent within the span; ``-1`` for the fragment root.
 ``subtree_size[i]``
@@ -40,6 +45,8 @@ Instances are built once per fragment and cached on
 :class:`~repro.fragments.fragment_tree.Fragmentation`, keyed by the same
 content fingerprint the service result cache uses, so a re-fragmentation or
 document edit that would change query answers also drops the flat encodings.
+The tag table outlives them: it only ever grows, so encodings built before
+and after a write (or pinned by a snapshot) agree on every id they share.
 """
 
 from __future__ import annotations
@@ -49,10 +56,36 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.xmltree.nodes import TEXT, NodeId, parse_numeric
 
-__all__ = ["FlatFragment", "KIND_ELEMENT", "KIND_TEXT", "build_flat_fragment"]
+__all__ = ["FlatFragment", "KIND_ELEMENT", "KIND_TEXT", "TagTable", "build_flat_fragment"]
 
 KIND_ELEMENT = 0
 KIND_TEXT = 1
+
+
+class TagTable:
+    """Append-only interning of one document's element tags.
+
+    Everything compiled against tag ids lives here too, once per document
+    instead of once per fragment: the per-query dispatch tables
+    (:func:`repro.core.kernel.tables.plan_tables`) and the fused per-wave
+    tables (:func:`repro.core.kernel.batch.batch_plan_tables`), each a
+    bounded FIFO.  Two caches, so churning wave compositions cannot evict
+    the hot single-query tables.  An entry compiled when the table held k
+    tags has k per-tag rows; the lookups recompile an entry that is shorter
+    than the table, so no row is ever indexed with an id it lacks.
+    """
+
+    __slots__ = ("tags", "index", "plan_tables", "batch_tables")
+
+    def __init__(self) -> None:
+        #: tag id -> tag string (what :attr:`FlatFragment.tags` points at)
+        self.tags: List[str] = []
+        #: tag string -> tag id
+        self.index: Dict[str, int] = {}
+        #: plan fingerprint -> PlanTables
+        self.plan_tables: Dict[str, object] = {}
+        #: canonical tuple of plan fingerprints -> BatchPlanTables
+        self.batch_tables: Dict[tuple, object] = {}
 
 
 class FlatFragment:
@@ -66,6 +99,7 @@ class FlatFragment:
         "parent",
         "subtree_size",
         "node_ids",
+        "tag_table",
         "tags",
         "text_norm",
         "numeric",
@@ -73,8 +107,6 @@ class FlatFragment:
         "virtual_indices",
         "element_prefix",
         "n_elements",
-        "_tables",
-        "_batch_tables",
         "_id_index",
         "_vector",
     )
@@ -87,7 +119,7 @@ class FlatFragment:
         parent: List[int],
         subtree_size: List[int],
         node_ids: List[NodeId],
-        tags: List[str],
+        tag_table: TagTable,
         text_norm: List[Optional[str]],
         numeric: List[Optional[float]],
         virtual_at: Dict[int, Tuple[str, ...]],
@@ -99,7 +131,9 @@ class FlatFragment:
         self.parent = parent
         self.subtree_size = subtree_size
         self.node_ids = node_ids
-        self.tags = tags
+        self.tag_table = tag_table
+        #: the document-wide id -> tag list; may hold tags this span lacks
+        self.tags = tag_table.tags
         self.text_norm = text_norm
         self.numeric = numeric
         self.virtual_at = virtual_at
@@ -115,14 +149,6 @@ class FlatFragment:
         prefix[self.n] = running
         self.element_prefix = prefix
         self.n_elements = running
-        #: per-query dispatch tables, keyed by the plan's normalized
-        #: fingerprint (see repro.core.kernel.tables.plan_tables)
-        self._tables: Dict[str, object] = {}
-        #: fused per-wave tables, keyed by the canonical fingerprint tuple —
-        #: a separate (smaller) cache so churning wave compositions cannot
-        #: evict the hot single-query tables
-        #: (see repro.core.kernel.batch.batch_plan_tables)
-        self._batch_tables: Dict[tuple, object] = {}
         #: node_id -> flat index, built lazily on first index_of() — only
         #: the MVCC snapshot accounting needs it, per-query scans never do
         self._id_index: Optional[Dict[NodeId, int]] = None
@@ -177,12 +203,18 @@ class FlatFragment:
         )
 
 
-def build_flat_fragment(fragment) -> FlatFragment:
+def build_flat_fragment(fragment, tag_table: Optional[TagTable] = None) -> FlatFragment:
     """Encode *fragment*'s span as a :class:`FlatFragment`.
 
     *fragment* is a :class:`repro.fragments.fragment.Fragment`; the import is
     kept out of module scope to avoid a cycle (fragments import xmltree).
+    Tags are interned into *tag_table* — the fragmentation passes its
+    document-wide one; without it the encoding stands alone on a fresh table.
     """
+    if tag_table is None:
+        tag_table = TagTable()
+    tags = tag_table.tags
+    tag_index = tag_table.index
     virtual_children = fragment.virtual_children
 
     kind: List[int] = []
@@ -192,8 +224,6 @@ def build_flat_fragment(fragment) -> FlatFragment:
     node_ids: List[NodeId] = []
     text_norm: List[Optional[str]] = []
     numeric: List[Optional[float]] = []
-    tags: List[str] = []
-    tag_index: Dict[str, int] = {}
     virtuals: Dict[int, List[str]] = {}
 
     # Pre-order walk mirroring Fragment.iter_span.  *siblings* iterates the
@@ -254,7 +284,7 @@ def build_flat_fragment(fragment) -> FlatFragment:
         parent=parent,
         subtree_size=subtree_size,
         node_ids=node_ids,
-        tags=tags,
+        tag_table=tag_table,
         text_norm=text_norm,
         numeric=numeric,
         virtual_at={index: tuple(ids) for index, ids in virtuals.items()},

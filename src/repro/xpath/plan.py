@@ -184,12 +184,12 @@ class QueryPlan:
         """Number of qualifier items (the length of ``QVect``)."""
         return len(self.items)
 
-    @property
+    @cached_property
     def has_qualifiers(self) -> bool:
         """Whether the query has any qualifier (drives stage skipping)."""
         return any(step.kind == SELFQUAL for step in self.selection)
 
-    @property
+    @cached_property
     def has_descendant_axis(self) -> bool:
         """Whether the selection path contains ``//``."""
         return any(step.kind == DESC for step in self.selection)

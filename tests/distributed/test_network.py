@@ -34,6 +34,18 @@ class TestTopology:
         total = sum(len(network.fragments_on(site_id)) for site_id in network.site_ids())
         assert total == len(fragmentation)
 
+    def test_fragments_on_is_the_placement_scan_in_fragment_id_order(self, fragmentation):
+        placement = round_robin_placement(fragmentation, site_count=2)
+        network = Network(fragmentation, placement)
+        for site_id in network.site_ids():
+            scanned = [
+                fid for fid in fragmentation.fragment_ids() if placement[fid] == site_id
+            ]
+            assert network.fragments_on(site_id) == scanned
+            network.fragments_on(site_id).clear()  # callers get their own list
+            assert network.fragments_on(site_id) == scanned
+        assert network.fragments_on("no-such-site") == []
+
     def test_sites_holding(self, fragmentation, network):
         all_sites = network.sites_holding(fragmentation.fragment_ids())
         assert all_sites == network.site_ids()

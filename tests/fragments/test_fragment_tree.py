@@ -62,6 +62,19 @@ class TestBuildFragmentation:
                 assert bottom_up.index(fragment_id) < bottom_up.index(ancestor)
                 assert top_down.index(ancestor) < top_down.index(fragment_id)
 
+    def test_orders_are_the_stable_depth_sorts_and_callers_own_their_copy(
+        self, paper_fragmentation
+    ):
+        ids = paper_fragmentation.fragment_ids()
+        depth = paper_fragmentation.depth
+        for _ in range(2):  # computed once, then served from the memo
+            bottom_up = paper_fragmentation.bottom_up_order()
+            top_down = paper_fragmentation.top_down_order()
+            assert bottom_up == sorted(ids, key=depth, reverse=True)
+            assert top_down == sorted(ids, key=depth)
+            bottom_up.reverse()
+            top_down.clear()
+
     def test_parent_node_of(self, paper_fragmentation):
         for fragment_id in paper_fragmentation.fragment_ids():
             parent_node = paper_fragmentation.parent_node_of(fragment_id)

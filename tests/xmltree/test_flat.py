@@ -208,10 +208,19 @@ def reference_flat_columns(fragment) -> dict:
     }
 
 
+def row_tags(tags, tag_id) -> list:
+    return [None if tid < 0 else tags[tid] for tid in tag_id]
+
+
 def assert_flat_matches_reference(fragmentation) -> None:
     for fragment_id in fragmentation.fragment_ids():
         flat = fragmentation.flat(fragment_id)
-        for name, expected in reference_flat_columns(fragmentation[fragment_id]).items():
+        reference = reference_flat_columns(fragmentation[fragment_id])
+        # Tag ids are document-wide, the reference interns per fragment: what
+        # must agree is the tag string each row's id stands for.
+        expected_tags = row_tags(reference.pop("tags"), reference.pop("tag_id"))
+        assert row_tags(flat.tags, flat.tag_id) == expected_tags, (fragment_id, "tag")
+        for name, expected in reference.items():
             actual = getattr(flat, name)
             if name == "numeric":  # nan != nan; reprs compare
                 actual, expected = list(map(repr, actual)), list(map(repr, expected))
