@@ -7,6 +7,8 @@ point of the whole exercise; this benchmark measures them directly:
   regardless of query and data size;
 * PaX* communication does not grow with the document (beyond the answers),
   while the naive baseline's communication is the document size;
+* XPath-annotations prune Q1 to 4 and Q2 to 6 of FT2's ten fragments, and
+  cannot prune Q4, whose ``//`` reaches every fragment;
 * all algorithms (including the naive baseline) return identical answers.
 """
 
@@ -34,6 +36,13 @@ def test_guarantees_table(benchmark, results_dir):
     assert all(row["max_site_visits"] <= 3 for row in by_algorithm["PaX3-NA"])
     assert all(row["max_site_visits"] <= 2 for row in by_algorithm["PaX2-NA"])
     assert all(row["max_site_visits"] <= 2 for row in by_algorithm["PaX2-XA"])
+
+    # Pruning, identical at both document sizes.
+    def evaluated(label):
+        return {(row["query"], row["fragments_evaluated"]) for row in by_algorithm[label]}
+
+    assert evaluated("PaX2-NA") == {("Q1", 10), ("Q2", 10), ("Q3", 10), ("Q4", 10)}
+    assert evaluated("PaX2-XA") == {("Q1", 4), ("Q2", 6), ("Q3", 4), ("Q4", 10)}
 
     # Naive ships the tree: its communication tracks the document size and
     # dwarfs PaX2's on every query.

@@ -21,6 +21,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.bench.experiment2 import collect_ft2_runs  # noqa: E402 - needs the path above
+
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Scale factor for benchmark workloads; raise REPRO_BENCH_SCALE to get
@@ -34,6 +36,13 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def ft2_sweep():
+    """The FT2 size sweep, run once: Figure 10 plots its parallel times,
+    Figure 11 its total times, and both assert on the counts it carries."""
+    return collect_ft2_runs(scaled(300_000 + 60_000 * step) for step in range(6))
+
+
 def write_report(results_dir: Path, name: str, rendered: str) -> Path:
     """Write a rendered figure/table to the results directory and echo it."""
     path = results_dir / f"{name}.txt"
@@ -45,3 +54,4 @@ def write_report(results_dir: Path, name: str, rendered: str) -> Path:
 def scaled(value: int) -> int:
     """Apply the REPRO_BENCH_SCALE factor to a byte size."""
     return int(value * BENCH_SCALE)
+

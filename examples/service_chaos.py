@@ -24,10 +24,9 @@ Run it with::
 
     python examples/service_chaos.py
 
-The standing benchmark is ``python -m repro bench-chaos``, which replays a
-mixed multi-tenant workload under the issue's fault schedule, verifies
-every degraded answer differentially against solo engines, and emits
-``BENCH_chaos.json``.
+``tests/service/test_resilience.py::TestChaosSchedule`` replays a mixed
+multi-tenant workload under the standing fault schedule and verifies every
+answer, complete or degraded, differentially against solo engines.
 """
 
 from __future__ import annotations

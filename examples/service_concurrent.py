@@ -11,9 +11,10 @@ Run it with::
 
     python examples/service_concurrent.py [clients] [requests]
 
-The equivalent CLI verbs are ``python -m repro serve`` (your own document and
-query file) and ``python -m repro bench-service`` (the standing benchmark,
-which also emits ``BENCH_service.json``).
+The equivalent CLI verb is ``python -m repro serve`` (your own document and
+query file); the standing benchmark is ``python3 perf/run.py --workload
+svc_big_uncached`` (result cache off, 8 callers) and ``--workload
+svc_mixed_rw`` (cache on, 5% writes).
 """
 
 from __future__ import annotations

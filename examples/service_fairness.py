@@ -20,11 +20,10 @@ Run it with::
 
     python examples/service_fairness.py
 
-The standing benchmark is ``python -m repro bench-fairness``, which pits a
-victim tenant against a write-heavy antagonist under both this stack and
-the legacy gate + flat semaphore, differentially verifies every snapshot
-read against a quiesced re-run at its pinned version, and emits
-``BENCH_fairness.json``.
+``tests/service/test_fairness.py::TestFairShareAsCompletionOrder`` pits a
+victim tenant against an antagonist herd under both this stack and the flat
+FIFO, and ``tests/service/test_snapshots.py`` replays every snapshot read
+taken while writes land against a quiesced re-run at its pinned version.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ Run it with::
 
     python examples/service_multidoc.py [documents] [ops_per_document]
 
-The standing benchmark is ``python -m repro bench-tenancy``, which compares
-this shared host against N isolated single-document engines (differentially
-verified first) and emits ``BENCH_tenancy.json``.
+That a shared host answers exactly as N isolated single-document engines
+under a mixed multi-tenant stream is
+``tests/service/test_host.py::test_mixed_tenant_workload_matches_solo_engines``.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ Run it with::
 
     python examples/service_tracing.py [requests] [concurrency]
 
-The standing benchmark is ``python -m repro bench-obs``, which measures the
-tracing overhead on/off, the attribution residue and the guarantee-checker
-coverage, and emits ``BENCH_obs.json``.
+The standing benchmark is ``python3 perf/run.py --trace 1`` (its
+``obs.traced_qps_ratio`` prices tracing on against off); attribution and
+guarantee-checker coverage on live traffic are
+``tests/obs/test_service_tracing.py``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Run it with::
 
     python examples/service_updates.py [ops] [write_percent]
 
-The standing benchmark is ``python -m repro bench-update``, which compares
-this maintenance discipline against the rebuild-everything baseline and
-emits ``BENCH_update.json``.
+The standing benchmark is ``python3 perf/run.py --workload svc_mixed_rw``
+(skewed reads with 5% writes through the default host); that maintained
+state equals a rebuild after every write is
+``tests/updates/test_incremental_differential.py``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ round stages its accounting — ``site.snapshot_counters()`` before the
 attempt, ``site.restore_counters(snapshot)`` on *every* failure path,
 commit by simply not restoring on success.  A failure path that skips the
 restore double-counts the failed attempt's visits and traffic units, and
-the differential verification harnesses (bench-chaos, bench-fairness)
-flag the run as an accounting loss.
+the differential suites (``tests/service/test_resilience.py``) flag the
+run as an accounting loss.
 
 In-repo example (``service/evaluator.py`` ``_resilient_round``)::
 

@@ -17,13 +17,8 @@ from repro.bench.experiment1 import run_experiment1
 from repro.bench.experiment2 import run_experiment2
 from repro.bench.experiment3 import run_experiment3
 from repro.bench.guarantees import run_guarantees
-from repro.bench.batch_bench import run_batch_benchmark
-from repro.bench.service_bench import run_service_benchmark, write_benchmark_json
-from repro.bench.update_bench import run_update_benchmark
 
 __all__ = [
-    "run_batch_benchmark",
-    "run_update_benchmark",
     "AlgorithmVariant",
     "VARIANTS",
     "measure_run",
@@ -34,6 +29,4 @@ __all__ = [
     "run_experiment2",
     "run_experiment3",
     "run_guarantees",
-    "run_service_benchmark",
-    "write_benchmark_json",
 ]

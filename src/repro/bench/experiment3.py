@@ -27,5 +27,5 @@ def run_experiment3(
     seed: int = 11,
 ) -> Dict[str, ExperimentReport]:
     """Run Experiment 3 and return figures keyed ``fig11a`` .. ``fig11d``."""
-    return collect_ft2_runs(sizes or DEFAULT_SIZE_SWEEP, repeats=repeats, seed=seed,
-                            metric="total_seconds")
+    sweep = collect_ft2_runs(sizes or DEFAULT_SIZE_SWEEP, repeats=repeats, seed=seed)
+    return sweep.figures("total_seconds")

@@ -39,44 +39,6 @@ prefix)::
     python -m repro serve --doc store=catalog.xml --doc bids=auctions.xml \
         --queries queries.txt --fragment-size 2000
 
-Benchmark the shared multi-document host against N isolated single-document
-engines and emit ``BENCH_tenancy.json``::
-
-    python -m repro bench-tenancy --docs 8 --ops 64 --write-ratio 0.05
-
-Benchmark the service layer against the sequential engine loop and emit
-``BENCH_service.json``::
-
-    python -m repro bench-service --requests 128 --clients 1 8 64
-
-Benchmark the columnar per-fragment kernels against the object-tree
-reference passes and emit ``BENCH_core.json``::
-
-    python -m repro bench-core --bytes 150000 --repeats 3
-
-Benchmark the fused multi-query scan against query-at-a-time kernel passes
-and emit ``BENCH_batch.json`` (shares the ``--bytes/--seed/--repeats`` knob
-set with ``bench-core``)::
-
-    python -m repro bench-batch --batch-sizes 1 4 16 64
-
-Benchmark incremental maintenance under a mixed read/write stream against
-the rebuild-everything baseline and emit ``BENCH_update.json``::
-
-    python -m repro bench-update --ops 400 --write-ratios 0.01 0.10
-
-Run the multi-tenant workload under an injected fault schedule (message
-drops, a flapping site, a straggler), verify every degraded answer is a
-flagged sound subset, and emit ``BENCH_chaos.json``::
-
-    python -m repro bench-chaos --docs 4 --ops 48 --drop 0.05
-
-Pit a small victim tenant against a mixed read/write antagonist at full
-blast, differentially verify every MVCC snapshot read at its pinned
-version, and emit ``BENCH_fairness.json``::
-
-    python -m repro bench-fairness --victim-ops 48 --antagonist-clients 16
-
 Serve with tracing on: write every request's span tree as JSON lines, a
 Chrome trace for https://ui.perfetto.dev, a slow-query log, and expose
 Prometheus metrics while the workload runs::
@@ -88,11 +50,6 @@ Fetch the Prometheus text exposition (or ``--json`` for the full stats
 document) from a running ``serve --metrics-port`` endpoint::
 
     python -m repro stats http://127.0.0.1:9464
-
-Benchmark the observability layer itself — tracing overhead on/off, per-stage
-attribution residue, guarantee-checker coverage — and emit ``BENCH_obs.json``::
-
-    python -m repro bench-obs --requests 192 --clients 16
 """
 
 from __future__ import annotations
@@ -113,6 +70,8 @@ from repro.xmltree.errors import XMLSyntaxError
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.serializer import serialize
 from repro.xpath.centralized import evaluate_centralized
+from repro.xpath.errors import XPathError
+from repro.xpath.parser import parse_xpath
 
 __all__ = ["main", "build_parser"]
 
@@ -222,187 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--json", action="store_true", dest="as_json",
                        help="fetch the /stats.json document instead of /metrics")
 
-    bench_service = commands.add_parser(
-        "bench-service",
-        help="benchmark service throughput vs the sequential engine loop",
-    )
-    bench_service.add_argument("--requests", type=int, default=128,
-                               help="requests in the workload stream (default 128)")
-    bench_service.add_argument("--clients", type=int, nargs="+", default=[1, 8, 64],
-                               metavar="N", help="client concurrencies (default 1 8 64)")
-    bench_service.add_argument("--bytes", type=int, default=60_000, dest="total_bytes",
-                               help="approximate XMark document size (default 60000)")
-    bench_service.add_argument("--seed", type=int, default=5)
-    bench_service.add_argument("--site-parallelism", type=int, default=4)
-    bench_service.add_argument("--output", default="BENCH_service.json",
-                               help="report path (default BENCH_service.json)")
-
-    bench_core = commands.add_parser(
-        "bench-core",
-        help="benchmark the engine tiers (reference, kernel, numpy vector)"
-             " against each other",
-    )
-    _add_kernel_bench_knobs(bench_core, default_output="BENCH_core.json")
-    bench_core.add_argument(
-        "--large-bytes", type=int, default=None, dest="large_bytes",
-        help="larger-document sweep size for the vector-tier headline"
-             " (default 4x --bytes; 0 skips the sweep)")
-
-    bench_batch = commands.add_parser(
-        "bench-batch",
-        help="benchmark the fused multi-query scan vs query-at-a-time kernel passes",
-    )
-    _add_kernel_bench_knobs(bench_batch, default_output="BENCH_batch.json")
-    bench_batch.add_argument("--batch-sizes", type=int, nargs="+", default=[1, 4, 16, 64],
-                             metavar="N", help="wave sizes to time (default 1 4 16 64)")
-
-    bench_tenancy = commands.add_parser(
-        "bench-tenancy",
-        help="benchmark one shared multi-document host vs N isolated engines",
-    )
-    bench_tenancy.add_argument("--docs", type=int, default=8,
-                               help="hosted documents / tenants (default 8)")
-    bench_tenancy.add_argument("--bytes", type=int, default=30_000, dest="total_bytes",
-                               help="approximate XMark size per document (default 30000)")
-    bench_tenancy.add_argument("--ops", type=int, default=64,
-                               help="operations per document stream (default 64)")
-    bench_tenancy.add_argument("--write-ratio", type=float, default=0.05,
-                               help="write fraction of each stream (default 0.05)")
-    bench_tenancy.add_argument("--clients", type=int, default=4,
-                               help="concurrent clients per document (default 4)")
-    bench_tenancy.add_argument("--seed", type=int, default=5,
-                               help="XMark generator seed (default 5)")
-    bench_tenancy.add_argument("--workload-seed", type=int, default=17,
-                               help="mixed-workload generator seed (default 17)")
-    bench_tenancy.add_argument("--site-parallelism", type=int, default=4)
-    bench_tenancy.add_argument("--output", default="BENCH_tenancy.json",
-                               help="report path (default BENCH_tenancy.json)")
-
-    bench_chaos = commands.add_parser(
-        "bench-chaos",
-        help="benchmark graceful degradation under an injected fault schedule",
-    )
-    bench_chaos.add_argument("--docs", type=int, default=4,
-                             help="hosted documents / tenants (default 4)")
-    bench_chaos.add_argument("--bytes", type=int, default=20_000, dest="total_bytes",
-                             help="approximate XMark size per document (default 20000)")
-    bench_chaos.add_argument("--ops", type=int, default=48,
-                             help="operations per document stream (default 48)")
-    bench_chaos.add_argument("--write-ratio", type=float, default=0.05,
-                             help="write fraction of each stream (default 0.05)")
-    bench_chaos.add_argument("--clients", type=int, default=4,
-                             help="concurrent clients per document (default 4)")
-    bench_chaos.add_argument("--drop", type=float, default=0.05, dest="drop_probability",
-                             help="message drop probability on the faulty tenant's"
-                                  " sites (default 0.05)")
-    bench_chaos.add_argument("--straggler", type=float, default=0.002,
-                             dest="straggler_seconds",
-                             help="extra wire seconds per message on the straggler"
-                                  " site (default 0.002)")
-    bench_chaos.add_argument("--deadline", type=float, default=5.0,
-                             dest="deadline_seconds",
-                             help="per-request deadline budget in the chaos phase,"
-                                  " seconds (default 5.0)")
-    bench_chaos.add_argument("--seed", type=int, default=5,
-                             help="XMark generator seed (default 5)")
-    bench_chaos.add_argument("--workload-seed", type=int, default=17,
-                             help="mixed-workload generator seed (default 17)")
-    bench_chaos.add_argument("--fault-seed", type=int, default=23,
-                             help="fault injector seed (default 23)")
-    bench_chaos.add_argument("--site-parallelism", type=int, default=4)
-    bench_chaos.add_argument("--output", default="BENCH_chaos.json",
-                             help="report path (default BENCH_chaos.json)")
-
-    bench_fairness = commands.add_parser(
-        "bench-fairness",
-        help="benchmark victim-tenant isolation under an antagonist stream"
-             " (MVCC snapshots + weighted-fair admission vs the legacy gate)",
-    )
-    bench_fairness.add_argument("--bytes", type=int, default=24_000, dest="total_bytes",
-                                help="approximate XMark size of the victim's"
-                                     " document (default 24000)")
-    bench_fairness.add_argument("--antagonist-bytes", type=int, default=8_000,
-                                help="approximate XMark size of the antagonist's"
-                                     " document (default 8000)")
-    bench_fairness.add_argument("--victim-ops", type=int, default=48,
-                                help="victim stream operations (default 48)")
-    bench_fairness.add_argument("--antagonist-ops", type=int, default=144,
-                                help="antagonist stream operations (default 144)")
-    bench_fairness.add_argument("--victim-clients", type=int, default=4,
-                                help="concurrent victim clients (default 4)")
-    bench_fairness.add_argument("--antagonist-clients", type=int, default=16,
-                                help="concurrent antagonist clients (default 16)")
-    bench_fairness.add_argument("--victim-write-ratio", type=float, default=0.1,
-                                help="victim write fraction (default 0.1)")
-    bench_fairness.add_argument("--antagonist-write-ratio", type=float, default=0.3,
-                                help="antagonist write fraction (default 0.3)")
-    bench_fairness.add_argument("--victim-weight", type=float, default=2.0,
-                                help="victim admission weight (default 2.0)")
-    bench_fairness.add_argument("--antagonist-weight", type=float, default=1.0,
-                                help="antagonist admission weight (default 1.0)")
-    bench_fairness.add_argument("--antagonist-slice", type=int, default=1,
-                                help="antagonist max-in-flight slice; 0 disables"
-                                     " (default 1)")
-    bench_fairness.add_argument("--max-in-flight", type=int, default=4,
-                                help="shared admission capacity (default 4)")
-    bench_fairness.add_argument("--max-retained-versions", type=int, default=8,
-                                help="snapshot retention watermark (default 8)")
-    bench_fairness.add_argument("--seed", type=int, default=5,
-                                help="XMark generator seed (default 5)")
-    bench_fairness.add_argument("--workload-seed", type=int, default=17,
-                                help="mixed-workload generator seed (default 17)")
-    bench_fairness.add_argument("--site-parallelism", type=int, default=4)
-    bench_fairness.add_argument("--repeats", type=int, default=5,
-                                help="repeats of each timed phase; read latencies"
-                                     " are pooled (default 5)")
-    bench_fairness.add_argument("--output", default="BENCH_fairness.json",
-                                help="report path (default BENCH_fairness.json)")
-
-    bench_update = commands.add_parser(
-        "bench-update",
-        help="benchmark incremental maintenance vs rebuild-everything under writes",
-    )
-    bench_update.add_argument("--bytes", type=int, default=150_000, dest="total_bytes",
-                              help="approximate XMark document size (default 150000)")
-    bench_update.add_argument("--seed", type=int, default=5,
-                              help="XMark generator seed (default 5)")
-    bench_update.add_argument("--ops", type=int, default=400,
-                              help="operations per timed stream (default 400)")
-    bench_update.add_argument("--write-ratios", type=float, nargs="+",
-                              default=[0.01, 0.10], metavar="R",
-                              help="write fractions of the stream (default 0.01 0.10)")
-    bench_update.add_argument("--workload-seed", type=int, default=17,
-                              help="mixed-workload generator seed (default 17)")
-    bench_update.add_argument("--output", default="BENCH_update.json",
-                              help="report path (default BENCH_update.json)")
-
-    bench_obs = commands.add_parser(
-        "bench-obs",
-        help="benchmark tracing overhead, latency attribution and guarantee checks",
-    )
-    bench_obs.add_argument("--requests", type=int, default=192,
-                           help="requests in the workload stream (default 192)")
-    bench_obs.add_argument("--clients", type=int, default=16,
-                           help="concurrent clients in the throughput phases (default 16)")
-    bench_obs.add_argument("--bytes", type=int, default=60_000, dest="total_bytes",
-                           help="approximate XMark document size (default 60000)")
-    bench_obs.add_argument("--seed", type=int, default=5,
-                           help="XMark generator seed (default 5)")
-    bench_obs.add_argument("--repeats", type=int, default=5,
-                           help="ABBA measurement blocks (untraced/traced/"
-                                "traced/untraced passes each); the enabled"
-                                " cost compares the fastest pass per mode"
-                                " (default 5)")
-    bench_obs.add_argument("--site-parallelism", type=int, default=4)
-    bench_obs.add_argument("--processes", type=int, default=4,
-                           help="fresh interpreters the enabled-overhead"
-                                " measurement is resampled in; per-process"
-                                " code layout can tax one mode's hot path,"
-                                " so the fastest pass per mode is taken"
-                                " across all of them (default 4)")
-    bench_obs.add_argument("--output", default="BENCH_obs.json",
-                           help="report path (default BENCH_obs.json)")
-
     lint = commands.add_parser(
         "lint",
         help="run the AST-based concurrency & invariant checkers",
@@ -426,24 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also show suppressed and baselined findings in text output")
 
     return parser
-
-
-def _add_kernel_bench_knobs(parser: argparse.ArgumentParser, default_output: str) -> None:
-    """The knob set ``bench-core`` and ``bench-batch`` share.
-
-    One definition keeps the two kernel benchmarks comparable: the same
-    document size, generator seed and best-of-N repeat policy apply to both,
-    so a batch-speedup number can be read against the core-speedup number
-    from the same workload.
-    """
-    parser.add_argument("--bytes", type=int, default=150_000, dest="total_bytes",
-                        help="approximate XMark document size (default 150000)")
-    parser.add_argument("--seed", type=int, default=5,
-                        help="XMark generator seed (default 5)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats (default 3)")
-    parser.add_argument("--output", default=default_output,
-                        help=f"report path (default {default_output})")
 
 
 def _load_document(path: str):
@@ -621,6 +381,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         documents = [("default", args.document)]
     else:
         raise SystemExit("no document to serve (positional path or --doc name=path)")
+    routed = _route_queries(queries, documents)
+    for _, query in routed:
+        # a malformed line is rejected before a document is loaded, a trace
+        # file opened or anything submitted
+        parse_xpath(query)
 
     tracer = _build_tracer(args)
     host = ServiceHost(
@@ -642,7 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             placement = one_site_per_fragment(fragmentation, site_prefix=f"{name}/S")
         host.register(name, fragmentation, placement)
 
-    batch = _route_queries(queries, documents) * max(args.repeat, 1)
+    batch = routed * max(args.repeat, 1)
 
     import asyncio
 
@@ -702,201 +467,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    from repro.bench.service_bench import (
-        render_summary,
-        run_service_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_service_benchmark(
-        total_bytes=args.total_bytes,
-        requests=args.requests,
-        client_counts=args.clients,
-        seed=args.seed,
-        site_parallelism=args.site_parallelism,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_core(args: argparse.Namespace) -> int:
-    from repro.bench.core_bench import (
-        render_summary,
-        run_core_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_core_benchmark(
-        total_bytes=args.total_bytes,
-        seed=args.seed,
-        repeats=args.repeats,
-        large_bytes=args.large_bytes,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_batch(args: argparse.Namespace) -> int:
-    from repro.bench.batch_bench import (
-        render_summary,
-        run_batch_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_batch_benchmark(
-        total_bytes=args.total_bytes,
-        seed=args.seed,
-        repeats=args.repeats,
-        batch_sizes=args.batch_sizes,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_tenancy(args: argparse.Namespace) -> int:
-    from repro.bench.tenancy_bench import (
-        render_summary,
-        run_tenancy_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_tenancy_benchmark(
-        documents=args.docs,
-        total_bytes=args.total_bytes,
-        ops_per_document=args.ops,
-        write_ratio=args.write_ratio,
-        clients_per_document=args.clients,
-        seed=args.seed,
-        workload_seed=args.workload_seed,
-        site_parallelism=args.site_parallelism,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_chaos(args: argparse.Namespace) -> int:
-    from repro.bench.chaos_bench import (
-        render_summary,
-        run_chaos_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_chaos_benchmark(
-        documents=args.docs,
-        total_bytes=args.total_bytes,
-        ops_per_document=args.ops,
-        write_ratio=args.write_ratio,
-        clients_per_document=args.clients,
-        drop_probability=args.drop_probability,
-        straggler_seconds=args.straggler_seconds,
-        deadline_seconds=args.deadline_seconds,
-        seed=args.seed,
-        workload_seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-        site_parallelism=args.site_parallelism,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_fairness(args: argparse.Namespace) -> int:
-    from repro.bench.fairness_bench import (
-        render_summary,
-        run_fairness_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_fairness_benchmark(
-        total_bytes=args.total_bytes,
-        antagonist_bytes=args.antagonist_bytes,
-        victim_ops=args.victim_ops,
-        antagonist_ops=args.antagonist_ops,
-        victim_clients=args.victim_clients,
-        antagonist_clients=args.antagonist_clients,
-        victim_write_ratio=args.victim_write_ratio,
-        antagonist_write_ratio=args.antagonist_write_ratio,
-        victim_weight=args.victim_weight,
-        antagonist_weight=args.antagonist_weight,
-        antagonist_slice=args.antagonist_slice if args.antagonist_slice > 0 else None,
-        max_in_flight=args.max_in_flight,
-        max_retained_versions=args.max_retained_versions,
-        seed=args.seed,
-        workload_seed=args.workload_seed,
-        site_parallelism=args.site_parallelism,
-        repeats=args.repeats,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_update(args: argparse.Namespace) -> int:
-    from repro.bench.update_bench import (
-        render_summary,
-        run_update_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_update_benchmark(
-        total_bytes=args.total_bytes,
-        seed=args.seed,
-        ops=args.ops,
-        write_ratios=args.write_ratios,
-        workload_seed=args.workload_seed,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
-def _cmd_bench_obs(args: argparse.Namespace, from_shell: bool = False) -> int:
-    import os
-
-    if from_shell and os.environ.get("PYTHONHASHSEED") is None:
-        # Pin the hash seed and relaunch before anything is imported:
-        # str-hash randomisation shuffles every dict layout at interpreter
-        # start and moves the measured tracing overhead by several points
-        # from one invocation to the next — a reproducible benchmark pins
-        # it (the answers are order-independent either way).  Only the
-        # shell invocation relaunches; programmatic callers (tests) keep
-        # their interpreter.
-        os.environ["PYTHONHASHSEED"] = "0"
-        os.execv(sys.executable, [sys.executable, "-m", "repro", *sys.argv[1:]])
-
-    from repro.bench.obs_bench import (
-        render_summary,
-        run_obs_benchmark,
-        write_benchmark_json,
-    )
-
-    report = run_obs_benchmark(
-        total_bytes=args.total_bytes,
-        requests=args.requests,
-        clients=args.clients,
-        seed=args.seed,
-        repeats=args.repeats,
-        site_parallelism=args.site_parallelism,
-        processes=args.processes,
-    )
-    path = write_benchmark_json(report, args.output)
-    print(render_summary(report))
-    print(f"[written to {path}]")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """`repro lint`: exit 0 clean, 1 on findings, 2 on analyzer crash."""
     from repro import analysis
@@ -935,34 +505,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "fragment":
-        return _cmd_fragment(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "bench-obs":
-        return _cmd_bench_obs(args, from_shell=argv is None)
-    if args.command == "bench-service":
-        return _cmd_bench_service(args)
-    if args.command == "bench-core":
-        return _cmd_bench_core(args)
-    if args.command == "bench-batch":
-        return _cmd_bench_batch(args)
-    if args.command == "bench-tenancy":
-        return _cmd_bench_tenancy(args)
-    if args.command == "bench-chaos":
-        return _cmd_bench_chaos(args)
-    if args.command == "bench-fairness":
-        return _cmd_bench_fairness(args)
-    if args.command == "bench-update":
-        return _cmd_bench_update(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
+    try:
+        if args.command == "query":
+            return _cmd_query(args)
+        if args.command == "fragment":
+            return _cmd_fragment(args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+        if args.command == "stats":
+            return _cmd_stats(args)
+        if args.command == "lint":
+            return _cmd_lint(args)
+    except XPathError as error:
+        # the message carries the query and a caret under the offending column
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2
 

@@ -6,8 +6,8 @@ is the columnar kernel; the ``vector`` tier re-runs the same passes as
 whole-column numpy window operations (:mod:`repro.core.vector`, requires
 numpy); the object-tree implementations remain as the executable
 specification — the differential tests assert all paths produce
-bit-identical answers and traffic accounting, and ``repro bench-core``
-measures the gaps between them.
+bit-identical answers and traffic accounting, and ``perf/`` prices each
+tier (``core.pass_ns_per_node``).
 
 Selection, most specific wins:
 

@@ -7,7 +7,7 @@ order, level and per-tag index columns derived from
 dispatch.  See :mod:`repro.core.vector.encode` for the encoding and the
 pass modules for the window algebra; results are bit-identical to both the
 ``kernel`` and ``reference`` engines and are differentially pinned to them
-by the test suite and ``repro bench-core``.
+by the test suite (``tests/core/test_kernel_differential.py``).
 """
 
 from repro.core.vector.encode import (

@@ -25,8 +25,8 @@ built from:
   :func:`set_stats`): when no request is being traced — the default, every
   host starts with :data:`NULL_TRACER` — each helper is one
   ``ContextVar.get`` returning ``None`` plus a shared, pre-allocated no-op
-  context manager.  Nothing is allocated on the disabled path; ``repro
-  bench-obs`` measures its cost at well under the 2% budget.
+  context manager.  Nothing is allocated on the disabled path
+  (``obs.traced_qps_ratio`` in ``perf/`` prices the enabled one).
 
 Timestamps are ``time.perf_counter()`` seconds throughout (one consistent
 monotonic base per process — exactly what the Chrome trace format wants);
@@ -248,8 +248,8 @@ class Span:
         span entry/exit, metric recording, waits under the
         :data:`NEGLIGIBLE_WAIT_SECONDS` guard — is real time an operator
         should see, not an unexplained residue, so a closed root's
-        breakdown sums to its wall-clock duration by construction (the
-        ``repro bench-obs`` reconciliation criterion holds it within 5%).
+        breakdown sums to its wall-clock duration by construction
+        (``tests/obs/test_service_tracing.py`` holds it to that).
         """
         # One boundary sweep: +1/-1 events per staged interval, sorted by
         # time, a small active-count per precedence rank, and every segment

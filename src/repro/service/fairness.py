@@ -20,8 +20,8 @@ instead of tripping the host-global ``max_pending`` cliff for everyone.
 
 With ``FairnessPolicy(enabled=False)`` every document shares one FIFO
 queue and no budgets apply: bit-for-bit the old flat-semaphore admission
-order, which is exactly the baseline mode ``repro bench-fairness``
-measures against.
+order, the contrast ``tests/service/test_fairness.py`` measures the
+weighted policy against.
 
 Cancellation safety follows the gate's pattern: a waiter granted a slot
 after its future was already cancelled (grant and cancellation racing in

@@ -518,7 +518,7 @@ class ServiceMetrics:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (used by ``repro bench-service``)."""
+        """JSON-ready snapshot (served as ``/stats.json``)."""
         return {
             "requests": self.total_requests,
             "evaluated": self.total_evaluated,

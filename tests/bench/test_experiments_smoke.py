@@ -4,7 +4,7 @@ miniature configuration (the full-size runs live under ``benchmarks/``)."""
 import pytest
 
 from repro.bench.experiment1 import run_experiment1
-from repro.bench.experiment2 import run_experiment2
+from repro.bench.experiment2 import collect_ft2_runs, run_experiment2
 from repro.bench.experiment3 import run_experiment3
 from repro.bench.guarantees import run_guarantees
 
@@ -31,12 +31,16 @@ class TestExperiment1:
 
 class TestExperiments2And3:
     @pytest.fixture(scope="class")
-    def fig10(self):
-        return run_experiment2(sizes=[30_000, 60_000])
+    def sweep(self):
+        return collect_ft2_runs([30_000, 60_000])
 
     @pytest.fixture(scope="class")
-    def fig11(self):
-        return run_experiment3(sizes=[30_000, 60_000])
+    def fig10(self, sweep):
+        return sweep.figures("parallel_seconds")
+
+    @pytest.fixture(scope="class")
+    def fig11(self, sweep):
+        return sweep.figures("total_seconds")
 
     def test_four_subfigures_each(self, fig10, fig11):
         assert set(fig10) == {"fig10a", "fig10b", "fig10c", "fig10d"}
@@ -49,15 +53,18 @@ class TestExperiments2And3:
                 assert len(series.values) == 2
 
     def test_total_time_at_least_parallel_time(self, fig10, fig11):
-        # fig10 and fig11 come from two independent runs of sub-millisecond
-        # workloads, so compare aggregated series (with slack), not points:
-        # pointwise timing noise made this assertion flaky.
+        # Both figures read the same runs, so every point holds exactly:
+        # the sum over sites is never below the slowest site.
         for key in ("a", "b", "c", "d"):
             parallel = fig10[f"fig10{key}"]
             total = fig11[f"fig11{key}"]
             for label, series in parallel.series.items():
-                total_series = total.series[label].values
-                assert sum(total_series) >= sum(series.values) * 0.8
+                for total_point, parallel_point in zip(total.series[label].values, series.values):
+                    assert total_point >= parallel_point
+
+    def test_entry_points_keep_their_figure_keys(self):
+        assert set(run_experiment2(sizes=[30_000])) == {"fig10a", "fig10b", "fig10c", "fig10d"}
+        assert set(run_experiment3(sizes=[30_000])) == {"fig11a", "fig11b", "fig11c", "fig11d"}
 
     def test_render_is_printable(self, fig10):
         text = fig10["fig10a"].render()

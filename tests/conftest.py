@@ -7,6 +7,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.engine import DistributedQueryEngine
+from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
+from repro.core.vector import numpy_available
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_random
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
@@ -69,6 +72,76 @@ def fragmented_documents(draw, max_nodes: int = 40):
     tree = XMLTree(root)
     cuts = draw(st.sets(st.sampled_from(elements[1:]), max_size=6)) if len(elements) > 1 else set()
     return build_fragmentation(tree, [node.node_id for node in cuts])
+
+
+def available_engines():
+    """All engine tiers runnable in this process (vector needs numpy)."""
+    if numpy_available():
+        return (REFERENCE, KERNEL, VECTOR)
+    return (REFERENCE, KERNEL)
+
+
+def fingerprint(stats):
+    """Everything the paper's guarantees measure about one run."""
+    return {
+        "answers": stats.answer_ids,
+        "communication_units": stats.communication_units,
+        "local_units": stats.local_units,
+        "message_count": stats.message_count,
+        "total_operations": stats.total_operations,
+        "answer_nodes_shipped": stats.answer_nodes_shipped,
+        "visits": stats.visits_by_site(),
+        "fragments_evaluated": stats.fragments_evaluated,
+        "fragments_pruned": stats.fragments_pruned,
+    }
+
+
+def rebuild_from_scratch(fragmentation):
+    """A fresh fragmentation of the (possibly mutated) tree at the same cuts.
+
+    Fragment roots survive every legal mutation, so cutting at the same node
+    ids reproduces the same fragment ids — the ground truth an incrementally
+    maintained fragmentation must match bit for bit.
+    """
+    tree = fragmentation.tree
+    cuts = sorted(
+        node_id
+        for node_id in fragmentation.fragment_root_ids
+        if node_id != tree.root.node_id
+    )
+    rebuilt = build_fragmentation(tree, cuts)
+    assert rebuilt.fragment_ids() == fragmentation.fragment_ids()
+    return rebuilt
+
+
+def verify_against_rebuild(fragmentation, placement, queries) -> int:
+    """Incrementally maintained state must equal a from-scratch rebuild.
+
+    Compares answers *and* traffic accounting for every algorithm x engine x
+    annotation mode; returns the number of configurations checked.
+    """
+    rebuilt = rebuild_from_scratch(fragmentation)
+    rebuilt.validate()
+    checked = 0
+    for algorithm in ("pax2", "pax3", "naive"):
+        for engine in available_engines():
+            for use_annotations in (False, True):
+                maintained, scratch = (
+                    DistributedQueryEngine(
+                        target,
+                        placement=placement,
+                        algorithm=algorithm,
+                        use_annotations=use_annotations,
+                        engine=engine,
+                    )
+                    for target in (fragmentation, rebuilt)
+                )
+                for query in queries:
+                    assert fingerprint(maintained.run(query)) == fingerprint(
+                        scratch.run(query)
+                    ), (query, algorithm, engine, use_annotations)
+                    checked += 1
+    return checked
 
 
 @pytest.fixture

@@ -28,27 +28,7 @@ from repro.workloads.queries import (
 )
 from repro.workloads.scenarios import build_ft1, build_ft2
 
-
-def available_engines():
-    """All engine tiers runnable in this process (vector needs numpy)."""
-    if numpy_available():
-        return (KERNEL, REFERENCE, VECTOR)
-    return (KERNEL, REFERENCE)
-
-
-def fingerprint(stats):
-    """Everything the paper's guarantees measure about one run."""
-    return {
-        "answers": stats.answer_ids,
-        "communication_units": stats.communication_units,
-        "local_units": stats.local_units,
-        "message_count": stats.message_count,
-        "total_operations": stats.total_operations,
-        "answer_nodes_shipped": stats.answer_nodes_shipped,
-        "visits": stats.visits_by_site(),
-        "fragments_evaluated": stats.fragments_evaluated,
-        "fragments_pruned": stats.fragments_pruned,
-    }
+from tests.conftest import available_engines, fingerprint
 
 
 def wave_of(queries, size):

@@ -17,7 +17,6 @@ from repro.core.kernel.dispatch import (
     use_fragment_engine,
 )
 from repro.core.parbox import run_parbox
-from repro.core.vector import numpy_available
 from repro.workloads.queries import (
     CLIENTELE_QUERIES,
     PAPER_QUERIES,
@@ -26,27 +25,7 @@ from repro.workloads.queries import (
 )
 from repro.workloads.scenarios import build_ft1, build_ft2
 
-
-def available_engines():
-    """All engine tiers runnable in this process (vector needs numpy)."""
-    if numpy_available():
-        return (REFERENCE, KERNEL, VECTOR)
-    return (REFERENCE, KERNEL)
-
-
-def fingerprint(stats):
-    """Everything the paper's guarantees measure about one run."""
-    return {
-        "answers": stats.answer_ids,
-        "communication_units": stats.communication_units,
-        "local_units": stats.local_units,
-        "message_count": stats.message_count,
-        "total_operations": stats.total_operations,
-        "answer_nodes_shipped": stats.answer_nodes_shipped,
-        "visits": stats.visits_by_site(),
-        "fragments_evaluated": stats.fragments_evaluated,
-        "fragments_pruned": stats.fragments_pruned,
-    }
+from tests.conftest import available_engines, fingerprint
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ class TestRequestSpans:
         names = {node.name for root in tracer.finished for node in root.walk()}
         for expected in (
             "query",
+            "cache:lookup",
             "plan:compile",
             "evaluate",
             "site:stage1",
@@ -59,8 +60,23 @@ class TestRequestSpans:
             assert root.attributes["max_site_visits"] <= 2  # PaX2 bound
             assert root.attributes["answer_count"] == len(root.stats.answer_ids)
 
-    def test_zero_guarantee_violations_on_live_traffic(self, traced):
-        tracer, _, _, _ = traced
+    @pytest.mark.parametrize("algorithm", ["pax2", "pax3", "naive", "parbox"])
+    def test_zero_guarantee_violations_on_live_traffic(self, ft2, algorithm):
+        # ParBoX evaluates Boolean queries only; the others get the paper's.
+        queries = (
+            [".[//people/person/profile/age > 20]"]
+            if algorithm == "parbox"
+            else list(PAPER_QUERIES.values())
+        )
+        tracer = Tracer(check_guarantees=True)
+        service = ServiceEngine(
+            ft2.fragmentation,
+            placement=ft2.placement,
+            algorithm=algorithm,
+            tracer=tracer,
+            cache_capacity=0,
+        )
+        service.serve_batch(queries, concurrency=len(queries))
         assert tracer.violation_count == 0
         assert tracer.guarantees.checked > 0
 

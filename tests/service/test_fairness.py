@@ -105,8 +105,7 @@ class TestWeightedFairAdmission:
             await step()
             admission.release("z")
             await asyncio.gather(*tasks)
-            # Legacy flat-semaphore order: strictly submission order, the
-            # baseline mode bench-fairness measures against.
+            # Legacy flat-semaphore order: strictly submission order.
             assert order == ["b0", "a0", "c0", "a1"]
 
         run(scenario())
@@ -401,3 +400,47 @@ class TestDeadlineShedBoundaries:
         assert alpha.shed == 1
         assert alpha.shed_by_stage == {"admission": 1}
         assert host.metrics.total_evaluated == 0
+
+
+class TestFairShareAsCompletionOrder:
+    """An antagonist's 96 queued reads against a victim's 24 on two slots:
+    weighted-fair admission serves the victim at its weight share from the
+    moment it arrives; the flat FIFO makes it wait out the whole herd.  The
+    loop is single-threaded, so the completion order is exact."""
+
+    WEIGHTS = {"victim": 2.0, "antagonist": 1.0}
+
+    def victim_positions(self, fairness):
+        host = ServiceHost(max_in_flight=2, cache_capacity=0, coalesce=False, fairness=fairness)
+        host.register("antagonist", clientele_fragmentation())
+        host.register("victim", clientele_fragmentation())
+        completed = []
+
+        async def read(document):
+            await host.submit(document, "client/name")
+            completed.append(document)
+
+        async def scenario():
+            await asyncio.gather(
+                *[read("antagonist") for _ in range(96)],
+                *[read("victim") for _ in range(24)],
+            )
+
+        run(scenario())
+        assert len(completed) == 120
+        return [place for place, document in enumerate(completed, 1) if document == "victim"]
+
+    def test_weighted_victim_is_served_at_its_share_and_never_starved(self):
+        places = self.victim_positions(FairnessPolicy(weights=self.WEIGHTS))
+        # While both tenants are active the victim completes 24 of 38 — a
+        # share of 0.63, above half its 2/3 weight share.
+        assert places[-1] <= 38
+        # No starvation window: the victim completes inside the first quarter
+        # of its active span, and at most one antagonist read completes
+        # between two of its own.
+        assert places[0] <= places[-1] // 4
+        assert max(later - earlier for earlier, later in zip(places, places[1:])) <= 2
+
+    def test_flat_fifo_makes_the_victim_wait_out_the_herd(self):
+        places = self.victim_positions(FairnessPolicy(enabled=False, weights=self.WEIGHTS))
+        assert places == list(range(97, 121))

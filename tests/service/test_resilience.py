@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.engine import DistributedQueryEngine
 from repro.core.results import PartialAnswer
 from repro.distributed.async_transport import LatencyModel
 from repro.distributed.faults import FaultInjector, FaultPolicy, SiteFaultProfile
@@ -17,7 +18,8 @@ from repro.service.resilience import (
     ResilienceState,
     RetryPolicy,
 )
-from repro.service.server import AdmissionError, ServiceEngine
+from repro.service.server import AdmissionError, ServiceEngine, ServiceHost
+from repro.workloads.multidoc import MultiDocumentWorkload, build_tenants
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 
 
@@ -406,3 +408,89 @@ class TestAdmissionPressure:
         asyncio.run(scenario())
         # An AdmissionError is an explicit rejection, not a shed.
         assert engine.metrics.total_shed == 0
+
+
+class TestChaosSchedule:
+    """Three tenants under the standing fault schedule: tenant 0's sites drop
+    5% of their messages and its middle site flaps (4 lost in every 8),
+    tenant 1's middle site is a 2 ms straggler, tenant 2 is left alone."""
+
+    OPS_PER_DOCUMENT = 24
+
+    def chaos_run(self):
+        tenants = build_tenants(3, total_bytes=10_000, seed=11)
+        dropping = sorted(set(tenants[0].placement.values()))
+        straggling = sorted(set(tenants[1].placement.values()))
+        sites = {site: SiteFaultProfile(drop_probability=0.05) for site in dropping}
+        sites[dropping[len(dropping) // 2]] = SiteFaultProfile(
+            drop_probability=0.05, blackout_period=8, blackout_length=4
+        )
+        sites[straggling[len(straggling) // 2]] = SiteFaultProfile(
+            extra_seconds_per_message=0.002
+        )
+        host = ServiceHost(
+            resilience=ResiliencePolicy(
+                retry=RetryPolicy(
+                    max_attempts=3, backoff_seconds=0.001, backoff_max_seconds=0.01
+                ),
+                breaker_failure_threshold=3,
+                breaker_reset_seconds=0.05,
+            ),
+            fault_injector=FaultInjector(FaultPolicy(sites=sites, seed=23)),
+        )
+        for tenant in tenants:
+            host.register(tenant.name, tenant.fragmentation, tenant.placement)
+        return tenants, host, MultiDocumentWorkload(tenants, write_ratio=0.1, seed=42)
+
+    def test_complete_reads_exact_degraded_reads_flagged_subsets(self):
+        tenants, host, workload = self.chaos_run()
+        # The solo engines share each tenant's fragmentation, so they see
+        # the writes the host applies.
+        solo = {
+            tenant.name: DistributedQueryEngine(tenant.fragmentation, placement=tenant.placement)
+            for tenant in tenants
+        }
+        complete = degraded = 0
+        for document, op in workload.ops(self.OPS_PER_DOCUMENT):
+            if op.is_write:
+                host.update(document, op.mutation)
+                continue
+            served = host.execute(document, op.query, deadline=5.0)
+            expected = solo[document].execute(op.query).answer_ids
+            if served.is_partial:
+                degraded += 1
+                assert isinstance(served, PartialAnswer)
+                assert set(served.answer_ids) <= set(expected), (document, op.query)
+                assert served.stats.missing_sites
+            else:
+                complete += 1
+                assert served.answer_ids == expected, (document, op.query)
+        assert complete and degraded  # the schedule must actually bite
+        assert host.cache is not None and len(host.cache) > 0
+        assert not any(stats.incomplete for stats in host.cache._entries.values())
+
+    def test_concurrent_requests_end_in_a_result_or_a_typed_shed(self):
+        tenants, host, workload = self.chaos_run()
+
+        async def drive(document, stream):
+            reads = []
+            for _ in range(self.OPS_PER_DOCUMENT):
+                op = stream.next_op()
+                if op.is_write:
+                    await host.apply_update(document, op.mutation)
+                else:
+                    reads.append(asyncio.create_task(host.submit(document, op.query, deadline=5.0)))
+            return await asyncio.gather(*reads, return_exceptions=True)
+
+        async def scenario():
+            return await asyncio.gather(
+                *(drive(tenant.name, workload.stream(tenant.name)) for tenant in tenants)
+            )
+
+        outcomes = [outcome for stream in asyncio.run(scenario()) for outcome in stream]
+        assert len(outcomes) >= 2 * self.OPS_PER_DOCUMENT
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                assert isinstance(outcome, (DeadlineExceededError, AdmissionError)), repr(outcome)
+            else:
+                assert outcome.is_partial == bool(outcome.stats.missing_sites)

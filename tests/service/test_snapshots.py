@@ -8,13 +8,18 @@ by the watermark with writer back-pressure, not unbounded growth.
 """
 
 import asyncio
+from typing import NamedTuple
 
 import pytest
 
-from repro.core.kernel.dispatch import KERNEL, fragment_engine
+from repro.core.engine import DistributedQueryEngine
+from repro.core.kernel.dispatch import KERNEL, VECTOR, fragment_engine
+from repro.core.vector import numpy_available
 from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
+from repro.service.cache import version_tag
 from repro.service.server import ServiceHost
-from repro.updates import EditText
+from repro.updates import EditText, MixedWorkload, apply_mutation
+from repro.workloads.multidoc import build_tenants
 from repro.workloads.queries import (
     clientele_example_tree,
     clientele_paper_fragmentation,
@@ -230,3 +235,126 @@ class TestHostSnapshotReads:
 
         run(scenario())
         assert host.session("alpha").snapshots.stats.pins == 0
+
+
+class Role(NamedTuple):
+    """One tenant's document, stream and client herd in the overlap test."""
+
+    total_bytes: int
+    seed: int
+    write_ratio: float
+    stream_seed: int
+    ops: int
+    clients: int
+
+
+#: a small read-mostly victim next to a write-heavy antagonist herd
+OVERLAP_ROLES = {
+    "victim0": Role(12_000, seed=5, write_ratio=0.1, stream_seed=17, ops=32, clients=4),
+    "antagonist0": Role(8_000, seed=18, write_ratio=0.3, stream_seed=30, ops=96, clients=16),
+}
+
+
+def overlap_tenants():
+    """``name -> (tenant, stream)``, regenerated from the seeds on every call."""
+    pairs = {}
+    for name, role in OVERLAP_ROLES.items():
+        tenant = build_tenants(
+            1, total_bytes=role.total_bytes, seed=role.seed, prefix=name[:-1]
+        )[0]
+        pairs[name] = tenant, MixedWorkload(
+            tenant.fragmentation,
+            tenant.queries,
+            write_ratio=role.write_ratio,
+            seed=role.stream_seed,
+        )
+    return pairs
+
+
+async def drive_closed_loop(host, name, stream, ops, clients):
+    """Replay one tenant's stream: writes in stream order, every read a task
+    on one of *clients* slots.  Waiting for a free slot is what spreads the
+    stream over the run, so writes land while earlier reads are in flight —
+    issue everything up front instead and every read pins the final version.
+
+    Returns the document's version sequence and every read as
+    ``(pinned version, query, answer ids, answer nodes shipped)``.
+    """
+    free = asyncio.Semaphore(clients)
+    versions = [host.session(name).version]
+    reads, tasks = [], []
+
+    async def read(query):
+        try:
+            stats = (await host.submit(name, query)).stats
+            reads.append(
+                (stats.evaluated_version, query, stats.answer_ids, stats.answer_nodes_shipped)
+            )
+        finally:
+            free.release()
+
+    for _ in range(ops):
+        op = stream.next_op()
+        if op.is_write:
+            await host.apply_update(name, op.mutation)
+            versions.append(host.session(name).version)
+        else:
+            await free.acquire()
+            tasks.append(asyncio.create_task(read(op.query)))
+    await asyncio.gather(*tasks)
+    return versions, reads
+
+
+@pytest.mark.parametrize("engine", [
+    KERNEL,
+    pytest.param(VECTOR, marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy")),
+])
+def test_overlapped_reads_replay_exactly_at_their_pinned_version(engine):
+    """Two tenants read and write concurrently; afterwards each document is
+    regenerated from its seed and rolled forward write by write, and a solo
+    engine must reproduce every recorded read at the version it pinned."""
+    host = ServiceHost(engine=engine, max_in_flight=4, cache_capacity=0, coalesce=False)
+    served = overlap_tenants()
+    for name, (tenant, _) in served.items():
+        host.register(name, tenant.fragmentation, tenant.placement)
+
+    async def record():
+        runs = await asyncio.gather(*(
+            drive_closed_loop(
+                host, name, stream, OVERLAP_ROLES[name].ops, OVERLAP_ROLES[name].clients
+            )
+            for name, (_, stream) in served.items()
+        ))
+        return dict(zip(served, runs))
+
+    recorded = run(record())
+
+    for name, (tenant, stream) in overlap_tenants().items():
+        versions, reads = recorded[name]
+        assert len(set(versions)) == len(versions)
+
+        # The run must have exercised what it claims to check.
+        pinned = {versions.index(version) for version, *_ in reads}
+        assert len(pinned) >= 3 and min(pinned) < len(versions) - 1, (name, sorted(pinned))
+
+        solo = DistributedQueryEngine(tenant.fragmentation, placement=tenant.placement)
+        written = replayed = 0
+        for step in range(OVERLAP_ROLES[name].ops + 1):  # step 0 is the initial version
+            if step:
+                op = stream.next_op()
+                if not op.is_write:
+                    continue
+                apply_mutation(tenant.fragmentation, op.mutation)
+                written += 1
+            current = version_tag(tenant.fragmentation, tenant.placement)
+            assert current == versions[written], (name, written)
+            for version, query, answer_ids, answer_nodes in reads:
+                if version == current:
+                    expected = solo.execute(query).stats
+                    assert expected.answer_ids == answer_ids, (name, written, query)
+                    assert expected.answer_nodes_shipped == answer_nodes, (name, written, query)
+                    replayed += 1
+        assert written == len(versions) - 1 and replayed == len(reads)
+
+    peaks = [host.session(name).snapshots.stats.peak_retained for name in served]
+    assert 2 <= max(peaks) <= host.config.snapshots.max_retained_versions

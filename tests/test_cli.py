@@ -234,6 +234,39 @@ class TestUnreadableDocuments:
         assert err.startswith(f"repro: {binary}: ") and err.count("\n") == 1
 
 
+class TestMalformedXPath:
+    """A malformed XPath ends in the parser's caret diagnostic on stderr and
+    exit code 2 — for ``serve`` before any query is submitted."""
+
+    BAD = "//book["
+    DIAGNOSTIC = "repro: expected a path condition\n  //book[\n         ^\n"
+
+    def argv(self, command, position, document, tmp_path):
+        query, fragment_at = {
+            "query": (self.BAD, "department"),
+            "fragment-at": ("//book", self.BAD),
+        }[position]
+        queries = tmp_path / "queries.txt"
+        queries.write_text(f"//title\n{query}\n", encoding="utf-8")
+        return {
+            "query": ["query", document, query, "--fragment-at", fragment_at],
+            "fragment": ["fragment", document, "--fragment-at", fragment_at],
+            "serve": ["serve", document, "--queries", str(queries),
+                      "--fragment-at", fragment_at, "--answers"],
+        }[command]
+
+    @pytest.mark.parametrize("command,position", [
+        ("query", "query"), ("query", "fragment-at"),
+        ("fragment", "fragment-at"),
+        ("serve", "query"), ("serve", "fragment-at"),
+    ])
+    def test_one_diagnostic_and_exit_2(self, command, position, catalog_path, tmp_path, capsys):
+        assert main(self.argv(command, position, catalog_path, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.DIAGNOSTIC
+
+
 class TestServeTracingFlags:
     def test_trace_artifacts_written(self, catalog_path, tmp_path, capsys):
         import json
@@ -324,150 +357,6 @@ class TestStatsCommand:
         finally:
             box["loop"].call_soon_threadsafe(box["stop"].set)
             thread.join(timeout=10.0)
-
-
-class TestBenchObsCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench-obs"])
-        assert args.requests == 192
-        assert args.clients == 16
-        assert args.processes == 4
-        assert args.output == "BENCH_obs.json"
-
-    def test_emits_benchmark_json(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_obs.json"
-        code = main([
-            "bench-obs", "--requests", "12", "--clients", "4",
-            "--bytes", "15000", "--repeats", "1", "--processes", "1",
-            "--output", str(output),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "untraced" in out and "guarantees" in out
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["benchmark"] == "observability_overhead"
-        assert report["answers_identical"]
-        assert report["guarantee_violations_total"] == 0
-        assert set(report["guarantees"]) == {"pax2", "pax3", "naive", "parbox"}
-        assert report["reconciliation"]["requests"] == 12
-        # one ABBA block per repeat: two passes per mode feed the
-        # fastest-pass loss estimate
-        assert len(report["overhead"]["enabled_untraced_wall_seconds"]) == 2
-        assert len(report["overhead"]["enabled_traced_wall_seconds"]) == 2
-
-
-class TestBenchServiceCommand:
-    def test_emits_benchmark_json(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_service.json"
-        code = main([
-            "bench-service", "--requests", "16", "--clients", "1", "4",
-            "--bytes", "20000", "--output", str(output),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sequential" in out and "service x" in out
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["benchmark"] == "service_throughput"
-        assert set(report["service"]) == {"1", "4"}
-        warm = report["service"]["4"]["warm"]
-        assert warm["cache"]["hits"] > 0
-        assert warm["answers_total"] == report["sequential"]["answers_total"]
-
-
-class TestBenchCoreCommand:
-    def test_emits_benchmark_json(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_core.json"
-        code = main([
-            "bench-core", "--bytes", "15000", "--repeats", "1",
-            "--output", str(output),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pass combined" in out and "headline" in out
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["benchmark"] == "core_kernels"
-        assert set(report["workloads"]) == {
-            "xmark-ft2", "xmark-ft1", "clientele", "xmark-ft2-large",
-        }
-        for name, workload in report["workloads"].items():
-            assert set(workload["passes"]) == {"qualifier", "selection", "combined"}
-            for timing in workload["passes"].values():
-                for engine in workload["engines"]:
-                    assert timing[f"{engine}_seconds"] > 0
-            # The larger-document sweep times passes only.
-            algorithms = workload.get("algorithms", {})
-            assert bool(algorithms) == (name != "xmark-ft2-large")
-            for timing in algorithms.values():
-                assert timing["verified_identical"]
-
-    def test_vector_headline_when_numpy_available(self, tmp_path):
-        import json
-
-        from repro.core.vector import numpy_available
-
-        output = tmp_path / "BENCH_core.json"
-        code = main([
-            "bench-core", "--bytes", "15000", "--repeats", "1",
-            "--large-bytes", "0", "--output", str(output),
-        ])
-        assert code == 0
-        report = json.loads(output.read_text(encoding="utf-8"))
-        # --large-bytes 0 skips the sweep workload entirely.
-        assert "xmark-ft2-large" not in report["workloads"]
-        headline = report["headline"]
-        assert "xmark_combined_pass_speedup" in headline
-        if numpy_available():
-            assert headline["vector_combined_pass_speedup"] > 0
-            assert "vector >= 3x kernel" in headline["vector_criterion"]
-        else:
-            assert "vector_combined_pass_speedup" not in headline
-
-
-class TestBenchUpdateCommand:
-    def test_emits_benchmark_json(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_update.json"
-        code = main([
-            "bench-update", "--bytes", "20000", "--ops", "60",
-            "--write-ratios", "0.1", "--output", str(output),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "incremental" in out and "rebuild" in out
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["benchmark"] == "update_maintenance"
-        entry = report["ratios"]["0.1"]
-        assert entry["verified_identical"]
-        assert entry["incremental"]["full_document_walks"] == 0
-        assert entry["rebuild"]["full_document_walks"] == entry["writes"]
-        assert report["headline"]["query_path_full_walks"] == 0
-
-
-class TestBenchTenancyCommand:
-    def test_emits_benchmark_json(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_tenancy.json"
-        code = main([
-            "bench-tenancy", "--docs", "2", "--bytes", "10000",
-            "--ops", "12", "--output", str(output),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shared host" in out and "isolated" in out
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["benchmark"] == "tenancy"
-        assert report["verification"]["passed"]
-        assert report["verification"]["reads_verified"] > 0
-        assert len(report["shared_host"]["metrics"]["documents"]) == 2
-        assert report["qps_ratio_shared_vs_isolated"] > 0
 
 
 class TestGenerateCommand:

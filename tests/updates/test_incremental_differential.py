@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.bench.update_bench import rebuild_from_scratch, verify_against_rebuild
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, REFERENCE
 from repro.core.parbox import run_parbox
@@ -26,7 +25,13 @@ from repro.workloads.queries import (
 from repro.workloads.scenarios import build_ft2
 from repro.xpath.centralized import evaluate_centralized
 
-from tests.conftest import make_random_fragmentation, make_random_tree
+from tests.conftest import (
+    available_engines,
+    make_random_fragmentation,
+    make_random_tree,
+    rebuild_from_scratch,
+    verify_against_rebuild,
+)
 
 RANDOM_TREE_QUERIES = ["//a", "a/b", "//b[c]", '//a[b/text() = "alpha"]/b', "//b//c"]
 
@@ -45,7 +50,7 @@ class TestRandomSequencesMatchRebuild:
             apply_mutation(fragmentation, workload.next_mutation())
         fragmentation.validate()
         checked = verify_against_rebuild(fragmentation, None, RANDOM_TREE_QUERIES)
-        assert checked == 3 * 2 * 2 * len(RANDOM_TREE_QUERIES)
+        assert checked == 3 * len(available_engines()) * 2 * len(RANDOM_TREE_QUERIES)
 
     def test_clientele(self):
         fragmentation = clientele_paper_fragmentation(clientele_example_tree())
