@@ -23,28 +23,20 @@ flight.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.booleans.env import Environment
 from repro.core.combined import FragmentCombinedOutput
 from repro.core.common import (
     QueryInput,
-    answer_subtree_nodes,
+    account_answers,
     ensure_plan,
     plan_units,
     stage_site_times,
     stage_timer,
 )
 from repro.core.kernel.dispatch import combined_pass_batch, prewarm_fragments
-from repro.core.pax2 import _output_units
+from repro.core.pax2 import _output_units, _retrieve_answers, _unify_outputs
 from repro.core.pruning import relevant_fragments, stage1_init_vector
-from repro.core.unify import (
-    require_concrete,
-    resolved_child_qualifier_bindings,
-    resolved_init_bindings,
-    unify_qualifier_vectors,
-    unify_selection_vectors,
-)
 from repro.distributed.messages import MessageKind
 from repro.distributed.network import Network
 from repro.distributed.placement import one_site_per_fragment
@@ -131,7 +123,8 @@ def run_pax2_batch(
             stats_list[index].fragments_pruned = list(slot_pruned[slot])
         stats_list[index].fragments_evaluated = list(slot_evaluated[slot])
 
-    answers: List[set] = [set() for _ in plans]
+    # per query: (fragment id, answer ids it produced): the answers and their accounting
+    answered: List[List[Tuple[str, List[int]]]] = [[] for _ in plans]
     prewarm_fragments(
         fragmentation,
         sorted({fid for evaluated in slot_evaluated for fid in evaluated}),
@@ -215,8 +208,8 @@ def run_pax2_batch(
             for fragment_id in fragment_lists[index]:
                 output = outputs[fragment_id]
                 site_answers.extend(output.answers)
+                answered[index].append((fragment_id, output.answers))
                 site_units += _output_units(plans[index], output)
-            answers[index].update(site_answers)
             if site_units:
                 networks[index].send(
                     site_id, coordinator_id, MessageKind.SELECTION_VECTORS, site_units,
@@ -229,92 +222,32 @@ def run_pax2_batch(
                 )
 
     # ------------------------------------------- coordinator unification
-    environments: List[Environment] = []
+    # Unification and candidate resolution are coordinator-bound
+    # bookkeeping, so they stay per query (the fused work — the scans — is
+    # behind us).
     for index in range(n_queries):
-        plan = plans[index]
         stage1 = StageStats(name="combined")
         stage1.parallel_seconds, stage1.total_seconds = stage_site_times(
             networks[index], per_query_sites[index], "pax2:combined"
         )
         stage1.sites_involved = len(per_query_sites[index])
-        outputs = slot_outputs[slot_of[index]]
         with stage_timer(stage1):
-            environment = Environment()
-            if plan.has_qualifiers:
-                environment = unify_qualifier_vectors(
-                    fragmentation,
-                    plan,
-                    {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()},
-                    environment,
-                )
-            environment = unify_selection_vectors(
-                fragmentation,
-                plan,
-                {fid: out.virtual_parent_vectors for fid, out in outputs.items()},
-                environment,
+            environment = _unify_outputs(
+                fragmentation, plans[index], slot_outputs[slot_of[index]]
             )
-        environments.append(environment)
         stats_list[index].stages.append(stage1)
 
-    # ---------------------------------------------------------------- stage 2
-    # Candidate resolution is coordinator-bound bookkeeping, so it stays per
-    # query (the fused work — the scans — is behind us).
-    for index in range(n_queries):
-        if not candidate_sites[index]:
-            continue
-        plan = plans[index]
-        network = networks[index]
-        environment = environments[index]
-        stage2 = StageStats(name="answers")
-        for site_id, fragment_ids in sorted(candidate_sites[index].items()):
-            site = network.sites[site_id]
-            per_fragment_bindings: Dict[str, Dict[str, bool]] = {}
-            total_units = 0
-            for fragment_id in fragment_ids:
-                bindings = resolved_init_bindings(plan, fragment_id, environment)
-                if plan.has_qualifiers:
-                    bindings.update(
-                        resolved_child_qualifier_bindings(
-                            fragmentation, plan, fragment_id, environment
-                        )
-                    )
-                per_fragment_bindings[fragment_id] = bindings
-                total_units += len(bindings)
-            network.send(
-                coordinator_id, site_id, MessageKind.RESOLVED_BINDINGS, total_units,
-                description="stage 2: resolved initialization and qualifier values",
-            )
-            resolved_answers: List[int] = []
-            with site.visit("pax2:answers"):
-                for fragment_id in fragment_ids:
-                    candidates = site.storage[fragment_id].get("candidates", {})
-                    fragment_env = Environment(per_fragment_bindings[fragment_id])
-                    for node_id, formula in candidates.items():
-                        value = require_concrete(
-                            fragment_env.resolve(formula),
-                            f"candidate answer {node_id} in {fragment_id}",
-                        )
-                        if value:
-                            resolved_answers.append(node_id)
-            answers[index].update(resolved_answers)
-            if resolved_answers:
-                network.send(
-                    site_id, coordinator_id, MessageKind.ANSWERS, len(resolved_answers),
-                    description="stage 2: resolved candidate answers",
-                )
-        candidate_site_ids = sorted(candidate_sites[index])
-        stage2.parallel_seconds, stage2.total_seconds = stage_site_times(
-            network, candidate_site_ids, "pax2:answers"
-        )
-        stage2.sites_involved = len(candidate_site_ids)
-        stats_list[index].stages.append(stage2)
+        # ------------------------------------------------------------ stage 2
+        if candidate_sites[index]:
+            stats_list[index].stages.append(_retrieve_answers(
+                fragmentation, plans[index], networks[index], environment,
+                candidate_sites[index], answered[index],
+            ))
 
     # ---------------------------------------------------------------- results
     for index in range(n_queries):
         stats = stats_list[index]
-        stats.answer_ids = sorted(answers[index])
-        stats.answer_nodes_shipped = answer_subtree_nodes(
-            fragmentation.tree, stats.answer_ids
-        )
+        stats.answer_ids = sorted({node_id for _, ids in answered[index] for node_id in ids})
+        stats.answer_nodes_shipped = account_answers(answered[index], fragmentation.flat)
         networks[index].collect_stats(stats)
     return stats_list

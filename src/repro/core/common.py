@@ -5,14 +5,15 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.distributed.network import Network
 from repro.distributed.placement import one_site_per_fragment
 from repro.distributed.stats import StageStats
 from repro.fragments.fragment_tree import Fragmentation
-from repro.xmltree.nodes import XMLTree
+from repro.xmltree.flat import FlatFragment
+from repro.xmltree.nodes import NodeId, XMLTree
 from repro.xpath.ast import PathExpr
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
@@ -25,6 +26,8 @@ __all__ = [
     "binding_units",
     "plan_units",
     "answer_subtree_nodes",
+    "AnswerAccountingError",
+    "account_answers",
     "stage_timer",
     "stage_site_times",
 ]
@@ -71,8 +74,66 @@ def plan_units(plan: QueryPlan) -> int:
 
 
 def answer_subtree_nodes(tree: XMLTree, answer_ids: Sequence[int]) -> int:
-    """Number of tree nodes shipped when answers are materialized as subtrees."""
+    """Number of tree nodes shipped when answers are materialized as subtrees.
+
+    One object-tree walk per answer: the specification
+    :func:`account_answers` is tested against.
+    """
     return sum(tree.node(node_id).subtree_size() for node_id in answer_ids)
+
+
+class AnswerAccountingError(LookupError):
+    """An answer id is not a node of the fragment said to have produced it."""
+
+
+def account_answers(
+    answered: Iterable[Tuple[str, Sequence[NodeId]]],
+    flat_of: Callable[[str], FlatFragment],
+) -> int:
+    """:func:`answer_subtree_nodes` from the fragments that produced the answers.
+
+    *answered* pairs a fragment id with answer ids found in that fragment
+    (a fragment may appear more than once, e.g. once per stage); *flat_of*
+    returns a fragment's flat encoding — the live one, or a pinned
+    snapshot's.  An answer's subtree is its ``subtree_size`` within its own
+    span plus the whole span, sub-fragments included, of every fragment
+    hanging below it; those span totals are computed once per call.  No
+    object-tree node is touched, so the count is exact at the version the
+    flats encode.
+    """
+    span_totals: Dict[str, int] = {}
+
+    def span_total(fragment_id: str) -> int:
+        total = span_totals.get(fragment_id)
+        if total is None:
+            flat = flat_of(fragment_id)
+            total = flat.n + sum(
+                span_total(sub_id)
+                for index in flat.virtual_indices
+                for sub_id in flat.virtual_at[index]
+            )
+            span_totals[fragment_id] = total
+        return total
+
+    total = 0
+    for fragment_id, node_ids in answered:
+        if not node_ids:
+            continue
+        flat = flat_of(fragment_id)
+        rows = list(map(flat.id_index().get, node_ids))
+        if None in rows:
+            missing = node_ids[rows.index(None)]
+            raise AnswerAccountingError(
+                f"answer {missing} is not a node of fragment {fragment_id}"
+            )
+        sizes = flat.subtree_size
+        total += sum(map(sizes.__getitem__, rows))
+        if flat.virtual_indices:
+            for row in rows:
+                for index in flat.virtuals_in(row, row + sizes[row]):
+                    for sub_id in flat.virtual_at[index]:
+                        total += span_total(sub_id)
+    return total
 
 
 def stage_site_times(

@@ -20,7 +20,7 @@ initialization is concrete so the second visit disappears.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, formula_size
@@ -28,7 +28,7 @@ from repro.core.combined import FragmentCombinedOutput
 from repro.core.kernel.dispatch import combined_pass, prewarm_fragments
 from repro.core.common import (
     QueryInput,
-    answer_subtree_nodes,
+    account_answers,
     build_network,
     ensure_plan,
     plan_units,
@@ -37,7 +37,7 @@ from repro.core.common import (
 )
 from repro.core.pruning import relevant_fragments, stage1_init_vector
 from repro.core.unify import (
-    require_concrete,
+    resolve_candidates,
     resolved_child_qualifier_bindings,
     resolved_init_bindings,
     unify_qualifier_vectors,
@@ -63,6 +63,87 @@ def _output_units(plan: QueryPlan, output: FragmentCombinedOutput) -> int:
     for vector in output.virtual_parent_vectors.values():
         units += sum(formula_size(entry) for entry in vector)
     return units
+
+
+def _unify_outputs(
+    fragmentation: Fragmentation,
+    plan: QueryPlan,
+    outputs: Mapping[str, FragmentCombinedOutput],
+) -> Environment:
+    """``evalFT`` over the combined outputs: qualifier variables bottom-up,
+    then selection variables top-down."""
+    environment = Environment()
+    if plan.has_qualifiers:
+        environment = unify_qualifier_vectors(
+            fragmentation,
+            plan,
+            {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()},
+            environment,
+        )
+    return unify_selection_vectors(
+        fragmentation,
+        plan,
+        {fid: out.virtual_parent_vectors for fid, out in outputs.items()},
+        environment,
+    )
+
+
+def _answer_bindings(
+    fragmentation: Fragmentation, plan: QueryPlan, fragment_id: str, environment: Environment
+) -> Dict[str, bool]:
+    """What stage 2 ships one fragment: its resolved initialization values
+    plus its sub-fragments' qualifier values."""
+    bindings = resolved_init_bindings(plan, fragment_id, environment)
+    if plan.has_qualifiers:
+        bindings.update(
+            resolved_child_qualifier_bindings(fragmentation, plan, fragment_id, environment)
+        )
+    return bindings
+
+
+def _retrieve_answers(
+    fragmentation: Fragmentation,
+    plan: QueryPlan,
+    network: Network,
+    environment: Environment,
+    candidate_sites: Mapping[str, List[str]],
+    answered: List[Tuple[str, List[int]]],
+) -> StageStats:
+    """Stage 2: every candidate site gets its bindings, decides its
+    candidates and ships the answers, appended per fragment to *answered*."""
+    stage2 = StageStats(name="answers")
+    coordinator_id = network.coordinator_id
+    for site_id, fragment_ids in sorted(candidate_sites.items()):
+        site = network.sites[site_id]
+        bindings = {
+            fid: _answer_bindings(fragmentation, plan, fid, environment) for fid in fragment_ids
+        }
+        network.send(
+            coordinator_id, site_id, MessageKind.RESOLVED_BINDINGS,
+            sum(map(len, bindings.values())),
+            description="stage 2: resolved initialization and qualifier values",
+        )
+        found = 0
+        with site.visit("pax2:answers"):
+            for fragment_id in fragment_ids:
+                resolved = resolve_candidates(
+                    site.storage[fragment_id].get("candidates", {}),
+                    bindings[fragment_id],
+                    fragment_id,
+                )
+                answered.append((fragment_id, resolved))
+                found += len(resolved)
+        if found:
+            network.send(
+                site_id, coordinator_id, MessageKind.ANSWERS, found,
+                description="stage 2: resolved candidate answers",
+            )
+    candidate_site_ids = sorted(candidate_sites)
+    stage2.parallel_seconds, stage2.total_seconds = stage_site_times(
+        network, candidate_site_ids, "pax2:answers"
+    )
+    stage2.sites_involved = len(candidate_site_ids)
+    return stage2
 
 
 def run_pax2(
@@ -96,7 +177,8 @@ def run_pax2(
     stats.fragments_evaluated = list(evaluated)
     evaluated_set = set(evaluated)
 
-    answers: set[int] = set()
+    # (fragment id, answer ids it produced): the answers and their accounting
+    answered: List[Tuple[str, List[int]]] = []
     prewarm_fragments(fragmentation, evaluated, engine=engine)
 
     # ------------------------------------------------------------------ stage 1
@@ -131,11 +213,11 @@ def run_pax2(
                 outputs[fragment_id] = output
                 site.add_operations(output.operations)
                 site_answers.extend(output.answers)
+                answered.append((fragment_id, output.answers))
                 if output.candidates:
                     site.storage[fragment_id]["candidates"] = output.candidates
                     candidate_sites.setdefault(site_id, []).append(fragment_id)
                 site_units += _output_units(plan, output)
-        answers.update(site_answers)
         if site_units:
             network.send(
                 site_id, coordinator_id, MessageKind.SELECTION_VECTORS, site_units,
@@ -152,70 +234,17 @@ def run_pax2(
     )
     stage1.sites_involved = len(stage1_sites)
     with stage_timer(stage1):
-        environment = Environment()
-        if plan.has_qualifiers:
-            environment = unify_qualifier_vectors(
-                fragmentation,
-                plan,
-                {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()},
-                environment,
-            )
-        environment = unify_selection_vectors(
-            fragmentation,
-            plan,
-            {fid: out.virtual_parent_vectors for fid, out in outputs.items()},
-            environment,
-        )
+        environment = _unify_outputs(fragmentation, plan, outputs)
     stats.stages.append(stage1)
 
     # ------------------------------------------------------------------ stage 2
     if candidate_sites:
-        stage2 = StageStats(name="answers")
-        for site_id, fragment_ids in sorted(candidate_sites.items()):
-            site = network.sites[site_id]
-            per_fragment_bindings: Dict[str, Dict[str, bool]] = {}
-            total_units = 0
-            for fragment_id in fragment_ids:
-                bindings = resolved_init_bindings(plan, fragment_id, environment)
-                if plan.has_qualifiers:
-                    bindings.update(
-                        resolved_child_qualifier_bindings(
-                            fragmentation, plan, fragment_id, environment
-                        )
-                    )
-                per_fragment_bindings[fragment_id] = bindings
-                total_units += len(bindings)
-            network.send(
-                coordinator_id, site_id, MessageKind.RESOLVED_BINDINGS, total_units,
-                description="stage 2: resolved initialization and qualifier values",
-            )
-            resolved_answers: List[int] = []
-            with site.visit("pax2:answers"):
-                for fragment_id in fragment_ids:
-                    candidates = site.storage[fragment_id].get("candidates", {})
-                    fragment_env = Environment(per_fragment_bindings[fragment_id])
-                    for node_id, formula in candidates.items():
-                        value = require_concrete(
-                            fragment_env.resolve(formula),
-                            f"candidate answer {node_id} in {fragment_id}",
-                        )
-                        if value:
-                            resolved_answers.append(node_id)
-            answers.update(resolved_answers)
-            if resolved_answers:
-                network.send(
-                    site_id, coordinator_id, MessageKind.ANSWERS, len(resolved_answers),
-                    description="stage 2: resolved candidate answers",
-                )
-        candidate_site_ids = sorted(candidate_sites)
-        stage2.parallel_seconds, stage2.total_seconds = stage_site_times(
-            network, candidate_site_ids, "pax2:answers"
-        )
-        stage2.sites_involved = len(candidate_site_ids)
-        stats.stages.append(stage2)
+        stats.stages.append(_retrieve_answers(
+            fragmentation, plan, network, environment, candidate_sites, answered
+        ))
 
     # ------------------------------------------------------------------ results
-    stats.answer_ids = sorted(answers)
-    stats.answer_nodes_shipped = answer_subtree_nodes(fragmentation.tree, stats.answer_ids)
+    stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
+    stats.answer_nodes_shipped = account_answers(answered, fragmentation.flat)
     network.collect_stats(stats)
     return stats

@@ -24,16 +24,17 @@ initialized with concrete values so stage 3 vanishes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.core.common import (
     QueryInput,
-    answer_subtree_nodes,
+    account_answers,
     build_network,
     ensure_plan,
     plan_units,
+    stage_site_times,
     stage_timer,
 )
 from repro.core.kernel.dispatch import prewarm_fragments, qualifier_pass, selection_pass
@@ -41,7 +42,7 @@ from repro.core.pruning import annotation_init_vector, relevant_fragments
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.selection import concrete_root_init_vector, variable_init_vector
 from repro.core.unify import (
-    require_concrete,
+    resolve_candidates,
     resolved_child_qualifier_bindings,
     resolved_init_bindings,
     unify_qualifier_vectors,
@@ -69,13 +70,6 @@ def _root_vector_units(plan: QueryPlan, output: FragmentQualifierOutput) -> int:
 
 def _virtual_vector_units(vectors: Mapping[str, Sequence[FormulaLike]]) -> int:
     return sum(formula_size(entry) for vector in vectors.values() for entry in vector)
-
-
-def _stage_site_times(network: Network, site_ids: Sequence[str], stage_key: str) -> tuple[float, float]:
-    times = [network.sites[site_id].stage_seconds.get(stage_key, 0.0) for site_id in site_ids]
-    if not times:
-        return 0.0, 0.0
-    return max(times), sum(times)
 
 
 def run_pax3(
@@ -114,7 +108,8 @@ def run_pax3(
     stats.fragments_evaluated = list(selection_fragments)
     selection_set = set(selection_fragments)
 
-    answers: set[int] = set()
+    # (fragment id, answer ids it produced): the answers and their accounting
+    answered: List[Tuple[str, List[int]]] = []
     qual_env = Environment()
     prewarm_fragments(fragmentation, engine=engine)
 
@@ -142,7 +137,7 @@ def run_pax3(
                 site_id, coordinator_id, MessageKind.QUALIFIER_VECTORS, units,
                 description="stage 1: root qualifier vectors",
             )
-        stage1.parallel_seconds, stage1.total_seconds = _stage_site_times(
+        stage1.parallel_seconds, stage1.total_seconds = stage_site_times(
             network, stage1_sites, "pax3:qualifiers"
         )
         stage1.sites_involved = len(stage1_sites)
@@ -213,13 +208,13 @@ def run_pax3(
                 )
                 site.add_operations(output.operations)
                 site_answers.extend(output.answers)
+                answered.append((fragment_id, output.answers))
                 if output.candidates:
                     site.storage[fragment_id]["candidates"] = output.candidates
                     candidate_sites.setdefault(site_id, []).append(fragment_id)
                 virtual_vectors[fragment_id] = output.virtual_parent_vectors
                 site_vector_units += _virtual_vector_units(output.virtual_parent_vectors)
 
-        answers.update(site_answers)
         if site_vector_units:
             network.send(
                 site_id, coordinator_id, MessageKind.SELECTION_VECTORS, site_vector_units,
@@ -231,7 +226,7 @@ def run_pax3(
                 description="stage 2: definite answers",
             )
 
-    stage2.parallel_seconds, stage2.total_seconds = _stage_site_times(
+    stage2.parallel_seconds, stage2.total_seconds = stage_site_times(
         network, stage2_sites, "pax3:selection"
     )
     stage2.sites_involved = len(stage2_sites)
@@ -257,30 +252,27 @@ def run_pax3(
             resolved_answers: List[int] = []
             with site.visit("pax3:answers"):
                 for fragment_id in fragment_ids:
-                    candidates = site.storage[fragment_id].get("candidates", {})
-                    fragment_env = Environment(all_bindings[fragment_id])
-                    for node_id, formula in candidates.items():
-                        value = require_concrete(
-                            fragment_env.resolve(formula),
-                            f"candidate answer {node_id} in {fragment_id}",
-                        )
-                        if value:
-                            resolved_answers.append(node_id)
-            answers.update(resolved_answers)
+                    resolved = resolve_candidates(
+                        site.storage[fragment_id].get("candidates", {}),
+                        all_bindings[fragment_id],
+                        fragment_id,
+                    )
+                    answered.append((fragment_id, resolved))
+                    resolved_answers.extend(resolved)
             if resolved_answers:
                 network.send(
                     site_id, coordinator_id, MessageKind.ANSWERS, len(resolved_answers),
                     description="stage 3: resolved candidate answers",
                 )
         candidate_site_ids = sorted(candidate_sites)
-        stage3.parallel_seconds, stage3.total_seconds = _stage_site_times(
+        stage3.parallel_seconds, stage3.total_seconds = stage_site_times(
             network, candidate_site_ids, "pax3:answers"
         )
         stage3.sites_involved = len(candidate_site_ids)
         stats.stages.append(stage3)
 
     # ------------------------------------------------------------------ results
-    stats.answer_ids = sorted(answers)
-    stats.answer_nodes_shipped = answer_subtree_nodes(fragmentation.tree, stats.answer_ids)
+    stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
+    stats.answer_nodes_shipped = account_answers(answered, fragmentation.flat)
     network.collect_stats(stats)
     return stats

@@ -13,16 +13,20 @@ tree: qualifier variables bottom-up (leaf fragments carry no variables), and
 selection variables top-down (the root fragment's initialization is
 concrete).  The result is an :class:`~repro.booleans.env.Environment`
 binding every exchanged variable to a concrete truth value.
+:func:`resolve_candidates` is the site side of answer retrieval: it decides
+one fragment's candidate answers from the bindings shipped back to it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Mapping, Sequence
 
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, variables_of
 from repro.core.variables import desc_var_name, head_var_name, selection_var_name
 from repro.fragments.fragment_tree import Fragmentation
+from repro.xmltree.nodes import NodeId
 from repro.xpath.plan import QueryPlan
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "unify_qualifier_vectors",
     "unify_selection_vectors",
     "require_concrete",
+    "resolve_candidates",
 ]
 
 
@@ -43,6 +48,34 @@ def require_concrete(value: FormulaLike, context: str) -> bool:
         return value
     free = ", ".join(sorted(variables_of(value)))
     raise UnificationError(f"{context} still depends on unresolved variables: {free}")
+
+
+def resolve_candidates(
+    candidates: Mapping[NodeId, FormulaLike],
+    bindings: Mapping[str, bool],
+    context: str,
+) -> List[NodeId]:
+    """The candidate answers of one fragment that resolve to true, in order.
+
+    *candidates* maps node ids to residual formulas, *bindings* are the
+    concrete values shipped to the fragment and *context* (the fragment id)
+    names it in errors.  Formulas are hash-consed, so the candidates of a
+    fragment share a handful of distinct objects however many there are:
+    each distinct formula is resolved once and its verdict fanned back out.
+    Formulas are told apart by identity — hash-consing makes that equality —
+    so no per-candidate Python code runs.
+    """
+    environment = Environment(bindings)
+    formulas = list(candidates.values())
+    keys = list(map(id, formulas))
+    verdicts: Dict[int, bool] = {}
+    for key, formula in dict(zip(keys, formulas)).items():
+        value = environment.resolve(formula)
+        if not isinstance(value, bool):
+            node_id = list(candidates)[keys.index(key)]
+            require_concrete(value, f"candidate answer {node_id} in {context}")
+        verdicts[key] = value
+    return list(compress(candidates, map(verdicts.__getitem__, keys)))
 
 
 def unify_qualifier_vectors(

@@ -58,6 +58,10 @@ class CodeSpace:
         """The Python value of *code* (a plain bool for 0/1)."""
         return self._values[code]
 
+    def decode_all(self, codes: List[int]):
+        """:meth:`decode` over a list of codes, as a C-level ``map``."""
+        return map(self._values.__getitem__, codes)
+
     # -- scalar connectives -------------------------------------------------
 
     def disj_code(self, left: int, right: int) -> int:

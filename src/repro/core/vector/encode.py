@@ -28,7 +28,12 @@ carries (and keeps alive) its own frozen vector columns.
 
 numpy is optional at import time: only the ``vector`` engine needs it, and
 :func:`require_numpy` turns its absence into an actionable error instead of
-an ImportError traceback.  ``kernel``/``reference`` never import it.
+an ImportError traceback.  It is *imported* whenever it is installed,
+whatever the engine: ``import repro`` loads this module through
+:mod:`repro.core.kernel.dispatch`.  Importing ``repro``, ``repro.service``,
+``repro.updates`` and ``repro.workloads`` peaks at 40.3 MB of resident
+memory with numpy importable and 27.8 MB with it blocked (CPython 3.11,
+x86-64 Linux).
 """
 
 from __future__ import annotations

@@ -103,17 +103,22 @@ def emit_finals(
     answers: List,
     candidates: Dict,
 ) -> None:
-    """Split the final column into answers / residual candidates, pre-order."""
-    np = space.np
-    rows = np.nonzero(final_col)[0].tolist()
-    if not rows:
+    """Split the final column into answers / residual candidates, pre-order.
+
+    No per-row Python code runs: rows are split by one mask and decoded
+    through the code table with C-level ``map`` / ``zip``.
+    """
+    rows = space.np.nonzero(final_col)[0]
+    if not rows.size:
         return
-    codes = final_col[rows].tolist()
-    for index, code in zip(rows, codes):
-        if code == 1:
-            answers.append(node_ids[index])
-        else:
-            candidates[node_ids[index]] = space.decode(code)
+    codes = final_col[rows]
+    definite = codes == 1
+    answers.extend(map(node_ids.__getitem__, rows[definite].tolist()))
+    residual = ~definite
+    candidates.update(zip(
+        map(node_ids.__getitem__, rows[residual].tolist()),
+        space.decode_all(codes[residual].tolist()),
+    ))
 
 
 def emit_virtual_vectors(

@@ -22,23 +22,25 @@ when that many version snapshots are still alive, the next write waits for
 a reclaim instead of growing version history without bound.
 
 Answers computed against a snapshot are exact *at the pinned version*: the
-``answer_ids`` and all traffic accounting match what a quiesced evaluation
-at that version would produce (the fairness bench verifies this
-differentially).  Materializing answer *nodes* through the live tree after
-a later write is subject to the staleness contract documented in the
-README: ids from a pinned version may since have been deleted.
+``answer_ids`` and all traffic accounting, ``answer_nodes_shipped``
+included (it is counted from the pinned flats), match what a quiesced
+evaluation at that version would produce —
+``tests/service/test_snapshots.py::test_overlapped_reads_replay_exactly_at_their_pinned_version``
+replays every read of an overlapped run at its pinned version.
+Materializing answer *nodes* through the live tree after a later write is
+subject to the staleness contract documented in the README: ids from a
+pinned version may since have been deleted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.fragments.fragment_tree import Fragmentation
 from repro.xmltree.flat import FlatFragment
-from repro.xmltree.nodes import NodeId
 
 __all__ = [
     "SnapshotPolicy",
@@ -53,11 +55,12 @@ class SnapshotPolicy:
     """Knobs for MVCC snapshot reads (``ServiceConfig.snapshots``).
 
     ``enabled``
-        When true (the default), eligible reads — PaX2 on the columnar
-        kernel engine — pin a version snapshot instead of holding the
-        session's read gate, so writes never wait for reader drain.
-        Reference-engine and non-PaX2 reads always use the gate: they walk
-        the live object tree and cannot be snapshot-isolated.
+        When true (the default), eligible reads — PaX2 on a columnar
+        engine, ``kernel`` or ``vector`` (see
+        ``ServiceHost._snapshot_reads``) — pin a version snapshot instead
+        of holding the session's read gate, so writes never wait for reader
+        drain.  Reference-engine and non-PaX2 reads always use the gate:
+        they walk the live object tree and cannot be snapshot-isolated.
     ``max_retained_versions``
         Watermark on simultaneously retained version snapshots.  A writer
         finding this many alive waits for a reclaim before installing the
@@ -100,61 +103,15 @@ class VersionSnapshot:
     by the owning :class:`SnapshotManager`.
     """
 
-    __slots__ = ("version", "flats", "pins", "_span_totals")
+    __slots__ = ("version", "flats", "pins")
 
     def __init__(self, version: str, flats: Dict[str, FlatFragment]):
         self.version = version
         self.flats = flats
         self.pins = 0
-        #: fragment_id -> total tree nodes in the fragment's span plus all
-        #: sub-fragment spans beneath it, memoized per snapshot
-        self._span_totals: Dict[str, int] = {}
 
     def flat(self, fragment_id: str) -> FlatFragment:
         return self.flats[fragment_id]
-
-    def _span_total(self, fragment_id: str) -> int:
-        cached = self._span_totals.get(fragment_id)
-        if cached is not None:
-            return cached
-        flat = self.flats[fragment_id]
-        total = flat.n
-        for index in flat.virtual_indices:
-            for sub_id in flat.virtual_at[index]:
-                total += self._span_total(sub_id)
-        self._span_totals[fragment_id] = total
-        return total
-
-    def locate(self, node_id: NodeId) -> Optional[tuple]:
-        """``(fragment_id, flat_index)`` of *node_id* at this version."""
-        for fragment_id, flat in self.flats.items():
-            index = flat.index_of(node_id)
-            if index is not None:
-                return fragment_id, index
-        return None
-
-    def answer_subtree_nodes(self, answer_ids: Iterable[NodeId]) -> int:
-        """Total subtree nodes of the answers, computed from the snapshot.
-
-        Mirrors ``answer_subtree_nodes(tree, ids)`` over the live tree —
-        subtree size within the answer's own fragment span plus the full
-        span totals of every sub-fragment hanging below the subtree — but
-        reads only the pinned flats, so the accounting stays exact even
-        when the live tree has moved on.
-        """
-        total = 0
-        for node_id in answer_ids:
-            located = self.locate(node_id)
-            if located is None:
-                continue
-            fragment_id, index = located
-            flat = self.flats[fragment_id]
-            size = flat.subtree_size[index]
-            total += size
-            for virtual_index in flat.virtuals_in(index, index + size):
-                for sub_id in flat.virtual_at[virtual_index]:
-                    total += self._span_total(sub_id)
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -48,23 +48,16 @@ import asyncio
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike
 from repro.core.combined import FragmentCombinedOutput
 from repro.core.kernel.dispatch import combined_pass, fragment_engine, prewarm_fragments
 from repro.core.naive import run_naive_centralized
 from repro.core.parbox import run_parbox
-from repro.core.pax2 import _output_units
+from repro.core.pax2 import _answer_bindings, _output_units, _unify_outputs
 from repro.core.pax3 import run_pax3
-from repro.core.common import answer_subtree_nodes, plan_units, stage_site_times, stage_timer
+from repro.core.common import account_answers, plan_units, stage_site_times, stage_timer
 from repro.core.pruning import relevant_fragments, stage1_init_vector
-from repro.core.unify import (
-    require_concrete,
-    resolved_child_qualifier_bindings,
-    resolved_init_bindings,
-    unify_qualifier_vectors,
-    unify_selection_vectors,
-)
+from repro.core.unify import resolve_candidates
 from repro.distributed.async_transport import AsyncTransport, LatencyModel, RoundBuffer
 from repro.distributed.faults import FaultInjector, TransportError
 from repro.distributed.messages import MessageKind
@@ -110,7 +103,7 @@ async def evaluate_query_async(
     ``resilience`` adds the per-round retry/breaker/deadline machinery and
     graceful degradation to partial answers.  Without an injector and
     without resilience the behaviour is bit-identical to the plain path.
-    ``snapshot`` (PaX2 + kernel engine only) is a pinned
+    ``snapshot`` (PaX2 on a columnar engine, kernel or vector) is a pinned
     :class:`~repro.fragments.snapshots.VersionSnapshot`: every per-fragment
     scan and the answer accounting read the snapshot's frozen flats instead
     of the live encodings, so the evaluation is exact at the pinned version
@@ -308,16 +301,13 @@ async def _run_pax2_async(
         evaluated = fragmentation.fragment_ids()
     stats.fragments_evaluated = list(evaluated)
     evaluated_set = set(evaluated)
-
-    answers: set[int] = set()
+    flat_of = snapshot.flat if snapshot is not None else fragmentation.flat
 
     # ------------------------------------------------------------------ stage 1
     stage1 = StageStats(name="combined")
     stage1_sites = network.sites_holding(evaluated)
 
-    async def stage1_round(
-        site_id: str,
-    ) -> Tuple[str, Dict[str, FragmentCombinedOutput], List[int]]:
+    async def stage1_round(site_id: str) -> Tuple[str, Dict[str, FragmentCombinedOutput]]:
         site = network.sites[site_id]
         fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated_set]
 
@@ -421,22 +411,22 @@ async def _run_pax2_async(
                     description="stage 1: definite answers",
                     buffer=buffer,
                 )
-            return site_outputs, site_answers
+            return site_outputs
 
         with trace_span(
             "site:stage1", stage="queue", site=site_id, fragments=len(fragment_ids)
         ):
             async with actors[site_id].slot("pax2:combined"):
-                site_outputs, site_answers = await _resilient_round(
+                site_outputs = await _resilient_round(
                     resilience, network, transport, site_id, attempt
                 )
-        return site_id, site_outputs, site_answers
+        return site_id, site_outputs
 
     round_results = await asyncio.gather(
         *(stage1_round(site_id) for site_id in stage1_sites),
         return_exceptions=resilience is not None,
     )
-    rounds: List[Tuple[str, Dict[str, FragmentCombinedOutput], List[int]]] = []
+    rounds: List[Tuple[str, Dict[str, FragmentCombinedOutput]]] = []
     failed_sites: List[str] = []
     for site_id, result in zip(stage1_sites, round_results):
         if isinstance(result, BaseException):
@@ -446,6 +436,20 @@ async def _run_pax2_async(
             event("degrade:site", site=site_id, stage="combined", reason=result.reason)
         else:
             rounds.append(result)
+    rounds.sort(key=lambda r: r[0])
+    outputs = {fid: out for _, site_outputs in rounds for fid, out in site_outputs.items()}
+    # (fragment id, answer ids it produced): the answers and their accounting
+    answered: List[Tuple[str, List[int]]] = [
+        (fid, out.answers) for fid, out in outputs.items()
+    ]
+
+    def reassemble(**attributes) -> RunStats:
+        with trace_span("reassembly", stage="reassembly"):
+            stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
+            stats.answer_nodes_shipped = account_answers(answered, flat_of)
+            network.collect_stats(stats)
+            set_attributes(answers=len(stats.answer_ids), **attributes)
+        return stats
 
     if failed_sites:
         # Graceful degradation: some site stayed unreachable past its
@@ -470,34 +474,17 @@ async def _run_pax2_async(
             f"partial answer: sites {', '.join(sorted(failed_sites))} unreachable;"
             " stage-1 definite answers over reached fragments only"
         )
-        for _, _, site_answers in sorted(rounds, key=lambda r: r[0]):
-            answers.update(site_answers)
         reached_sites = [sid for sid in stage1_sites if sid not in failed_sites]
         stage1.parallel_seconds, stage1.total_seconds = stage_site_times(
             network, reached_sites, "pax2:combined"
         )
         stage1.sites_involved = len(reached_sites)
         stats.stages.append(stage1)
-        with trace_span("reassembly", stage="reassembly"):
-            stats.answer_ids = sorted(answers)
-            if snapshot is not None:
-                stats.answer_nodes_shipped = snapshot.answer_subtree_nodes(
-                    stats.answer_ids
-                )
-            else:
-                stats.answer_nodes_shipped = answer_subtree_nodes(
-                    fragmentation.tree, stats.answer_ids
-                )
-            network.collect_stats(stats)
-            set_attributes(answers=len(stats.answer_ids), incomplete=True)
-        return stats
+        return reassemble(incomplete=True)
 
-    outputs: Dict[str, FragmentCombinedOutput] = {}
     candidate_sites: Dict[str, List[str]] = {}
-    for site_id, site_outputs, site_answers in sorted(rounds, key=lambda r: r[0]):
-        answers.update(site_answers)
+    for site_id, site_outputs in rounds:
         for fragment_id, output in site_outputs.items():
-            outputs[fragment_id] = output
             if output.candidates:
                 candidate_sites.setdefault(site_id, []).append(fragment_id)
 
@@ -507,75 +494,53 @@ async def _run_pax2_async(
     stage1.sites_involved = len(stage1_sites)
     with trace_span("unify", stage="kernel"):
         with stage_timer(stage1):
-            environment = Environment()
-            if plan.has_qualifiers:
-                environment = unify_qualifier_vectors(
-                    fragmentation,
-                    plan,
-                    {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()},
-                    environment,
-                )
-            environment = unify_selection_vectors(
-                fragmentation,
-                plan,
-                {fid: out.virtual_parent_vectors for fid, out in outputs.items()},
-                environment,
-            )
+            environment = _unify_outputs(fragmentation, plan, outputs)
     stats.stages.append(stage1)
 
     # ------------------------------------------------------------------ stage 2
     if candidate_sites:
         stage2 = StageStats(name="answers")
 
-        async def stage2_round(site_id: str, fragment_ids: List[str]) -> List[int]:
+        async def stage2_round(
+            site_id: str, fragment_ids: List[str]
+        ) -> List[Tuple[str, List[int]]]:
             site = network.sites[site_id]
             with trace_span(
                 "site:stage2", stage="queue", site=site_id, fragments=len(fragment_ids)
             ):
-                per_fragment_bindings: Dict[str, Dict[str, bool]] = {}
-                total_units = 0
                 with trace_span("kernel:bindings", stage="kernel", site=site_id):
-                    for fragment_id in fragment_ids:
-                        bindings = resolved_init_bindings(plan, fragment_id, environment)
-                        if plan.has_qualifiers:
-                            bindings.update(
-                                resolved_child_qualifier_bindings(
-                                    fragmentation, plan, fragment_id, environment
-                                )
-                            )
-                        per_fragment_bindings[fragment_id] = bindings
-                        total_units += len(bindings)
+                    bindings = {
+                        fid: _answer_bindings(fragmentation, plan, fid, environment)
+                        for fid in fragment_ids
+                    }
 
-                async def attempt(buffer: Optional[RoundBuffer]) -> List[int]:
+                async def attempt(
+                    buffer: Optional[RoundBuffer],
+                ) -> List[Tuple[str, List[int]]]:
                     await transport.send(
                         coordinator_id, site_id, MessageKind.RESOLVED_BINDINGS,
-                        total_units,
+                        sum(map(len, bindings.values())),
                         description="stage 2: resolved initialization and qualifier values",
                         buffer=buffer,
                     )
-                    resolved_answers: List[int] = []
                     with site.visit("pax2:answers"):
                         with trace_span("kernel:answers", stage="kernel", site=site_id):
-                            for fragment_id in fragment_ids:
-                                candidates = site.storage[fragment_id].get("candidates", {})
-                                fragment_env = Environment(
-                                    per_fragment_bindings[fragment_id]
-                                )
-                                for node_id, formula in candidates.items():
-                                    value = require_concrete(
-                                        fragment_env.resolve(formula),
-                                        f"candidate answer {node_id} in {fragment_id}",
-                                    )
-                                    if value:
-                                        resolved_answers.append(node_id)
-                    if resolved_answers:
+                            resolved = [
+                                (fragment_id, resolve_candidates(
+                                    site.storage[fragment_id].get("candidates", {}),
+                                    bindings[fragment_id],
+                                    fragment_id,
+                                ))
+                                for fragment_id in fragment_ids
+                            ]
+                    count = sum(len(ids) for _, ids in resolved)
+                    if count:
                         await transport.send(
-                            site_id, coordinator_id, MessageKind.ANSWERS,
-                            len(resolved_answers),
+                            site_id, coordinator_id, MessageKind.ANSWERS, count,
                             description="stage 2: resolved candidate answers",
                             buffer=buffer,
                         )
-                    return resolved_answers
+                    return resolved
 
                 async with actors[site_id].slot("pax2:answers"):
                     return await _resilient_round(
@@ -598,7 +563,7 @@ async def _run_pax2_async(
                 failed_stage2.append(site_id)
                 event("degrade:site", site=site_id, stage="answers", reason=result.reason)
             else:
-                answers.update(result)
+                answered.extend(result)
         if failed_stage2:
             # Stage 1 completed everywhere, so the environment was exact and
             # every answer collected so far is certain; only the failed
@@ -621,16 +586,4 @@ async def _run_pax2_async(
         stats.stages.append(stage2)
 
     # ------------------------------------------------------------------ results
-    with trace_span("reassembly", stage="reassembly"):
-        stats.answer_ids = sorted(answers)
-        if snapshot is not None:
-            stats.answer_nodes_shipped = snapshot.answer_subtree_nodes(
-                stats.answer_ids
-            )
-        else:
-            stats.answer_nodes_shipped = answer_subtree_nodes(
-                fragmentation.tree, stats.answer_ids
-            )
-        network.collect_stats(stats)
-        set_attributes(answers=len(stats.answer_ids))
-    return stats
+    return reassemble()

@@ -31,8 +31,8 @@ A request routed by ``submit(document, query)`` passes three layers:
    cross-tenant hits.
 
 Writes routed by ``apply_update(document, mutation)`` take that document's
-gate exclusively — but snapshot-eligible readers (PaX2 on the kernel
-engine, the default) never hold that gate: they pin an MVCC version
+gate exclusively — but snapshot-eligible readers (PaX2 on a columnar
+engine, kernel or vector) never hold that gate: they pin an MVCC version
 snapshot (:mod:`repro.fragments.snapshots`) at admission and keep scanning
 their pinned flat encodings while the write lands, so a write waits only
 for gate-mode readers.  Readers and writers of *other* documents proceed

@@ -149,8 +149,8 @@ class FlatFragment:
         prefix[self.n] = running
         self.element_prefix = prefix
         self.n_elements = running
-        #: node_id -> flat index, built lazily on first index_of() — only
-        #: the MVCC snapshot accounting needs it, per-query scans never do
+        #: node_id -> flat index, built lazily on first id_index() — only
+        #: answer accounting needs it, per-query scans never do
         self._id_index: Optional[Dict[NodeId, int]] = None
         #: numpy accelerator encoding (pre/post/level columns + per-tag
         #: index), built lazily by repro.core.vector.encode.vector_fragment;
@@ -182,14 +182,12 @@ class FlatFragment:
         hi = bisect.bisect_left(indices, end)
         return indices[lo:hi]
 
-    def index_of(self, node_id: NodeId) -> Optional[int]:
-        """Flat index of *node_id* within this span, ``None`` if absent."""
+    def id_index(self) -> Dict[NodeId, int]:
+        """``node_id -> flat index`` over this span, built on first use."""
         index = self._id_index
         if index is None:
-            index = self._id_index = {
-                nid: position for position, nid in enumerate(self.node_ids)
-            }
-        return index.get(node_id)
+            index = self._id_index = dict(zip(self.node_ids, range(self.n)))
+        return index
 
     def preorder_node_ids(self) -> List[NodeId]:
         """The span's node ids in document order (for round-trip checks)."""

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.common import account_answers, answer_subtree_nodes
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
 from repro.core.vector import numpy_available
@@ -72,6 +73,23 @@ def fragmented_documents(draw, max_nodes: int = 40):
     tree = XMLTree(root)
     cuts = draw(st.sets(st.sampled_from(elements[1:]), max_size=6)) if len(elements) > 1 else set()
     return build_fragmentation(tree, [node.node_id for node in cuts])
+
+
+def assert_accounting_matches_tree(fragmentation):
+    """:func:`account_answers`, fed each node by the fragment holding it,
+    equals the object-tree walk for every node alone and for all at once."""
+    tree = fragmentation.tree
+    owned = [
+        (fid, fragmentation.flat(fid).node_ids) for fid in fragmentation.fragment_ids()
+    ]
+    for fid, node_ids in owned:
+        for node_id in node_ids:
+            assert account_answers([(fid, [node_id])], fragmentation.flat) == (
+                answer_subtree_nodes(tree, [node_id])
+            ), (fid, node_id)
+    every = [node.node_id for node in tree.iter_nodes()]
+    assert sum(len(node_ids) for _, node_ids in owned) == len(every)
+    assert account_answers(owned, fragmentation.flat) == answer_subtree_nodes(tree, every)
 
 
 def available_engines():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.booleans.formula import Var, conj
 from repro.core.common import (
+    AnswerAccountingError,
+    account_answers,
     answer_subtree_nodes,
     binding_units,
     build_network,
@@ -17,6 +19,8 @@ from repro.core.common import stage_timer
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
+
+from tests.conftest import assert_accounting_matches_tree
 
 
 class TestEnsurePlan:
@@ -50,6 +54,34 @@ class TestUnits:
         ][:2]
         # each <name> element carries one text child -> 2 nodes per answer
         assert answer_subtree_nodes(tree, name_ids) == 4
+
+
+class TestAccountAnswers:
+    def test_matches_the_tree_walk_on_the_paper_fragmentation(self):
+        fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+        assert any(fragmentation.flat(fid).virtual_at for fid in fragmentation.fragment_ids())
+        assert_accounting_matches_tree(fragmentation)
+
+    def test_a_fragment_may_report_answers_in_several_lists(self):
+        fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+        root = fragmentation.flat("F0").node_ids
+        split = [("F0", root[:3]), ("F0", []), ("F0", root[3:])]
+        assert account_answers(split, fragmentation.flat) == account_answers(
+            [("F0", root)], fragmentation.flat
+        )
+
+    def test_an_answer_missing_from_its_fragment_is_a_typed_error(self):
+        # skipping an id the fragment does not hold would under-count
+        # answer_nodes_shipped without a trace
+        fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+        fabricated = max(node.node_id for node in fragmentation.tree.iter_nodes()) + 1000
+        root_answer = fragmentation.flat("F0").node_ids[0]
+        with pytest.raises(AnswerAccountingError, match=f"answer {fabricated} .* F0"):
+            account_answers([("F0", [root_answer, fabricated])], fragmentation.flat)
+        # a real node credited to a fragment that does not hold it
+        elsewhere = fragmentation.flat(fragmentation.children("F0")[0]).node_ids[0]
+        with pytest.raises(AnswerAccountingError):
+            account_answers([("F0", [elsewhere])], fragmentation.flat)
 
 
 class TestBuildNetwork:

@@ -7,19 +7,35 @@ fragments F, but not faster.  Two things used to: every fragment compiled
 its F - 1 virtual children pairwise, constructing O(F^2) throw-away formula
 objects.  These tests count constructor calls on FT1 at 16 / 64 / 256
 fragments of ~80 nodes, and what stays alive after a long never-seen stream.
+
+Past the passes, the coordinator's share must not grow with the answer
+count either: candidate answers are decided once per distinct residual
+formula, and answers are counted from the flat columns without touching
+the object tree — on every engine and runner.
 """
 
 import gc
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from repro.booleans import formula as formula_module
+from repro.booleans.env import Environment
 from repro.booleans.formula import And, Not, Or, Var
+from repro.core.batch import run_pax2_batch
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.kernel.tables import PlanTables
+from repro.core.pax2 import run_pax2
+from repro.core.pax3 import run_pax3
 from repro.core.vector import numpy_available
-from repro.workloads.scenarios import build_ft1
+from repro.distributed.site import Site
+from repro.service.server import ServiceHost
+from repro.workloads.scenarios import build_ft1, build_ft2
+from repro.xmltree.nodes import XMLNode
+
+from tests.conftest import available_engines
 
 COLUMNAR = (KERNEL, VECTOR) if numpy_available() else (KERNEL,)
 
@@ -108,3 +124,85 @@ def test_a_never_seen_stream_holds_bounded_tables_and_no_formulas(engine, reques
     gc.collect()
     assert intern_table_sizes() == interned_before
     assert len(fragmentation) == 64  # the document (and its caches) is still here
+
+
+#: 25 candidate answers sharing 3 distinct residual formulas on this document
+RESIDUAL_QUERY = "//open_auction[bidder]/current"
+
+
+def run_pax2_wave(scenario, query, engine):
+    return run_pax2_batch(
+        scenario.fragmentation, [query, "//open_auction/current", query],
+        scenario.placement, use_annotations=True, engine=engine,
+    )[0]
+
+
+def run_service_read(scenario, query, engine):
+    """One read through a host; kernel and vector reads pin a snapshot."""
+    host = ServiceHost(engine=engine, cache_capacity=0, coalesce=False)
+    host.register("doc", scenario.fragmentation, scenario.placement)
+    return host.execute("doc", query).stats
+
+
+RUNNERS = {
+    "pax2": lambda s, q, e: run_pax2(s.fragmentation, q, s.placement, True, engine=e),
+    "pax3": lambda s, q, e: run_pax3(s.fragmentation, q, s.placement, True, engine=e),
+    "pax2_batch": run_pax2_wave,
+    "service": run_service_read,
+}
+
+
+@pytest.fixture()
+def coordinator_work(monkeypatch):
+    """``Environment.resolve`` calls inside answer-retrieval site visits,
+    per (environment, formula), and ``XMLNode.iter_subtree`` calls."""
+    resolves = Counter()
+    walks = Counter()
+    answering = []
+    visit, resolve, iter_subtree = Site.visit, Environment.resolve, XMLNode.iter_subtree
+
+    @contextmanager
+    def counting_visit(self, stage):
+        with visit(self, stage):
+            answering.append(stage.endswith(":answers"))
+            try:
+                yield self
+            finally:
+                answering.pop()
+
+    def counting_resolve(self, value, *rest):
+        if answering and answering[-1]:
+            resolves[(self, value)] += 1
+        return resolve(self, value, *rest)
+
+    def counting_iter_subtree(self):
+        walks["iter_subtree"] += 1
+        return iter_subtree(self)
+
+    monkeypatch.setattr(Site, "visit", counting_visit)
+    monkeypatch.setattr(Environment, "resolve", counting_resolve)
+    monkeypatch.setattr(XMLNode, "iter_subtree", counting_iter_subtree)
+    return resolves, walks
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+@pytest.mark.parametrize("engine", available_engines())
+def test_candidates_resolve_per_distinct_formula_and_accounting_walks_no_tree(
+    coordinator_work, engine, runner
+):
+    scenario = build_ft2(total_bytes=40_000, seed=5)
+    run = RUNNERS[runner]
+    warm = run(scenario, RESIDUAL_QUERY, engine)  # version and encodings built
+    resolves, walks = coordinator_work
+    resolves.clear()
+    walks.clear()
+
+    stats = run(scenario, RESIDUAL_QUERY, engine)
+    assert stats.answer_ids == warm.answer_ids and stats.answer_ids
+    assert stats.answer_nodes_shipped == warm.answer_nodes_shipped
+    # candidates were decided at the sites, and each (fragment environment,
+    # formula) pair was resolved once — not once per candidate (25 here)
+    assert sum(resolves.values()) >= 3
+    assert max(resolves.values()) == 1, sorted(resolves.values())
+    # answer_nodes_shipped came from the flats, not from subtree walks
+    assert walks["iter_subtree"] == 0

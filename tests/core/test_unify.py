@@ -3,10 +3,11 @@
 import pytest
 
 from repro.booleans.env import Environment
-from repro.booleans.formula import Var, conj
+from repro.booleans.formula import Var, conj, disj
 from repro.core.unify import (
     UnificationError,
     require_concrete,
+    resolve_candidates,
     resolved_child_qualifier_bindings,
     resolved_init_bindings,
     unify_qualifier_vectors,
@@ -123,3 +124,32 @@ class TestBindingExtraction:
         env.bind(name, Var("qh:pruned:0"))
         bindings = resolved_child_qualifier_bindings(fragmentation, plan, "F0", env)
         assert name not in bindings
+
+
+class TestResolveCandidates:
+    def test_keeps_the_true_candidates_in_candidate_order(self):
+        x, y = Var("sv:F1:0"), Var("sv:F1:1")
+        candidates = {9: x, 3: conj(x, y), 7: y, 1: disj(x, y), 5: x}
+        assert resolve_candidates(candidates, {"sv:F1:0": True, "sv:F1:1": False}, "F1") == [
+            9, 1, 5,
+        ]
+        assert resolve_candidates({}, {}, "F1") == []
+
+    def test_resolves_each_distinct_formula_once(self, monkeypatch):
+        resolved = []
+        original = Environment.resolve
+        monkeypatch.setattr(
+            Environment, "resolve",
+            lambda self, value, *rest: resolved.append(value) or original(self, value, *rest),
+        )
+        x, y = Var("sv:F2:0"), Var("sv:F2:1")
+        candidates = {node: (x if node % 3 else conj(x, y)) for node in range(300)}
+        kept = resolve_candidates(candidates, {"sv:F2:0": True, "sv:F2:1": True}, "F2")
+        assert kept == list(range(300))
+        assert resolved == [conj(x, y), x]
+
+    def test_names_the_first_undecided_candidate(self):
+        x, y = Var("sv:F3:0"), Var("qh:F4:0")
+        candidates = {4: x, 8: conj(x, y), 6: conj(x, y)}
+        with pytest.raises(UnificationError, match="candidate answer 8 in F3.*qh:F4:0"):
+            resolve_candidates(candidates, {"sv:F3:0": True}, "F3")

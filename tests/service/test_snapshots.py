@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import pytest
 
+from repro.core.common import account_answers, answer_subtree_nodes
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, VECTOR, fragment_engine
 from repro.core.vector import numpy_available
@@ -25,9 +26,9 @@ from repro.workloads.queries import (
     clientele_paper_fragmentation,
 )
 
-kernel_only = pytest.mark.skipif(
-    fragment_engine() != KERNEL,
-    reason="snapshot reads only run on the columnar kernel engine",
+columnar_only = pytest.mark.skipif(
+    fragment_engine() not in (KERNEL, VECTOR),
+    reason="snapshot reads only run on the columnar engines (kernel, vector)",
 )
 
 
@@ -92,6 +93,30 @@ class TestSnapshotManager:
 
         run(scenario())
 
+    def test_pinned_answer_accounting_stays_at_its_version(self):
+        async def scenario():
+            fragmentation = clientele_fragmentation()
+            manager = SnapshotManager(fragmentation, SnapshotPolicy())
+            snapshot = manager.pin("v1")
+            tree = fragmentation.tree
+            owned = [(fid, snapshot.flat(fid).node_ids) for fid in fragmentation.fragment_ids()]
+            expected = {
+                node_id: answer_subtree_nodes(tree, [node_id])
+                for _, node_ids in owned for node_id in node_ids
+            }
+            root_id = tree.root.node_id
+            writes = MixedWorkload(fragmentation, ["//name"], write_ratio=1.0, seed=3)
+            for _ in range(8):
+                apply_mutation(fragmentation, writes.next_mutation())
+            assert answer_subtree_nodes(tree, [root_id]) != expected[root_id]
+            for fragment_id, node_ids in owned:
+                for node_id in node_ids:
+                    assert account_answers(
+                        [(fragment_id, [node_id])], snapshot.flat
+                    ) == expected[node_id], (fragment_id, node_id)
+
+        run(scenario())
+
     def test_prewarm_rebuilds_invalidated_encodings(self):
         async def scenario():
             fragmentation = clientele_fragmentation()
@@ -137,7 +162,7 @@ class TestSnapshotManager:
         run(scenario())
 
 
-@kernel_only
+@columnar_only
 class TestHostSnapshotReads:
     def host(self, **overrides):
         host = ServiceHost(
@@ -353,6 +378,10 @@ def test_overlapped_reads_replay_exactly_at_their_pinned_version(engine):
                     expected = solo.execute(query).stats
                     assert expected.answer_ids == answer_ids, (name, written, query)
                     assert expected.answer_nodes_shipped == answer_nodes, (name, written, query)
+                    # and the object-tree walk at that version agrees
+                    assert answer_subtree_nodes(
+                        tenant.fragmentation.tree, answer_ids
+                    ) == answer_nodes, (name, written, query)
                     replayed += 1
         assert written == len(versions) - 1 and replayed == len(reads)
 

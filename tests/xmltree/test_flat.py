@@ -13,7 +13,7 @@ from repro.xmltree.builder import element, text
 from repro.xmltree.flat import KIND_ELEMENT, KIND_TEXT, build_flat_fragment
 from repro.xmltree.nodes import XMLTree
 
-from tests.conftest import fragmented_documents
+from tests.conftest import assert_accounting_matches_tree, fragmented_documents
 
 
 def random_tree(rng: random.Random, max_nodes: int = 60) -> XMLTree:
@@ -232,6 +232,7 @@ class TestAgainstReferenceEncoder:
     @given(fragmentation=fragmented_documents())
     def test_column_for_column_on_drawn_documents(self, fragmentation):
         assert_flat_matches_reference(fragmentation)
+        assert_accounting_matches_tree(fragmentation)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -247,6 +248,7 @@ class TestAgainstReferenceEncoder:
             apply_mutation(fragmentation, workload.next_mutation())
             # the touched fragment is re-encoded, the others come from cache
             assert_flat_matches_reference(fragmentation)
+            assert_accounting_matches_tree(fragmentation)
         assert fragmentation.full_walks == walks  # re-encodes never re-fingerprint
 
     def test_column_for_column_on_xmark(self):
