@@ -2,7 +2,7 @@
 
 The third engine (``--engine vector``) evaluates the per-fragment passes as
 vectorized operations over the XPath-accelerator window encoding — pre/post
-order, level and per-tag index columns derived from
+order and per-tag index columns derived from
 :class:`~repro.xmltree.flat.FlatFragment` — instead of per-node Python
 dispatch.  See :mod:`repro.core.vector.encode` for the encoding and the
 pass modules for the window algebra; results are bit-identical to both the

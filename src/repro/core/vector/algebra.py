@@ -116,17 +116,6 @@ class CodeSpace:
         )
         out[rows] = resolved[inverse]
 
-    def disj_cols(self, left, right):
-        """Elementwise :meth:`disj_code` over two code columns."""
-        np = self.np
-        out = left.copy()
-        false_left = left == 0
-        out[false_left] = right[false_left]
-        out[(left == 1) | (right == 1)] = 1
-        rest = (left >= 2) & (right >= 2) & (left != right)
-        self._resolve_pairs(out, left, right, rest, self.disj_code)
-        return out
-
     def conj_cols(self, left, right):
         """Elementwise :meth:`conj_code` over two code columns."""
         np = self.np

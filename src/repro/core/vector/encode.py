@@ -9,9 +9,6 @@ An XPath-accelerator encoding of one fragment span, derived once from the
     One past the last pre-order rank inside ``i``'s subtree, so node ``j``
     is a descendant-or-self of ``i`` exactly when ``pre[i] <= j < post[i]``
     — every axis step becomes a range predicate over these two columns.
-``level``
-    Depth below the fragment root (staircase-built from the subtree
-    intervals), used to schedule symbolic descendant sweeps level by level.
 ``tag_starts`` / ``tag_rows``
     Per-tag sorted pre-order index: ``tag_rows`` holds all element rows
     grouped by ``tag_id`` (pre-order within each group) and ``tag_starts``
@@ -39,7 +36,7 @@ x86-64 Linux).
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
 
@@ -103,7 +100,6 @@ class VectorFragment:
         "pre",
         "size",
         "post",
-        "level",
         "tag_id",
         "elem",
         "elem_idx",
@@ -118,7 +114,6 @@ class VectorFragment:
         "tag_rows",
         "anc_idx",
         "anc_mask",
-        "_level_groups",
         "_test_masks",
         "_programs",
     )
@@ -140,14 +135,6 @@ class VectorFragment:
         kind = np.asarray(flat.kind, dtype=np.int64)
         self.elem = kind == KIND_ELEMENT
         self.elem_idx = np.nonzero(self.elem)[0]
-
-        # level[i] = number of strict ancestors of i inside the span: node j
-        # covers the strict-descendant interval (j, j+size[j]) — one +1/-1
-        # staircase and a cumsum instead of a parent-chain walk per node.
-        stair = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(stair, pre + 1, 1)
-        np.add.at(stair, self.post, -1)
-        self.level = np.cumsum(stair[:n])
 
         # Interned direct-text codes: text()=s tests become one integer
         # column comparison.  Text nodes carry -1 (they have no ex values).
@@ -204,7 +191,6 @@ class VectorFragment:
         self.anc_mask = anc
         self.anc_idx = np.nonzero(anc)[0][::-1]  # decreasing = bottom-up
 
-        self._level_groups: Optional[List[object]] = None
         #: per-item terminal test columns keyed by the normalized test tuple
         #: — shared across every plan and every fused wave on this fragment
         self._test_masks: Dict[tuple, object] = {}
@@ -251,24 +237,6 @@ class VectorFragment:
         if tid is None or tid >= self.n_tags:
             return self.elem_idx[:0]
         return self.tag_rows[self.tag_starts[tid] : self.tag_starts[tid + 1]]
-
-    def level_groups(self):
-        """Element rows grouped by level, ascending (for symbolic sweeps)."""
-        groups = self._level_groups
-        if groups is None:
-            np = self.np
-            rows = self.elem_idx
-            levels = self.level[rows]
-            order = np.argsort(levels, kind="stable")
-            rows = rows[order]
-            levels = levels[order]
-            top = int(levels[-1]) if rows.size else -1
-            bounds = np.searchsorted(levels, np.arange(top + 2))
-            groups = [
-                rows[bounds[depth] : bounds[depth + 1]] for depth in range(top + 1)
-            ]
-            self._level_groups = groups
-        return groups
 
     # -- terminal test columns (shared across plans and waves) --------------
 

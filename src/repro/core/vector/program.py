@@ -1,18 +1,19 @@
-"""Plans compiled to window-program columns over one VectorFragment.
+"""Plans compiled to window-program row sets over one VectorFragment.
 
 The kernel compiles a plan to per-tag dispatch *tables*
 (:mod:`repro.core.kernel.tables`); the vector tier compiles one step
-further, to whole *columns*:
+further, to the element *rows* each step can touch:
 
-* ``ok_cols[position]`` — for every CHILD selection step, the boolean
-  column "an element whose tag this step matches" (``sel_child_ok``
-  broadcast through the tag_id column once, instead of per node);
+* ``ok_rows[position]`` — for every CHILD selection step, the element rows
+  (pre-order) whose tag the step matches (``sel_child_ok`` looked up
+  through the tag_id column once, instead of per node);
 * ``child_rows[item_id]`` — for every CHILD qualifier item, the candidate
   element rows from the per-tag sorted index (a ``searchsorted`` CSR slice,
-  or all elements for a wildcard);
-* ``empty_cols[item_id]`` — for every EMPTY qualifier item, the terminal
-  test column from the fragment-shared test-mask cache, so duplicate tests
-  across the plans of a fused wave all scan one array.
+  or all elements for a wildcard).
+
+EMPTY qualifier items read their terminal test column straight from the
+fragment-shared test-mask cache (:meth:`VectorFragment.test_mask`), so
+duplicate tests across the plans of a fused wave all scan one array.
 
 Programs are cached on the VectorFragment keyed by the plan's normalized
 fingerprint — the same dedup key the kernel tables and the batch tier use.
@@ -24,47 +25,32 @@ from typing import Dict
 
 from repro.core.kernel.tables import SEL_CHILD, PlanTables
 from repro.core.vector.encode import _MAX_PROGRAMS, VectorFragment
-from repro.xpath.plan import CHILD, EMPTY, QueryPlan
+from repro.xpath.plan import CHILD, QueryPlan
 
 __all__ = ["VectorProgram", "vector_program"]
 
 
 class VectorProgram:
-    """One plan's window columns over one fragment's encoding."""
+    """One plan's window row sets over one fragment's encoding."""
 
-    __slots__ = ("ok_cols", "child_rows", "empty_cols")
+    __slots__ = ("ok_rows", "child_rows")
 
     def __init__(self, vf: VectorFragment, plan: QueryPlan, tables: PlanTables):
         np = vf.np
-        n = vf.n
-
-        ok_cols: Dict[int, object] = {}
-        if tables.sel_child_ok:
-            # (n_tags, n_steps+1) gate table -> one bool column per CHILD step
-            ok_table = np.asarray(tables.sel_child_ok, dtype=bool)
-            rows = vf.elem_idx
-            row_tags = vf.tag_id[rows]
-            for instr in tables.sel_prog:
-                if instr[0] == SEL_CHILD:
-                    position = instr[1]
-                    col = np.zeros(n, dtype=bool)
-                    col[rows] = ok_table[row_tags, position]
-                    ok_cols[position] = col
-        else:  # pragma: no cover - a span always contains its root element
-            for instr in tables.sel_prog:
-                if instr[0] == SEL_CHILD:
-                    ok_cols[instr[1]] = np.zeros(n, dtype=bool)
-        self.ok_cols = ok_cols
-
-        child_rows: Dict[int, object] = {}
-        empty_cols: Dict[int, object] = {}
-        for item in plan.items:
-            if item.kind == CHILD:
-                child_rows[item.item_id] = vf.rows_with_tag(item.tag)
-            elif item.kind == EMPTY:
-                empty_cols[item.item_id] = vf.test_mask(item.test)
-        self.child_rows = child_rows
-        self.empty_cols = empty_cols
+        # (n_tags, n_steps+1) gate table, looked up once per element row
+        ok_table = np.asarray(tables.sel_child_ok, dtype=bool)
+        rows = vf.elem_idx
+        row_tags = vf.tag_id[rows]
+        self.ok_rows: Dict[int, object] = {
+            instr[1]: rows[ok_table[row_tags, instr[1]]]
+            for instr in tables.sel_prog
+            if instr[0] == SEL_CHILD
+        }
+        self.child_rows: Dict[int, object] = {
+            item.item_id: vf.rows_with_tag(item.tag)
+            for item in plan.items
+            if item.kind == CHILD
+        }
 
 
 def vector_program(vf: VectorFragment, plan: QueryPlan, tables: PlanTables) -> VectorProgram:

@@ -6,7 +6,7 @@ interned in topological order (suffix and nested-qualifier items always
 have smaller ids — see :class:`repro.xpath.plan.QualItem`), so the same
 recurrence runs column at a time with no tree walk at all:
 
-* EMPTY — the terminal test column (shared mask from the program);
+* EMPTY — the terminal test column (shared mask from the fragment);
 * CHILD — scatter: candidate rows from the per-tag index whose suffix
   column holds mark their parents;
 * DESC — the descendant-or-self window aggregation: one prefix sum over
@@ -104,7 +104,7 @@ def qualifier_analysis(
         item_id = item.item_id
         kind = item.kind
         if kind == EMPTY:
-            col = program.empty_cols[item_id]
+            col = vf.test_mask(item.test)
         elif kind == CHILD:
             # Scatter: candidate rows (per-tag index) whose suffix holds
             # mark their parents.  Duplicate parents collapse via fancy

@@ -1,19 +1,23 @@
-"""The top-down selection half as whole-column code sweeps.
+"""The top-down selection half as code sweeps over the rows a step can select.
 
 Selection prefix vectors depend only on the parent's vector and the current
 element, so the per-position recurrence runs column at a time over the
-formula-code encoding (:mod:`repro.core.vector.algebra`):
+formula-code encoding (:mod:`repro.core.vector.algebra`), touching only
+rows that can come out nonzero:
 
-* CHILD — one parent gather (``padded[parent]``; the fragment root's
-  ``-1`` parent indexes the appended init code) masked by the precompiled
-  per-tag gate column;
-* DESC — when the inputs are concrete 0/1, the staircase cover mask: the
-  marked rows' subtree intervals cover exactly the rows whose
-  ancestor-or-self chain hits a mark (plus the init short-circuit).  With
-  symbolic codes in play, a level-by-level top-down sweep folds
-  ``disj(parent_value, below)`` one whole level at a time;
-* SELFQUAL — an elementwise code conjunction with the qualifier value
-  column.
+* CHILD — the rows whose tag the step admits (``program.ok_rows``) read
+  their parent's entry of the previous column; the fragment root, whose
+  parent lies outside the span, reads the init code;
+* DESC — the previous column's nonzero rows are the *marks*.  When the
+  inputs are concrete 0/1, the staircase cover mask: the marks' subtree
+  intervals cover exactly the rows whose ancestor-or-self chain hits a
+  mark (plus the init short-circuit).  With symbolic codes in play, one
+  pre-order stack walk over the marks folds each mark's code as
+  ``disj(code of the nearest enclosing mark or init, previous[mark])``,
+  and every element takes its innermost enclosing mark's code (or init)
+  in one gather;
+* SELFQUAL — a code conjunction with the qualifier value column on the
+  previous column's nonzero rows.
 
 The emit helpers decode codes back to Python bools / hash-consed formulas
 in pre-order, so answers, candidates and the virtual parent vectors leave
@@ -61,39 +65,59 @@ def selection_code_columns(
         position = instr[1]
         previous = cols[position - 1]
         if code == SEL_CHILD:
-            # The fragment root's parent is -1: appending the init code
-            # makes the gather read it there, everyone else reads their
-            # parent's column entry.
-            padded = np.append(previous, init_codes[position - 1])
-            col = np.where(program.ok_cols[position], padded[parent], 0)
+            col = np.zeros(n, dtype=np.int64)
+            ok = program.ok_rows[position]
+            col[ok] = previous[parent[ok]]
+            if ok.size and ok[0] == 0:
+                col[0] = init_codes[position - 1]  # the root's parent is outside
         elif code == SEL_DESC:
             init_code = init_codes[position]
-            if init_code <= 1 and not (previous > 1).any():
-                # Concrete: value(v) = init | any(previous on the
-                # ancestor-or-self chain) — the staircase cover mask.
-                if init_code == 1:
-                    col = elem.astype(np.int64)
-                else:
-                    covered = vf.cover_mask(np.nonzero(previous == 1)[0])
-                    col = (covered & elem).astype(np.int64)
+            marks = np.flatnonzero(previous)
+            mark_codes = previous[marks]
+            if init_code == 1:
+                col = elem.astype(np.int64)
+            elif init_code == 0 and not (mark_codes > 1).any():
+                # Concrete: value(v) = any(previous on the ancestor-or-self
+                # chain) — the staircase cover mask.
+                col = (vf.cover_mask(marks) & elem).astype(np.int64)
             else:
-                # Symbolic: parents precede children level by level, so
-                # each level folds disj(parent_value, below) in one column
-                # operation (operand order matches the kernel).
-                col = np.zeros(n, dtype=np.int64)
-                at_root = True
-                for group in vf.level_groups():
-                    if at_root:
-                        col[0] = space.disj_code(init_code, int(previous[0]))
-                        at_root = False
-                    else:
-                        col[group] = space.disj_cols(
-                            col[parent[group]], previous[group]
-                        )
+                col = _desc_symbolic(vf, space, init_code, marks, mark_codes)
         else:  # SEL_SELFQUAL
-            col = space.conj_cols(previous, qual_cols[instr[2]])
+            col = np.zeros(n, dtype=np.int64)
+            rows = np.flatnonzero(previous)
+            col[rows] = space.conj_cols(previous[rows], qual_cols[instr[2]][rows])
         cols[position] = col
     return cols
+
+
+def _desc_symbolic(vf: VectorFragment, space: CodeSpace, init_code: int, marks, mark_codes):
+    """A ``//`` step's column when init or a mark is a residual formula.
+
+    Below a mark, an element's value is its nearest enclosing mark's, so the
+    rows split into pre-order runs owned by one mark (or by none: init).  A
+    stack walk over the marks records where each run starts — where a
+    mark's interval opens, and where it closes and hands the rows back to
+    the enclosing mark.  Starts come out in pre-order, a later one winning
+    a tie, so one ``searchsorted`` gathers every row's owner.  Operand
+    order matches the kernel's ``disj(parent, below)``.
+    """
+    np = vf.np
+    starts = [0]
+    codes = [init_code]
+    stack: List[tuple] = []  # (post, code) of the open marks, innermost last
+    # a last mark at n (below = False) closes every interval still open
+    for mark, end, below in zip(
+        marks.tolist() + [vf.n], vf.post[marks].tolist() + [vf.n], mark_codes.tolist() + [0]
+    ):
+        while stack and stack[-1][0] <= mark:
+            starts.append(stack.pop()[0])
+            codes.append(stack[-1][1] if stack else init_code)
+        value = space.disj_code(stack[-1][1] if stack else init_code, below)
+        stack.append((end, value))
+        starts.append(mark)
+        codes.append(value)
+    owner = np.searchsorted(np.asarray(starts, dtype=np.int64), vf.pre, side="right") - 1
+    return np.where(vf.elem, np.asarray(codes, dtype=np.int64)[owner], 0)
 
 
 def emit_finals(

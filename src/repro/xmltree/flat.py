@@ -152,7 +152,7 @@ class FlatFragment:
         #: node_id -> flat index, built lazily on first id_index() — only
         #: answer accounting needs it, per-query scans never do
         self._id_index: Optional[Dict[NodeId, int]] = None
-        #: numpy accelerator encoding (pre/post/level columns + per-tag
+        #: numpy accelerator encoding (pre/post columns + per-tag
         #: index), built lazily by repro.core.vector.encode.vector_fragment;
         #: riding on the FlatFragment means the content-fingerprint cache,
         #: epoch bumps and MVCC snapshot pinning all govern it for free

@@ -75,6 +75,14 @@ def fragmented_documents(draw, max_nodes: int = 40):
     return build_fragmentation(tree, [node.node_id for node in cuts])
 
 
+def flat_depths(flat):
+    """Depth below the fragment root per span node, off the flat parent column."""
+    depths = []
+    for parent in flat.parent:
+        depths.append(0 if parent < 0 else depths[parent] + 1)
+    return depths
+
+
 def assert_accounting_matches_tree(fragmentation):
     """:func:`account_answers`, fed each node by the fragment holding it,
     equals the object-tree walk for every node alone and for all at once."""

@@ -12,6 +12,11 @@ Past the passes, the coordinator's share must not grow with the answer
 count either: candidate answers are decided once per distinct residual
 formula, and answers are counted from the flat columns without touching
 the object tree — on every engine and runner.
+
+On the vector engine a selection step's work follows the rows it can
+select: a ``//`` step under a symbolic init folds once per mark, not one
+whole-column connective per tree level, and a compiled program holds row
+sets rather than dense per-row columns.
 """
 
 import gc
@@ -29,7 +34,8 @@ from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.kernel.tables import PlanTables
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
-from repro.core.vector import numpy_available
+from repro.core.vector import numpy_available, vector_fragment
+from repro.core.vector.algebra import CodeSpace
 from repro.distributed.site import Site
 from repro.service.server import ServiceHost
 from repro.workloads.scenarios import build_ft1, build_ft2
@@ -206,3 +212,46 @@ def test_candidates_resolve_per_distinct_formula_and_accounting_walks_no_tree(
     assert max(resolves.values()) == 1, sorted(resolves.values())
     # answer_nodes_shipped came from the flats, not from subtree walks
     assert walks["iter_subtree"] == 0
+
+
+#: qualifier-free, so no SELFQUAL step runs a column conjunction; without
+#: annotations every non-root fragment starts from a symbolic init vector
+SYMBOLIC_DESC = "//open_auction//annotation//text"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the vector engine needs numpy")
+def test_vector_selection_steps_touch_the_rows_they_can_select(monkeypatch):
+    scenario = build_ft2(total_bytes=120_000, seed=5)
+    served = DistributedQueryEngine(
+        scenario.fragmentation, scenario.placement, algorithm="pax2",
+        use_annotations=False, engine=VECTOR,
+    )
+    served.execute(SYMBOLIC_DESC)  # encodings and programs built
+
+    calls = Counter()
+
+    def counting(name, original):
+        def call(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return call
+
+    for name in ("disj_code", *(name for name in dir(CodeSpace) if name.endswith("_cols"))):
+        monkeypatch.setattr(CodeSpace, name, counting(name, getattr(CodeSpace, name)))
+    stats = served.execute(SYMBOLIC_DESC).stats
+    assert len(stats.fragments_evaluated) > 1 and stats.answer_ids
+    # symbolic // steps ran, folding per mark — with no whole-column
+    # connective per tree level
+    assert calls.pop("disj_code") > 0
+    assert sum(calls.values()) == 0, calls
+
+    # a program holds row sets, never a dense per-row column
+    fragmentation = scenario.fragmentation
+    for fragment_id in fragmentation.fragment_ids():
+        vf = vector_fragment(fragmentation.flat(fragment_id))
+        assert vf._programs
+        for program in vf._programs.values():
+            for name in program.__slots__:
+                for rows in getattr(program, name).values():
+                    assert rows.size < vf.n, (fragment_id, name, rows.size, vf.n)

@@ -2,7 +2,7 @@
 
 Property tests for the accelerator columns the ``vector`` engine scans:
 ``post = pre + size`` must delimit exactly the object tree's subtrees,
-``level`` must equal the parent-chain depth, the per-tag CSR index must be
+the flat parent column must give the parent-chain depth, the per-tag CSR index must be
 sorted and complete, and the whole encoding must be rebuilt (not patched)
 when the flat cache turns over — via ``bump_epoch``, a content-version
 refresh or ``invalidate_flat``.
@@ -23,7 +23,7 @@ from repro.xmltree.builder import element, text
 from repro.xmltree.flat import KIND_ELEMENT, build_flat_fragment
 from repro.xmltree.nodes import XMLTree
 
-from tests.conftest import fragmented_documents
+from tests.conftest import flat_depths, fragmented_documents
 
 
 def random_tree(rng: random.Random, max_nodes: int = 60) -> XMLTree:
@@ -88,8 +88,8 @@ def assert_encoding_matches_object_tree(fragment, flat):
         for i in range(n):
             assert (i <= j < post[i]) == (i in ancestors), (i, j)
 
-    # level agrees with the parent-chain depth.
-    assert vf.level.tolist() == span_depths(fragment)
+    # The parent column agrees with the parent-chain depth.
+    assert flat_depths(flat) == span_depths(fragment)
 
     # The per-tag index is sorted pre-order within each tag group and,
     # across all tags, covers exactly the element rows.
@@ -143,7 +143,7 @@ class TestRoundTrip:
             flat = scenario.fragmentation.flat(fragment_id)
             vf = vector_fragment(flat)
             assert (vf.post == vf.pre + np.asarray(flat.subtree_size)).all()
-            assert vf.level.tolist() == span_depths(fragment)
+            assert flat_depths(flat) == span_depths(fragment)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_window_primitives_match_brute_force(self, seed):
