@@ -3,12 +3,17 @@
 The kernel's combined pass runs the selection half first and parks ``qz:``
 placeholders wherever a qualifier value is consulted, binding and resolving
 them after its reverse walk.  The vector pass flips the order: the
-qualifier analysis runs first (column at a time), so the selection sweep
-conjoins the *actual* qualifier values directly and no placeholder
-environment is needed.  Both schemes produce structurally identical
-formulas: the bindings are placeholder-free, so resolution is a single
-substitution, and the hash-consed connectives flatten n-ary combinations
-the same way regardless of fold staging (see
+qualifier analysis runs first (column at a time), so the sparse selection
+walk (:mod:`repro.core.vector.walk`) conjoins the *actual* qualifier
+values directly and no placeholder environment is needed.  It reads them
+only at the rows a qualifier step can select: the concrete boolean masks
+are gathered there, and the exact values of the symbolic rows (ancestors
+of virtual cut points) are patched in by one probe.
+
+Both schemes produce structurally identical formulas: the bindings are
+placeholder-free, so resolution is a single substitution, and the
+hash-consed connectives flatten n-ary combinations the same way
+regardless of fold staging (see
 :mod:`repro.booleans.formula`).  Answers, candidates, the root HEAD/DESC
 vectors, the virtual parent vectors and the operation accounting all come
 out bit-identical to both other engines.
@@ -54,18 +59,24 @@ def evaluate_fragment_combined_vector(
     n_steps = plan.n_steps
     space = CodeSpace(np)
 
+    qual_cols = []
+    qual_patches = None
     if plan.has_qualifiers:
         analysis = qualifier_analysis(vf, flat, plan, tables, program)
-        # Qualifier value columns as formula codes: the concrete mask casts
-        # to 0/1 directly; symbolic rows get their exact values interned.
-        qual_cols = [col.astype(np.int64) for col in analysis.sel_qual_cols]
-        for index, values in analysis.sym_qual_values.items():
-            for slot, value in enumerate(values):
-                qual_cols[slot][index] = space.encode(value)
+        # The walk gathers the concrete masks at the rows a SELFQUAL step
+        # reads; symbolic rows get their exact values interned, as patches.
+        qual_cols = analysis.sel_qual_cols
+        sym_values = analysis.sym_qual_values
+        if sym_values and qual_cols:
+            sym_rows = vf.anc_idx[::-1]  # the symbolic rows, ascending
+            qual_patches = (sym_rows, np.array(
+                [[space.encode(sym_values[row][slot]) for row in sym_rows.tolist()]
+                 for slot in range(len(qual_cols))],
+                dtype=np.int64,
+            ))
         output.root_head = analysis.root_head
         output.root_desc = analysis.root_desc
     else:
-        qual_cols = []
         output.root_head = [False] * n_items
         output.root_desc = [False] * n_items
 
@@ -77,9 +88,10 @@ def evaluate_fragment_combined_vector(
         init_vector,
         is_root_fragment and not plan.absolute,
         qual_cols,
+        qual_patches,
     )
 
-    emit_finals(space, cols[n_steps], flat.node_ids, output.answers, output.candidates)
+    emit_finals(vf, space, cols[n_steps], flat.node_ids, output.answers, output.candidates)
     emit_virtual_vectors(space, cols, flat, output.virtual_parent_vectors)
 
     output.operations = flat.n_elements * max(1, n_items + n_steps + 1)

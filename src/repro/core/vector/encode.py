@@ -4,11 +4,13 @@ An XPath-accelerator encoding of one fragment span, derived once from the
 :class:`~repro.xmltree.flat.FlatFragment` columns:
 
 ``pre[i] = i``
-    Pre-order rank — the flat index itself.
+    Pre-order rank — the flat index itself, so it is never stored.
 ``post = pre + size``
     One past the last pre-order rank inside ``i``'s subtree, so node ``j``
-    is a descendant-or-self of ``i`` exactly when ``pre[i] <= j < post[i]``
-    — every axis step becomes a range predicate over these two columns.
+    is a descendant-or-self of ``i`` exactly when ``i <= j < post[i]`` —
+    every axis step becomes a range predicate over the row number and this
+    column.  A ``//`` selection step's column is a list of such intervals
+    (:mod:`repro.core.vector.walk`).
 ``tag_starts`` / ``tag_rows``
     Per-tag sorted pre-order index: ``tag_rows`` holds all element rows
     grouped by ``tag_id`` (pre-order within each group) and ``tag_starts``
@@ -97,7 +99,6 @@ class VectorFragment:
         "np",
         "flat",
         "n",
-        "pre",
         "size",
         "post",
         "tag_id",
@@ -124,11 +125,9 @@ class VectorFragment:
         self.flat = flat
         n = flat.n
         self.n = n
-        pre = np.arange(n, dtype=np.int64)
         size = np.asarray(flat.subtree_size, dtype=np.int64)
-        self.pre = pre
         self.size = size
-        self.post = pre + size
+        self.post = np.arange(n, dtype=np.int64) + size
         self.parent = np.asarray(flat.parent, dtype=np.int64)
         self.parent_ge0 = self.parent >= 0
         self.tag_id = np.asarray(flat.tag_id, dtype=np.int64)
@@ -205,27 +204,14 @@ class VectorFragment:
 
         The descendant-or-self aggregation as one prefix sum: with
         ``csum[k] = sum(col[:k])``, the window ``[pre, post)`` is non-empty
-        exactly when ``csum[post] - csum[pre] > 0``.
+        exactly when ``csum[post] - csum[pre] > 0`` (``pre[i] = i``, so
+        ``csum[pre]`` is ``csum[:n]``).
         """
         np = self.np
-        csum = np.zeros(self.n + 1, dtype=np.int64)
+        n = self.n
+        csum = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(col, dtype=np.int64, out=csum[1:])
-        return (csum[self.post] - csum[self.pre]) > 0
-
-    def cover_mask(self, marked_idx):
-        """Per row ``i``: is some ancestor-or-self of ``i`` in *marked_idx*?
-
-        The top-down dual of :meth:`window_any_incl`: each marked row ``j``
-        covers its whole subtree interval ``[j, post[j])``; a +1/-1
-        staircase over the interval endpoints and a cumsum resolve all rows
-        at once (the staircase pruning of the window technique).
-        """
-        np = self.np
-        stair = np.zeros(self.n + 1, dtype=np.int64)
-        if marked_idx.size:
-            np.add.at(stair, marked_idx, 1)
-            np.add.at(stair, self.post[marked_idx], -1)
-        return np.cumsum(stair[: self.n]) > 0
+        return (csum[self.post] - csum[:n]) > 0
 
     def rows_with_tag(self, tag: Optional[str]):
         """Element rows matching *tag* in pre-order (all elements if None)."""

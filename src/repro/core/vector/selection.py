@@ -2,10 +2,11 @@
 
 The qualifier values arrive from outside (the stage-1 fixpoint), so this
 is the pure top-down half: encode the provided per-element values into
-code columns once, run the whole-column selection sweep, decode the final
-column.  Operation accounting matches the kernel, which charges skipped
-(concretely dead) elements too — both engines report
-``n_elements * (n_steps + 1)``.
+code columns once, run the sparse selection walk
+(:mod:`repro.core.vector.walk`, which gathers those codes only at the rows
+a qualifier step reads), decode the final column.  Operation accounting
+matches the kernel, which charges skipped (concretely dead) elements too —
+both engines report ``n_elements * (n_steps + 1)``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def evaluate_fragment_selection_vector(
         qual_cols,
     )
 
-    emit_finals(space, cols[n_steps], flat.node_ids, output.answers, output.candidates)
+    emit_finals(vf, space, cols[n_steps], flat.node_ids, output.answers, output.candidates)
     emit_virtual_vectors(space, cols, flat, output.virtual_parent_vectors)
 
     output.operations = flat.n_elements * (n_steps + 1)

@@ -115,7 +115,7 @@ class Network:
         stats.sites = {
             site.site_id: SiteStats(
                 site_id=site.site_id,
-                fragment_ids=list(site.fragment_ids),
+                fragment_ids=tuple(site.fragment_ids),
                 visits=site.visits,
                 seconds=site.total_seconds(),
                 operations=site.operations,

@@ -1,14 +1,18 @@
-"""Run statistics: the numbers the paper's figures are made of."""
+"""Run statistics: the numbers the paper's figures are made of.
+
+The records are slotted: a service keeps a reply's ``RunStats`` for as
+long as anyone holds the reply, so they carry no per-instance ``__dict__``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["StageStats", "SiteStats", "RunStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class StageStats:
     """Timing of one stage of an algorithm run.
 
@@ -25,18 +29,18 @@ class StageStats:
     sites_involved: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SiteStats:
     """Per-site accounting for one run."""
 
     site_id: str
-    fragment_ids: List[str] = field(default_factory=list)
+    fragment_ids: Tuple[str, ...] = ()
     visits: int = 0
     seconds: float = 0.0
     operations: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RunStats:
     """Everything measured during one distributed (or baseline) run."""
 

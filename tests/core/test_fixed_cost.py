@@ -15,11 +15,14 @@ the object tree — on every engine and runner.
 
 On the vector engine a selection step's work follows the rows it can
 select: a ``//`` step under a symbolic init folds once per mark, not one
-whole-column connective per tree level, and a compiled program holds row
-sets rather than dense per-row columns.
+whole-column connective per tree level, a compiled program holds row
+sets rather than dense per-row columns, and the walk's columns are sparse:
+at their peak, all of a fragment's take less memory than two dense int64
+columns of its rows (tracemalloc sees numpy's buffers).
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
@@ -34,6 +37,7 @@ from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.kernel.tables import PlanTables
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
+from repro.core.vector import combined as vector_combined
 from repro.core.vector import numpy_available, vector_fragment
 from repro.core.vector.algebra import CodeSpace
 from repro.distributed.site import Site
@@ -255,3 +259,45 @@ def test_vector_selection_steps_touch_the_rows_they_can_select(monkeypatch):
             for name in program.__slots__:
                 for rows in getattr(program, name).values():
                     assert rows.size < vf.n, (fragment_id, name, rows.size, vf.n)
+
+
+#: a CHILD chain under a qualifier, symbolic // steps, and an absolute path
+#: with a numeric qualifier: between them every kind of selection step
+BOUNDED_QUERIES = (
+    "//open_auction[bidder/increase > 12.5]/current",
+    SYMBOLIC_DESC,
+    "/sites/site/people/person[profile/age > 30]/name",
+)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the vector engine needs numpy")
+@pytest.mark.parametrize("query", BOUNDED_QUERIES)
+def test_vector_selection_columns_stay_below_two_dense_columns(monkeypatch, query):
+    scenario = build_ft2(total_bytes=300_000, seed=5)
+    served = DistributedQueryEngine(
+        scenario.fragmentation, scenario.placement, algorithm="pax2",
+        use_annotations=False, engine=VECTOR,
+    )
+    served.execute(query)  # encodings, programs and qualifier masks built
+
+    peaks = []
+    walk = vector_combined.selection_code_columns
+
+    def traced(vf, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cols = walk(vf, *args)
+        peaks.append((vf.n, tracemalloc.get_traced_memory()[1] - before))
+        return cols
+
+    monkeypatch.setattr(vector_combined, "selection_code_columns", traced)
+    tracemalloc.start()
+    try:
+        stats = served.execute(query).stats
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == len(stats.fragments_evaluated) > 1
+    # all of a fragment's selection columns together, at their peak, hold
+    # less than two dense int64 columns of its n rows
+    for n, peak in peaks:
+        assert peak < 16 * n, (query, n, peak)

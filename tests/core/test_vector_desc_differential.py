@@ -9,6 +9,10 @@ a symbolic qualifier provider for the PaX3 selection pass.  Per fragment,
 answers, candidates' residual formulas, root HEAD/DESC vectors and virtual
 parent vectors must be identical on every engine; end to end, so must the
 traffic accounting.
+
+A ``//`` step leaves its column as pre-order runs, not rows; the XMark
+queries at the end make a qualifier step, a second ``//`` or the emit read
+such a column, with annotations on and off, on FT2 and FT1.
 """
 
 import pytest
@@ -20,8 +24,9 @@ from repro.booleans.formula import Var
 from repro.core.kernel.dispatch import REFERENCE, combined_pass, selection_pass
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
-from repro.core.selection import concrete_root_init_vector, variable_init_vector
+from repro.core.pruning import stage1_init_vector
 from repro.fragments.fragment_tree import build_fragmentation
+from repro.workloads.scenarios import build_ft1, build_ft2
 from repro.xmltree.nodes import ELEMENT, XMLNode, XMLTree
 from repro.xmltree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
@@ -59,7 +64,7 @@ def symbolic_quals(plan):
     )
 
 
-def fragment_outputs(fragmentation, query, engine):
+def fragment_outputs(fragmentation, query, engine, use_annotations=False):
     """Every fragment's combined and selection pass outputs on *engine*."""
     plan = plan_for(query)
     provider = symbolic_quals(plan)
@@ -67,7 +72,7 @@ def fragment_outputs(fragmentation, query, engine):
     root_id = fragmentation.root_fragment.fragment_id
     for fid in fragmentation.fragment_ids():
         is_root = fid == root_id
-        init = concrete_root_init_vector(plan) if is_root else variable_init_vector(plan, fid)
+        init = stage1_init_vector(fragmentation, plan, fid, use_annotations)
         combined = combined_pass(fragmentation, fid, plan, init, is_root, engine=engine)
         selection = selection_pass(
             fragmentation, fid, plan, provider, init, is_root, engine=engine
@@ -164,3 +169,45 @@ class TestPinnedDescCases:
         )
         for query in ("//a//a//b", "//a[b]//b", "/a//a[.//b]//b"):
             assert_engines_agree(fragmentation, query)
+
+
+#: A ``//`` step leaves a column as runs; these plans make a step, or the
+#: emit, read such a column row by row, and pin the walk's probes next to
+#: them.  Each comment names what reads the ``//`` column.
+EXPANSION_QUERIES = [
+    "//open_auction//.[bidder]",  # a SELFQUAL
+    "/sites/site//.",  # the emit: the plan ends in //
+    "//person//*",  # a wildcard CHILD probe
+    "//*[not(name)]",
+    "/sites//regions//item[location]//text",
+    "//.[name]",  # a SELFQUAL at the first step
+    "//.",
+    "//*",
+    "//people//person[.//age]//.[name]",  # a SELFQUAL, then the emit
+    "//item//.[.//text]//text",  # a SELFQUAL, then a second //
+    "//regions//item//.",
+    "//open_auction//annotation//text",
+    "//closed_auction//*[price]//text",
+    "/sites/site/people/person[profile/age > 30]/name",
+    "//open_auction[bidder/increase > 12.5]/current",
+    "/sites//.[person]//name",
+]
+
+
+@pytest.fixture(scope="module", params=["ft2", "ft1"])
+def xmark_fragmentation(request):
+    if request.param == "ft2":
+        return build_ft2(total_bytes=30_000, seed=5).fragmentation
+    return build_ft1(16, 16 * 2_000, seed=5).fragmentation
+
+
+@pytest.mark.parametrize("use_annotations", [True, False])
+def test_every_expansion_of_a_desc_column_matches_reference_and_kernel(
+    xmark_fragmentation, use_annotations
+):
+    for query in EXPANSION_QUERIES:
+        expected = fragment_outputs(xmark_fragmentation, query, REFERENCE, use_annotations)
+        for engine in available_engines():
+            if engine != REFERENCE:
+                got = fragment_outputs(xmark_fragmentation, query, engine, use_annotations)
+                assert got == expected, (query, engine)

@@ -8,6 +8,7 @@ when the flat cache turns over — via ``bump_epoch``, a content-version
 refresh or ``invalidate_flat``.
 """
 
+import bisect
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 np = pytest.importorskip("numpy")
 
 from repro.core.vector.encode import vector_fragment
+from repro.core.vector.walk import concrete_desc_runs
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.workloads.scenarios import build_ft2
 from repro.xmltree.builder import element, text
@@ -71,8 +73,7 @@ def assert_encoding_matches_object_tree(fragment, flat):
     assert vf.n == n
 
     # pre is the flat index itself; post = pre + size delimits the subtree.
-    assert vf.pre.tolist() == list(range(n))
-    assert (vf.post == vf.pre + np.asarray(flat.subtree_size)).all()
+    assert vf.post.tolist() == [i + size for i, size in enumerate(flat.subtree_size)]
 
     # Interval containment must coincide with the object tree's
     # ancestor-or-self relation over the span.
@@ -142,12 +143,12 @@ class TestRoundTrip:
             fragment = scenario.fragmentation[fragment_id]
             flat = scenario.fragmentation.flat(fragment_id)
             vf = vector_fragment(flat)
-            assert (vf.post == vf.pre + np.asarray(flat.subtree_size)).all()
+            assert vf.post.tolist() == [i + size for i, size in enumerate(flat.subtree_size)]
             assert flat_depths(flat) == span_depths(fragment)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_window_primitives_match_brute_force(self, seed):
-        """window_any_incl / cover_mask against their set definitions."""
+        """window_any_incl / concrete // runs against their set definitions."""
         rng = random.Random(4000 + seed)
         tree = random_tree(rng)
         fragmentation = random_fragmentation(rng, tree)
@@ -163,11 +164,48 @@ class TestRoundTrip:
                 any(i <= m < post[i] for m in marked) for i in range(n)
             ]
             assert vf.window_any_incl(col).tolist() == any_incl
-            # Ancestor-or-self-of-marked cover.
-            cover = [
-                any(m <= i < post[m] for m in marked) for i in range(n)
-            ]
-            assert vf.cover_mask(np.asarray(marked, dtype=np.int64)).tolist() == cover
+            # The walk's marks are element rows
+            assert_concrete_runs_cover(vf, [m for m in marked if vf.elem[m]])
+
+    def test_concrete_desc_runs_on_pinned_marks(self):
+        # rows: r0 a1 b2 c3 d4 e5 f6, with a:[1, 3), c:[3, 4), d:[4, 7)
+        tree = XMLTree(element("r", element("a", element("b")), element("c"),
+                               element("d", element("e"), element("f"))))
+        vf = vector_fragment(build_fragmentation(tree, []).flat("F0"))
+        assert vf.post.tolist() == [7, 3, 3, 4, 7, 6, 7]
+        for marks in (
+            [],
+            [0],  # a mark at row 0: the run opens where the init run does
+            [0, 1, 4],  # nested inside the row-0 mark
+            [1, 3],  # adjacent intervals: a closes where c opens
+            [1, 3, 4],  # three back to back
+            [1, 2, 4, 5, 6],  # nested marks, the inner ones opening no run
+            [2, 3, 5],
+        ):
+            assert_concrete_runs_cover(vf, marks)
+
+
+def assert_concrete_runs_cover(vf, marks):
+    """A concrete // column selects exactly the elements of some mark's
+    subtree interval (ancestor-or-self of a mark)."""
+    starts, codes, runs = concrete_desc_runs(vf, np.asarray(marks, dtype=np.int64))
+    post = vf.post.tolist()
+    if runs:
+        starts, codes = starts.tolist(), codes.tolist()
+        assert starts == sorted(starts) and starts[0] == 0
+        assert len(starts) <= 2 * len(marks) + 1
+        got = [
+            codes[bisect.bisect_right(starts, i) - 1] if vf.elem[i] else 0
+            for i in range(vf.n)
+        ]
+    else:
+        got = [0] * vf.n  # no marks: nothing selected
+        assert starts.size == 0
+    expected = [
+        int(bool(vf.elem[i]) and any(m <= i < post[m] for m in marks))
+        for i in range(vf.n)
+    ]
+    assert got == expected, marks
 
 
 class TestCacheTurnover:
