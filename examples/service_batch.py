@@ -69,9 +69,9 @@ def main() -> None:
         batch_window=0.001,
     )
     service.serve_batch(wave, concurrency=wave_size)
-    print(service.batcher.stats.summary())
+    print(service.session.batcher.stats.summary())
     print()
-    print(service.summary())
+    print(service.host.summary())
 
 
 if __name__ == "__main__":

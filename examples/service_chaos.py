@@ -61,7 +61,7 @@ def main() -> None:
         clientele_paper_fragmentation(clientele_example_tree())
     ).execute(QUERY)
     result = engine.execute(QUERY)
-    stats = engine.resilience.stats
+    stats = engine.host.resilience.stats
     print("act 1: flaky site (40% drops on S2)")
     print(f"  answers   : {len(result.answer_ids)}"
           f" (complete: {result.answer_ids == baseline.answer_ids})")
@@ -85,7 +85,7 @@ def main() -> None:
           f" fragments {partial.missing_fragments}")
     print(f"  sound     : {set(partial.answer_ids) <= set(baseline.answer_ids)}"
           f" (every returned node is in the complete answer)")
-    print(f"  cached    : {len(engine.cache)} entries"
+    print(f"  cached    : {len(engine.host.cache)} entries"
           " (partial answers never enter the cache)")
     print()
 
@@ -95,13 +95,13 @@ def main() -> None:
 
     time.sleep(0.03)  # past breaker_reset_seconds: the probe is let through
     recovered = engine.execute(QUERY)
-    breaker = engine.resilience.breaker("S1")
+    breaker = engine.host.resilience.breaker("S1")
     print("act 3: recovery")
     print(f"  answers   : {len(recovered.answer_ids)}"
           f" (complete: {recovered.answer_ids == baseline.answer_ids})")
     print(f"  breaker   : {breaker.state}"
-          f" after {engine.resilience.stats.breaker_trips} trip(s)"
-          f" and {engine.resilience.stats.breaker_probes} probe(s)")
+          f" after {engine.host.resilience.stats.breaker_trips} trip(s)"
+          f" and {engine.host.resilience.stats.breaker_probes} probe(s)")
     print()
     print(engine.host.summary())
 

@@ -65,7 +65,7 @@ def main() -> None:
     print(f"service (warm)   : {requests / warm_wall:8.1f} queries/s"
           f" ({warm_wall * 1000:.1f} ms wall, {clients} clients)\n")
 
-    print(service.summary())
+    print(service.host.summary())
     print()
     print(f"speedup vs sequential: {sequential_wall / cold_wall:.1f}x cold,"
           f" {sequential_wall / warm_wall:.1f}x warm")

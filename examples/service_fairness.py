@@ -21,8 +21,8 @@ Run it with::
     python examples/service_fairness.py
 
 ``tests/service/test_fairness.py::TestFairShareAsCompletionOrder`` pits a
-victim tenant against an antagonist herd under both this stack and the flat
-FIFO, and ``tests/service/test_snapshots.py`` replays every snapshot read
+victim tenant against an antagonist herd and pins its exact completion
+positions, and ``tests/service/test_snapshots.py`` replays every snapshot read
 taken while writes land against a quiesced re-run at its pinned version.
 """
 

@@ -4,10 +4,10 @@ The service layer no longer assumes one document: this example builds a
 :class:`repro.service.ServiceHost`, registers several XMark tenants in its
 :class:`repro.service.DocumentStore` catalog, and drives an interleaved
 multi-tenant read/write stream through the shared scheduler — one actor
-pool, one admission gate, one LRU result cache whose keys are namespaced by
-document (a tenant can only ever hit its own entries), and per-document
-sessions carrying the version tags and write gates (writes to different
-documents never serialize against each other).
+pool, one admission scheduler, one LRU result cache whose keys are
+namespaced by document (a tenant can only ever hit its own entries), and
+per-document sessions carrying the version tags and writer locks (writes to
+different documents never serialize against each other).
 
 It then drops one tenant mid-flight: only that tenant's cached answers are
 purged, and the survivors keep serving hits as if nothing happened.

@@ -3,7 +3,7 @@
 This example attaches a :class:`repro.obs.Tracer` to a
 :class:`repro.service.ServiceEngine` over the XMark FT2 scenario, serves a
 concurrent query wave followed by a mixed read/write stream (so both the
-query path and the update path — gate wait, fragment apply, version roll,
+query path and the update path — writer lock wait, fragment apply, version roll,
 cache retirement — leave spans), and then uses the finished span trees to
 answer the questions aggregates cannot: where did one request spend its
 time (admission queue, batching window, kernel scan, simulated wire,
@@ -69,7 +69,7 @@ def main() -> None:
     service.serve_batch(queries, concurrency=concurrency)
 
     # A mixed read/write tail: every write traces the update path too
-    # (gate wait, fragment apply, version roll, cache retirement).
+    # (writer lock wait, fragment apply, version roll, cache retirement).
     workload = MixedWorkload(
         scenario.fragmentation,
         list(PAPER_QUERIES.values()),
@@ -84,7 +84,7 @@ def main() -> None:
             service.execute(op.query)
     tracer.close()
 
-    print(service.summary())
+    print(service.host.summary())
 
     by_kind = {}
     for root in tracer.finished:

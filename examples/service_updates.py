@@ -57,7 +57,7 @@ def main() -> None:
         else:
             service.execute(op.query)
 
-    print(service.summary())
+    print(service.host.summary())
     print(
         f"\nfull-document walks while serving:"
         f" {scenario.fragmentation.full_walks - walks_before}"

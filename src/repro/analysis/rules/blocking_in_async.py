@@ -7,16 +7,16 @@ latency quantiles blame the wrong tenant.  The service layer multiplexes
 every site round of every in-flight query over one loop, so the invariant
 is absolute: a coroutine may only wait through ``await``.
 
-In-repo example (``service/evaluator.py`` replays simulated wire latency —
-asynchronously, yielding the loop to other requests)::
+In-repo example (``service/evaluator.py`` backs off before retrying a
+failed site round — asynchronously, yielding the loop to other requests)::
 
-    with trace_span("wire:replay", stage="wire", simulated_seconds=delay):
-        await asyncio.sleep(delay)
+    if backoff > 0.0:
+        await asyncio.sleep(backoff)
 
 and the shape this rule flags::
 
-    async def _replay(delay):
-        time.sleep(delay)          # the whole host sleeps, not this request
+    async def _backoff(seconds):
+        time.sleep(seconds)        # the whole host sleeps, not this request
 
 Flagged inside ``async def`` (a sync helper nested in one is exempt — it
 cannot await, and it may legitimately run in an executor; the vector

@@ -1,28 +1,28 @@
 """permit-leak: an acquired slot must be released on every path.
 
 The PR 7/8 cancellation-safety class: code acquires a permit-like resource
-(a gate, the admission scheduler, a semaphore slot, an MVCC snapshot pin)
+(the admission scheduler, a semaphore slot, an MVCC snapshot pin)
 and then suspends — an ``await`` or ``yield`` — before a ``try/finally``
 guarantees the handback.  A ``CancelledError`` landing at that suspension
 point leaks the permit: capacity shrinks by one forever, and under a
 bounded admission scheduler the host eventually serves nobody.
 
 In-repo example (the accepted shape, ``service/server.py``
-``_evaluate_gated``)::
+``_admit_and_evaluate``)::
 
-    await admission.acquire(session.name, timeout=...)
+    snapshot = session.snapshots.pin(session.version)
+    ...                                   # synchronous statements only
     try:
-        ...
-        stats = await self._evaluate(...)
-        return stats, evaluated_version
+        stats = await evaluate_query_async(...)
+        return stats, snapshot.version
     finally:
-        admission.release(session.name)
+        session.snapshots.release(snapshot)
 
 and the shape this rule flags::
 
-    await admission.acquire(session.name)
-    stats = await self._evaluate(...)   # cancelled here -> slot leaked
-    admission.release(session.name)
+    snapshot = session.snapshots.pin(session.version)
+    stats = await evaluate_query_async(...)   # cancelled here -> pin leaked
+    session.snapshots.release(snapshot)
 
 Accepted shapes:
 
@@ -34,8 +34,7 @@ Accepted shapes:
   ``raise`` (the shed-on-timeout idiom — a failed acquire holds nothing),
   with the guarded ``try/finally`` as the next statement;
 * the acquire as the *last* risky statement of the function: the function's
-  contract is "returns holding the permit" and the caller owns the release
-  (``ReadWriteGate.acquire_read`` is exactly this);
+  contract is "returns holding the permit" and the caller owns the release;
 * ``async with``/``with`` context managers (the acquire never appears as a
   statement).
 """
@@ -57,7 +56,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
 
 #: method names that take a permit-like resource
-ACQUIRE_METHODS = frozenset({"acquire", "acquire_read", "acquire_write", "pin"})
+ACQUIRE_METHODS = frozenset({"acquire", "pin"})
 
 
 def _is_release_call(node: ast.AST) -> bool:
@@ -106,7 +105,7 @@ class PermitLeakRule(Rule):
 
     id = "permit-leak"
     summary = (
-        "a gate/admission/semaphore/snapshot acquire followed by a suspension"
+        "an admission/semaphore/snapshot acquire followed by a suspension"
         " point without a try/finally release"
     )
     hint = (

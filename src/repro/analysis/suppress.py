@@ -9,7 +9,7 @@ justification above them::
     probe = tracer.request("warmup")  # repro: allow[span-discipline] closed in shutdown()
 
     # repro: allow[permit-leak] ownership transfers to the wave batcher
-    permit = await gate.acquire_read(timeout)
+    permit = await gate.acquire(timeout)
 
 Several rules may share one comment: ``# repro: allow[permit-leak, span-discipline]``.
 Suppressions are per-line and deliberate — the gate counts them (they show

@@ -61,7 +61,7 @@ import traceback
 from typing import Optional, Sequence
 
 from repro.core.engine import ALGORITHMS, DistributedQueryEngine
-from repro.core.kernel.dispatch import ENGINES
+from repro.core.kernel.dispatch import ENGINES, KERNEL, VECTOR
 from repro.distributed.placement import one_site_per_fragment, round_robin_placement
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_by_size, cut_matching
@@ -74,6 +74,22 @@ from repro.xpath.errors import XPathError
 from repro.xpath.parser import parse_xpath
 
 __all__ = ["main", "build_parser"]
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers >= *minimum*; anything else exits 2
+    with a usage line."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,19 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fragment-at", default=None, metavar="QUERY")
     serve.add_argument("--sites", type=int, default=None, metavar="K",
                        help="distribute fragments over K sites round-robin")
-    serve.add_argument("--algorithm", choices=["pax2", "pax3", "naive", "parbox"],
-                       default="pax2")
     serve.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="per-fragment pass implementation (default: kernel)",
+        "--engine", choices=[KERNEL, VECTOR], default=None,
+        help="columnar per-fragment pass every read runs on (default: kernel)",
     )
     serve.add_argument("--concurrency", type=int, default=16,
                        help="simultaneous clients issuing the batch (default 16)")
     serve.add_argument("--repeat", type=int, default=1,
                        help="issue the query list this many times (exercises the cache)")
-    serve.add_argument("--site-parallelism", type=int, default=4,
+    serve.add_argument("--site-parallelism", type=_int_at_least(1), default=4,
                        help="concurrent requests each site serves (default 4)")
-    serve.add_argument("--cache-capacity", type=int, default=256,
+    serve.add_argument("--cache-capacity", type=_int_at_least(0), default=256,
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--answers", action="store_true",
                        help="print the answer count of every request")
@@ -388,14 +402,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         parse_xpath(query)
 
     tracer = _build_tracer(args)
-    host = ServiceHost(
-        algorithm=args.algorithm,
-        engine=args.engine,
-        site_parallelism=args.site_parallelism,
-        cache_capacity=args.cache_capacity,
-        max_in_flight=max(args.concurrency, 1),
-        tracer=tracer,
-    )
+    try:
+        host = ServiceHost(
+            engine=args.engine,
+            site_parallelism=args.site_parallelism,
+            cache_capacity=args.cache_capacity,
+            max_in_flight=max(args.concurrency, 1),
+            tracer=tracer,
+        )
+    except ValueError as error:
+        # without --engine the process default applies, and a reference
+        # default (REPRO_FRAGMENT_ENGINE) cannot serve snapshot reads
+        if tracer is not None:
+            tracer.close()
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     for name, path in documents:
         tree = _load_document(path)
         fragmentation = _fragment_document(tree, args.fragment_size, args.fragment_at)

@@ -20,15 +20,16 @@ Example
     print(result.summary())
 
 The engine evaluates one query at a time through the synchronous simulated
-network.  For many concurrent queries over the same fragmentation — with
-per-site concurrency limits, admission control, result caching on the
-normalized query and latency/throughput metrics — use :meth:`as_service` (or
+network, with any of the four algorithms and three engines.  For many
+concurrent PaX2 queries over the same fragmentation — with per-site
+concurrency limits, admission control, result caching on the normalized
+query and latency/throughput metrics — use :meth:`as_service` (or
 :class:`repro.service.ServiceEngine` directly)::
 
     service = engine.as_service(max_in_flight=32)
     results = service.serve_batch(["//item/name"] * 100, concurrency=32)
-    print(service.metrics.summary())
-    print(service.cache.stats.summary())
+    print(service.host.metrics.summary())
+    print(service.host.cache.stats.summary())
 """
 
 from __future__ import annotations
@@ -197,17 +198,25 @@ class DistributedQueryEngine:
         """A concurrent :class:`repro.service.ServiceEngine` over this engine's
         fragmentation, placement and defaults (see :mod:`repro.service`).
 
-        The engine's algorithm/annotations defaults apply only when the
-        caller passes neither an explicit ``config`` nor their own values.
-        The returned service is the single-document facade over a full
+        The service runs PaX2 only, on a columnar engine (``kernel`` or
+        ``vector``) against pinned snapshots, so an engine configured with
+        another algorithm — or with the ``reference`` engine — raises
+        ``ValueError``: those stay on this ``DistributedQueryEngine``.  The
+        engine's annotations and engine defaults apply only when the caller
+        passes neither an explicit ``config`` nor their own values.  The
+        returned service is the single-document facade over a full
         :class:`repro.service.ServiceHost`; to co-host this document with
         others behind one scheduler, use :meth:`register_with` (or build a
         ``ServiceHost`` and register fragmentations directly).
         """
         from repro.service.server import ServiceEngine
 
+        if self.algorithm != "pax2":
+            raise ValueError(
+                f"the service runs PaX2 only; algorithm {self.algorithm!r} stays"
+                f" on DistributedQueryEngine"
+            )
         if "config" not in overrides:
-            overrides.setdefault("algorithm", self.algorithm)
             overrides.setdefault("use_annotations", self.use_annotations)
             overrides.setdefault("engine", self.engine)
         return ServiceEngine(self.fragmentation, placement=self.placement, **overrides)

@@ -1,10 +1,9 @@
 """MVCC fragment snapshots: pin a version's flat encodings, read while writing.
 
-The per-session readers-writer gate (PR 5) gives single-document
-correctness the blunt way: a write drains and blocks *every* reader of its
-document.  This module provides the finer instrument.  A reader *pins* the
-current ``(version_tag, {fragment_id -> FlatFragment})`` pair at admission
-and evaluates against those captured columns for its whole lifetime, while
+Every service read isolates itself from concurrent writes this way, with no
+lock between readers and writers.  A reader *pins* the current
+``(version_tag, {fragment_id -> FlatFragment})`` pair at admission and
+evaluates against those captured columns for its whole lifetime, while
 a writer mutates the object tree and bumps fragment epochs concurrently —
 the flats a snapshot holds are immutable, and
 :meth:`~repro.fragments.fragment_tree.Fragmentation.bump_epoch` merely pops
@@ -54,13 +53,10 @@ __all__ = [
 class SnapshotPolicy:
     """Knobs for MVCC snapshot reads (``ServiceConfig.snapshots``).
 
-    ``enabled``
-        When true (the default), eligible reads — PaX2 on a columnar
-        engine, ``kernel`` or ``vector`` (see
-        ``ServiceHost._snapshot_reads``) — pin a version snapshot instead
-        of holding the session's read gate, so writes never wait for reader
-        drain.  Reference-engine and non-PaX2 reads always use the gate:
-        they walk the live object tree and cannot be snapshot-isolated.
+    Every service read — PaX2 on a columnar engine, ``kernel`` or
+    ``vector`` — pins a version snapshot, so writes never wait for reader
+    drain.
+
     ``max_retained_versions``
         Watermark on simultaneously retained version snapshots.  A writer
         finding this many alive waits for a reclaim before installing the
@@ -68,7 +64,6 @@ class SnapshotPolicy:
         long-running readers.
     """
 
-    enabled: bool = True
     max_retained_versions: int = 8
 
     def __post_init__(self) -> None:

@@ -2,10 +2,10 @@
 
 :func:`render_prometheus` walks a :class:`~repro.service.server.ServiceHost`
 (duck-typed — anything with ``metrics``/``cache``/``sessions``/``actors``/
-``tracer`` works, including the single-document ``ServiceEngine``) and
-renders every counter the serving stack keeps into the text exposition
-format (version 0.0.4) a Prometheus scraper, ``curl`` or ``repro stats``
-can consume:
+``tracer`` works; for the single-document ``ServiceEngine`` pass its
+``host``) and renders every counter the serving stack keeps into the text
+exposition format (version 0.0.4) a Prometheus scraper, ``curl`` or
+``repro stats`` can consume:
 
 * ``repro_requests_total`` / ``…_evaluated`` / ``…_cache_hits`` /
   ``…_coalesced`` and per-document variants (label ``document``);

@@ -90,7 +90,7 @@ FILL_STAGE = "dispatch"
 DEFAULT_KEEP_SPANS = 512
 
 #: waits shorter than this are not worth a span: an uncontended semaphore
-#: or gate acquisition "waits" a few microseconds, and recording one span
+#: or lock acquisition "waits" a few microseconds, and recording one span
 #: per such non-event at every queueing point would double a request's span
 #: count while moving its attribution by well under the reconciliation
 #: tolerance.  Call sites guard with this before ``add_span``.

@@ -4,8 +4,8 @@ The packages below :mod:`repro.core` evaluate one query at a time through a
 passive, synchronous simulated network.  This package turns the reproduction
 into a *serving* system: many named documents behind one scheduler, many
 in-flight queries, per-site concurrency limits, result caching on the
-normalized query, per-document write serialization, and latency/throughput
-metrics.
+normalized query, MVCC snapshot reads, per-document write serialization,
+and latency/throughput metrics.
 
 Components
 ----------
@@ -15,9 +15,9 @@ Components
     placement.
 :class:`~repro.service.server.DocumentSession`
     Per-document serving state: version tag, compiled-plan cache,
-    fused-scan batcher, and a :class:`~repro.service.actors.ReadWriteGate`
-    giving that document's writes exclusivity over that document's reads
-    only.
+    fused-scan batcher, the MVCC snapshot registry every read pins
+    (:class:`~repro.fragments.snapshots.SnapshotManager`), and a writer
+    lock serializing that document's writes only.
 :class:`~repro.service.server.ServiceHost`
     The coordinator: routes ``submit(document, query)`` /
     ``apply_update(document, mutation)`` by document name while sharing one
@@ -28,16 +28,20 @@ Components
     :class:`~repro.service.metrics.ServiceMetrics` aggregator (host totals
     plus per-document breakdowns) across tenants.
 :class:`~repro.service.server.ServiceEngine`
-    The single-document facade: the historical ``submit(query)`` API as a
-    host with one document (see the README's migration notes).
+    The single-document facade: a ``.host`` with one document registered
+    plus the historical ``submit(query)`` call shapes.
 :class:`~repro.service.actors.SiteActor` / :class:`~repro.service.actors.ActorPool`
     ``asyncio`` counterparts of :class:`repro.distributed.site.Site`: each
     site serves partial-evaluation requests concurrently, bounded by a
     configurable parallelism, with optional simulated latency
     (:class:`repro.distributed.async_transport.LatencyModel`).
 :mod:`~repro.service.evaluator`
-    An asynchronous PaX2 whose per-site rounds are scheduled through the
-    actor pool, so rounds of *different* queries interleave on the same site.
+    An asynchronous PaX2 over a pinned snapshot whose per-site rounds are
+    scheduled through the actor pool, so rounds of *different* queries
+    interleave on the same site.  The service runs PaX2 only, on the
+    ``kernel`` or ``vector`` engine; PaX3, ParBoX, the naive baseline and
+    the ``reference`` engine stay in the synchronous
+    :class:`~repro.core.engine.DistributedQueryEngine`.
 
 Quickstart (one document)::
 
@@ -45,7 +49,7 @@ Quickstart (one document)::
 
     service = ServiceEngine(fragmentation)
     results = service.serve_batch(["//person/name"] * 100, concurrency=64)
-    print(service.metrics.summary())
+    print(service.host.metrics.summary())
 
 Quickstart (many documents, one shared scheduler)::
 
@@ -62,7 +66,7 @@ Quickstart (many documents, one shared scheduler)::
 
 from repro.core.results import PartialAnswer
 from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
-from repro.service.actors import ActorPool, FragmentWaveBatcher, ReadWriteGate, SiteActor
+from repro.service.actors import ActorPool, FragmentWaveBatcher, SiteActor
 from repro.service.fairness import FairnessPolicy, WeightedFairAdmission
 from repro.service.cache import (
     CacheStats,
@@ -110,7 +114,6 @@ __all__ = [
     "ActorPool",
     "BatchStats",
     "FragmentWaveBatcher",
-    "ReadWriteGate",
     "SiteActor",
     "CacheStats",
     "DocumentCacheStats",

@@ -24,202 +24,14 @@ from __future__ import annotations
 import asyncio
 import time
 import weakref
-from collections import deque
 from contextlib import asynccontextmanager
-from typing import AsyncIterator, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AsyncIterator, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.kernel.dispatch import combined_pass_batch, fragment_engine
 from repro.obs.trace import NEGLIGIBLE_WAIT_SECONDS, add_span
 from repro.service.metrics import BatchStats
 
-__all__ = ["SiteActor", "ActorPool", "FragmentWaveBatcher", "ReadWriteGate"]
-
-
-class ReadWriteGate:
-    """An ``asyncio`` readers-writer gate: many readers or one writer.
-
-    The service host holds one gate per document session: query evaluations
-    of that document take the gate shared, a mutation takes it exclusively.
-    This replaces the PR-4 scheme of one writer draining the *global*
-    admission semaphore — which serialized writers on *different* documents
-    against each other and froze every tenant's reads for the duration of
-    any write.  With per-session gates a write excludes exactly the readers
-    of its own document; other documents never notice.
-
-    Writers get priority: once one is waiting, new readers queue behind it
-    (no writer starvation under a steady read stream).  Like the other
-    primitives in this module the gate is rebuilt whenever the running event
-    loop changes, because the blocking facade runs each call in a fresh
-    ``asyncio.run`` loop.
-
-    The gate is **cancellation-safe by construction**: waiters park on
-    plain futures, grants happen synchronously inside the releasing task
-    (``Future.set_result``, no awaits), and the release paths themselves
-    never await — so a ``CancelledError`` landing at any point either finds
-    the waiter still queued (its future is cancelled and skipped by later
-    grants) or already granted (the grant is synchronously handed back
-    before the cancellation propagates).  No permit leaks, no stranded
-    waiters, no state the next acquirer could observe half-updated.
-    Acquisition optionally takes a ``timeout`` (used by the service's
-    deadline budgets); a timed-out waiter behaves exactly like a cancelled
-    one.
-    """
-
-    def __init__(self) -> None:
-        self._readers = 0
-        self._writing = False
-        self._waiting_readers: Deque[asyncio.Future] = deque()
-        self._waiting_writers: Deque[asyncio.Future] = deque()
-        #: weakref to the owning loop (see FragmentWaveBatcher._loop_ref for
-        #: why a weakref and not id())
-        self._loop_ref: Optional[weakref.ref] = None
-
-    def _bind(self) -> asyncio.AbstractEventLoop:
-        loop = asyncio.get_running_loop()
-        if self._loop_ref is None or self._loop_ref() is not loop:
-            self._readers = 0
-            self._writing = False
-            self._waiting_readers = deque()
-            self._waiting_writers = deque()
-            self._loop_ref = weakref.ref(loop)
-        return loop
-
-    # -- synchronous core ---------------------------------------------------
-
-    def _wake(self) -> None:
-        """Grant the gate to whoever may proceed.  Synchronous: called from
-        release paths and from cancelled waiters; never awaits."""
-        if self._writing:
-            return
-        while self._waiting_writers and self._waiting_writers[0].done():
-            self._waiting_writers.popleft()  # cancelled while queued
-        if self._waiting_writers:
-            if self._readers == 0:
-                future = self._waiting_writers.popleft()
-                self._writing = True
-                future.set_result(None)
-            return
-        while self._waiting_readers:
-            future = self._waiting_readers.popleft()
-            if future.done():
-                continue
-            self._readers += 1
-            future.set_result(None)
-
-    def _release_read(self) -> None:
-        self._readers -= 1
-        if self._readers == 0:
-            self._wake()
-
-    def _release_write(self) -> None:
-        self._writing = False
-        self._wake()
-
-    async def _acquire(
-        self,
-        waiters: "Deque[asyncio.Future]",
-        can_enter: bool,
-        on_grant,
-        on_granted_but_dead,
-        timeout: Optional[float],
-    ) -> None:
-        loop = self._bind()
-        if can_enter:
-            on_grant()
-            return
-        future = loop.create_future()
-        waiters.append(future)
-        try:
-            if timeout is None:
-                await future
-            else:
-                await asyncio.wait_for(future, timeout)
-        except (asyncio.CancelledError, asyncio.TimeoutError):
-            if future.done() and not future.cancelled():
-                # The grant landed in the same instant the waiter died:
-                # hand it back synchronously so nothing is leaked.
-                on_granted_but_dead()
-            else:
-                future.cancel()
-                # A cancelled queued *writer* may unblock queued readers
-                # (and vice versa nothing is harmed): always re-derive.
-                self._wake()
-            raise
-
-    async def acquire_read(self, timeout: Optional[float] = None) -> None:
-        """Take the gate shared; raises ``asyncio.TimeoutError`` on timeout."""
-        self._bind()
-        await self._acquire(
-            self._waiting_readers,
-            can_enter=not self._writing and not self._waiting_writers,
-            on_grant=self._enter_read,
-            on_granted_but_dead=self._release_read,
-            timeout=timeout,
-        )
-
-    async def acquire_write(self, timeout: Optional[float] = None) -> None:
-        """Take the gate exclusively; raises ``asyncio.TimeoutError`` on timeout."""
-        self._bind()
-        await self._acquire(
-            self._waiting_writers,
-            can_enter=(
-                not self._writing and self._readers == 0 and not self._waiting_writers
-            ),
-            on_grant=self._enter_write,
-            on_granted_but_dead=self._release_write,
-            timeout=timeout,
-        )
-
-    def _enter_read(self) -> None:
-        self._readers += 1
-
-    def _enter_write(self) -> None:
-        self._writing = True
-
-    # -- context managers ---------------------------------------------------
-
-    @asynccontextmanager
-    async def read_locked(self, timeout: Optional[float] = None) -> AsyncIterator[None]:
-        """Hold the gate shared (with other readers) for the enclosed work."""
-        await self.acquire_read(timeout)
-        try:
-            yield
-        finally:
-            # Synchronous: a cancellation arriving here cannot interrupt it.
-            self._release_read()
-
-    @asynccontextmanager
-    async def write_locked(self, timeout: Optional[float] = None) -> AsyncIterator[None]:
-        """Hold the gate exclusively for the enclosed work."""
-        await self.acquire_write(timeout)
-        try:
-            yield
-        finally:
-            self._release_write()
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def readers_active(self) -> int:
-        return self._readers
-
-    @property
-    def write_held(self) -> bool:
-        return self._writing
-
-    @property
-    def writers_waiting(self) -> int:
-        return sum(1 for future in self._waiting_writers if not future.done())
-
-    @property
-    def readers_waiting(self) -> int:
-        return sum(1 for future in self._waiting_readers if not future.done())
-
-    def __repr__(self) -> str:
-        return (
-            f"<ReadWriteGate readers={self._readers} writing={self._writing}"
-            f" writers_waiting={self.writers_waiting}>"
-        )
+__all__ = ["SiteActor", "ActorPool", "FragmentWaveBatcher"]
 
 
 class SiteActor:

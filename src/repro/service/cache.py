@@ -51,8 +51,8 @@ __all__ = [
     "version_tag",
 ]
 
-#: (document, normalized query, algorithm, annotations flag, version tag)
-CacheKey = Tuple[str, str, str, bool, str]
+#: (document, normalized query, annotations flag, version tag)
+CacheKey = Tuple[str, str, bool, str]
 
 
 def normalized_query(query: QueryInput) -> str:
@@ -95,15 +95,6 @@ def version_tag(fragmentation: Fragmentation, placement: Mapping[str, str]) -> s
     return hasher.hexdigest()
 
 
-#: algorithms whose every content-dependent pass is confined to the
-#: fragments they report in ``fragments_evaluated`` (PaX2's two stages both
-#: run on the pruning-kept set only).  Anything else is treated
-#: conservatively: PaX3's *qualifier* stage reads every fragment even when
-#: the selection stages prune, and NaiveCentralized/ParBoX already report
-#: every fragment as evaluated.
-_PRUNING_COMPLETE_ALGORITHMS = frozenset({"PaX2"})
-
-
 def update_dependencies(fragmentation: Fragmentation, stats: RunStats) -> frozenset:
     """The fragments one run's answer and accounting depend on.
 
@@ -119,12 +110,9 @@ def update_dependencies(fragmentation: Fragmentation, stats: RunStats) -> frozen
       across fragment boundaries, so edits below an answer node matter even
       in fragments the evaluation never visited.
 
-    For algorithms with content-dependent passes outside
-    ``fragments_evaluated`` (PaX3 evaluates qualifiers on *every* fragment)
-    the set is conservatively the whole fragmentation.
+    This holds for the PaX2 runs the service caches: both of its stages run
+    on the pruning-kept fragments only.
     """
-    if stats.algorithm not in _PRUNING_COMPLETE_ALGORITHMS:
-        return frozenset(fragmentation.fragment_ids())
     dependencies = set(stats.fragments_evaluated)
     if stats.answer_ids:
         answers = set(stats.answer_ids)
@@ -274,12 +262,11 @@ class QueryResultCache:
     @staticmethod
     def make_key(
         query: QueryInput,
-        algorithm: str,
         use_annotations: bool,
         version: str,
         document: str = DEFAULT_DOCUMENT,
     ) -> CacheKey:
-        return (document, normalized_query(query), algorithm, bool(use_annotations), version)
+        return (document, normalized_query(query), bool(use_annotations), version)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -355,7 +342,7 @@ class QueryResultCache:
         stale = [
             key
             for key in self._entries
-            if (version is None or key[4] == version)
+            if (version is None or key[3] == version)
             and (document is None or key[0] == document)
         ]
         for key in stale:
@@ -388,12 +375,12 @@ class QueryResultCache:
         rekeyed = dropped = 0
         slice_ = self.stats.document(document)
         for key in [
-            k for k in self._entries if k[0] == document and k[4] == old_version
+            k for k in self._entries if k[0] == document and k[3] == old_version
         ]:
             dependencies = self._dependencies.pop(key, None)
             stats = self._entries.pop(key)
             if dependencies is not None and touched_fragment not in dependencies:
-                new_key = (key[0], key[1], key[2], key[3], new_version)
+                new_key = (*key[:3], new_version)
                 self._entries[new_key] = stats
                 self._dependencies[new_key] = dependencies
                 rekeyed += 1

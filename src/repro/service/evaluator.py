@@ -1,11 +1,12 @@
 """Asynchronous query evaluation for the service layer.
 
 :func:`evaluate_query_async` is the service-side counterpart of the
-synchronous runners in :mod:`repro.core`.  For PaX2 (the paper's best
-algorithm and the service default) the evaluation is natively asynchronous:
-every per-site round — the combined qualifier/selection pass of Stage 1, the
-answer resolution of Stage 2 — is dispatched as its own task through the
-shared :class:`~repro.service.actors.ActorPool`, so the rounds of *different*
+synchronous :func:`repro.core.pax2.run_pax2`.  PaX2 is the paper's best
+algorithm and the only one the service runs, natively asynchronous against
+a pinned version snapshot: every per-site round — the combined
+qualifier/selection pass of Stage 1, the answer resolution of Stage 2 — is
+dispatched as its own task through the shared
+:class:`~repro.service.actors.ActorPool`, so the rounds of *different*
 in-flight queries interleave on the same sites subject to each site's
 parallelism limit, and simulated message latency overlaps across sites and
 queries.
@@ -34,12 +35,8 @@ ones (they depend only on their own fragment plus coordinator-computed
 initialization), so the run returns them with ``stats.incomplete`` set and
 the missing sites/fragments listed — a sound subset of the complete answer.
 
-The remaining algorithms (PaX3, ParBoX, the naive baseline) are served
-through the same interface by running their synchronous runner inside the
-coordinator's actor slot — correct and convenient, but without intra-query
-round interleaving; fault injection and per-round retry apply to the
-natively-async PaX2 path only (the sync runners' messages are recorded
-after the fact).
+PaX3, ParBoX and the naive baseline stay in the synchronous
+:class:`~repro.core.engine.DistributedQueryEngine`.
 """
 
 from __future__ import annotations
@@ -50,11 +47,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.booleans.formula import FormulaLike
 from repro.core.combined import FragmentCombinedOutput
-from repro.core.kernel.dispatch import combined_pass, fragment_engine, prewarm_fragments
-from repro.core.naive import run_naive_centralized
-from repro.core.parbox import run_parbox
+from repro.core.kernel.dispatch import combined_pass, fragment_engine
 from repro.core.pax2 import _answer_bindings, _output_units, _unify_outputs
-from repro.core.pax3 import run_pax3
 from repro.core.common import account_answers, plan_units, stage_site_times, stage_timer
 from repro.core.pruning import relevant_fragments, stage1_init_vector
 from repro.core.unify import resolve_candidates
@@ -64,6 +58,7 @@ from repro.distributed.messages import MessageKind
 from repro.distributed.network import Network
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
+from repro.fragments.snapshots import VersionSnapshot
 from repro.obs.trace import (
     NEGLIGIBLE_WAIT_SECONDS,
     add_span,
@@ -83,114 +78,47 @@ async def evaluate_query_async(
     placement: Mapping[str, str],
     plan: QueryPlan,
     actors: ActorPool,
-    algorithm: str = "pax2",
+    snapshot: VersionSnapshot,
     use_annotations: bool = True,
     latency: Optional[LatencyModel] = None,
     engine: Optional[str] = None,
     batcher: Optional[FragmentWaveBatcher] = None,
     injector: Optional[FaultInjector] = None,
     resilience: Optional[ResilienceContext] = None,
-    snapshot=None,
 ) -> RunStats:
-    """Evaluate one query through the actor pool and return its RunStats.
+    """Evaluate one query with PaX2 through the actor pool; return its RunStats.
 
-    ``engine`` selects the per-fragment pass implementation (see
-    :mod:`repro.core.kernel.dispatch`).  ``batcher`` (PaX2 only) routes the
-    stage-1 per-fragment combined passes through the service's fused-scan
-    batching window, so concurrent queries reaching the same fragment round
-    share one walk of its flat arrays; per-query results and accounting are
-    unchanged.  ``injector`` makes the wire unreliable (PaX2 only);
-    ``resilience`` adds the per-round retry/breaker/deadline machinery and
-    graceful degradation to partial answers.  Without an injector and
-    without resilience the behaviour is bit-identical to the plain path.
-    ``snapshot`` (PaX2 on a columnar engine, kernel or vector) is a pinned
+    ``snapshot`` is a pinned
     :class:`~repro.fragments.snapshots.VersionSnapshot`: every per-fragment
-    scan and the answer accounting read the snapshot's frozen flats instead
-    of the live encodings, so the evaluation is exact at the pinned version
-    regardless of concurrent writes.
+    scan and the answer accounting read its frozen flats instead of the
+    live encodings, so the evaluation is exact at the pinned version
+    regardless of concurrent writes.  ``engine`` selects the columnar
+    per-fragment pass (``kernel`` or ``vector``, see
+    :mod:`repro.core.kernel.dispatch`).  ``batcher`` routes the stage-1
+    per-fragment combined passes through the service's fused-scan batching
+    window, so concurrent queries reaching the same fragment round share one
+    walk of its flat arrays; per-query results and accounting are
+    unchanged.  ``injector`` makes the wire unreliable; ``resilience`` adds
+    the per-round retry/breaker/deadline machinery and graceful degradation
+    to partial answers.  Without an injector and without resilience the
+    behaviour is bit-identical to the plain path.
     """
     with trace_span("network:setup", stage="compile"):
         network = Network(fragmentation, placement)
-    if algorithm == "pax2":
-        if snapshot is None:
-            # First query over a cold fragmentation pays the columnar-encoding
-            # build here; warm calls are a cheap no-op check.  A snapshot read
-            # already captured its flats at pin time and must not rebuild
-            # from a tree a concurrent writer may be mutating.
-            with trace_span(
-                "kernel:prewarm", stage="kernel",
-                engine=engine or fragment_engine(),
-            ):
-                prewarm_fragments(fragmentation, engine=engine)
-        transport = AsyncTransport(
-            network,
-            latency,
-            injector=injector,
-            deadline=resilience.deadline if resilience is not None else None,
-            hedge_after_seconds=(
-                resilience.retry.hedge_after_seconds if resilience is not None else None
-            ),
-            hedge_counter=resilience.stats if resilience is not None else None,
-        )
-        if batcher is not None and batcher.engine != engine:
-            # An explicit engine wins over the batcher's construction-time
-            # one: bypass batching rather than silently running the wrong
-            # per-fragment implementation.
-            batcher = None
-        return await _run_pax2_async(
-            fragmentation, plan, network, transport, actors, use_annotations, engine,
-            batcher, resilience, snapshot,
-        )
-    return await _run_sync_fallback(
-        fragmentation, plan, network, actors, algorithm, use_annotations, latency, engine
+    transport = AsyncTransport(
+        network,
+        latency,
+        injector=injector,
+        deadline=resilience.deadline if resilience is not None else None,
+        hedge_after_seconds=(
+            resilience.retry.hedge_after_seconds if resilience is not None else None
+        ),
+        hedge_counter=resilience.stats if resilience is not None else None,
     )
-
-
-async def _run_sync_fallback(
-    fragmentation: Fragmentation,
-    plan: QueryPlan,
-    network: Network,
-    actors: ActorPool,
-    algorithm: str,
-    use_annotations: bool,
-    latency: Optional[LatencyModel],
-    engine: Optional[str] = None,
-) -> RunStats:
-    """Serve a non-PaX2 algorithm by running its synchronous runner whole,
-    inside the coordinator's actor slot (so admission and per-site limits at
-    the coordinator still apply).
-
-    The synchronous runners record messages instantaneously; to keep the
-    latency model comparable across algorithms, the simulated wire time of
-    every recorded non-local message is charged (serialized, as the runner
-    sent them) after the run.
-    """
-    async with actors[network.coordinator_id].slot(f"{algorithm}:run"):
-        with trace_span(
-            f"kernel:{algorithm}", stage="kernel", algorithm=algorithm,
-            engine=engine or fragment_engine(),
-        ):
-            if algorithm == "pax3":
-                stats = run_pax3(
-                    fragmentation, plan, network=network,
-                    use_annotations=use_annotations, engine=engine,
-                )
-            elif algorithm == "naive":
-                stats = run_naive_centralized(fragmentation, plan, network=network)
-            elif algorithm == "parbox":
-                stats = run_parbox(fragmentation, plan, network=network, engine=engine)
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-        if latency is not None and not latency.is_free:
-            delay = sum(
-                latency.delay(message.units)
-                for message in network.messages
-                if not message.is_local
-            )
-            if delay > 0.0:
-                with trace_span("wire:replay", stage="wire", simulated_seconds=delay):
-                    await asyncio.sleep(delay)
-        return stats
+    return await _run_pax2_async(
+        fragmentation, plan, network, transport, actors, snapshot, use_annotations,
+        engine, batcher, resilience,
+    )
 
 
 async def _resilient_round(
@@ -276,11 +204,11 @@ async def _run_pax2_async(
     network: Network,
     transport: AsyncTransport,
     actors: ActorPool,
+    snapshot: VersionSnapshot,
     use_annotations: bool,
     engine: Optional[str] = None,
     batcher: Optional[FragmentWaveBatcher] = None,
     resilience: Optional[ResilienceContext] = None,
-    snapshot=None,
 ) -> RunStats:
     """PaX2 with each per-site round scheduled as an actor task.
 
@@ -301,7 +229,6 @@ async def _run_pax2_async(
         evaluated = fragmentation.fragment_ids()
     stats.fragments_evaluated = list(evaluated)
     evaluated_set = set(evaluated)
-    flat_of = snapshot.flat if snapshot is not None else fragmentation.flat
 
     # ------------------------------------------------------------------ stage 1
     stage1 = StageStats(name="combined")
@@ -352,10 +279,7 @@ async def _run_pax2_async(
                             batcher.combined(
                                 fragment_id, plan, init_vector,
                                 is_root_fragment=(fragment_id == root_fragment_id),
-                                flat=(
-                                    snapshot.flat(fragment_id)
-                                    if snapshot is not None else None
-                                ),
+                                flat=snapshot.flat(fragment_id),
                             )
                             for fragment_id, init_vector in zip(
                                 fragment_ids, init_vectors
@@ -376,10 +300,7 @@ async def _run_pax2_async(
                                 init_vector,
                                 is_root_fragment=(fragment_id == root_fragment_id),
                                 engine=engine,
-                                flat=(
-                                    snapshot.flat(fragment_id)
-                                    if snapshot is not None else None
-                                ),
+                                flat=snapshot.flat(fragment_id),
                             )
                             for fragment_id, init_vector in zip(
                                 fragment_ids, init_vectors
@@ -446,7 +367,7 @@ async def _run_pax2_async(
     def reassemble(**attributes) -> RunStats:
         with trace_span("reassembly", stage="reassembly"):
             stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
-            stats.answer_nodes_shipped = account_answers(answered, flat_of)
+            stats.answer_nodes_shipped = account_answers(answered, snapshot.flat)
             network.collect_stats(stats)
             set_attributes(answers=len(stats.answer_ids), **attributes)
         return stats

@@ -18,14 +18,9 @@ host when a tenant's backlog exceeds its budget — so the host sheds *that
 tenant's* excess (typed rejection, ``shed`` metric, no latency sample)
 instead of tripping the host-global ``max_pending`` cliff for everyone.
 
-With ``FairnessPolicy(enabled=False)`` every document shares one FIFO
-queue and no budgets apply: bit-for-bit the old flat-semaphore admission
-order, the contrast ``tests/service/test_fairness.py`` measures the
-weighted policy against.
-
-Cancellation safety follows the gate's pattern: a waiter granted a slot
-after its future was already cancelled (grant and cancellation racing in
-the same loop iteration) hands the slot straight back.
+Cancellation safety: a waiter granted a slot after its future was already
+cancelled (grant and cancellation racing in the same loop iteration) hands
+the slot straight back.
 """
 
 from __future__ import annotations
@@ -50,9 +45,6 @@ _WAIT_WINDOW = 256
 class FairnessPolicy:
     """Knobs for weighted-fair admission (``ServiceConfig.fairness``).
 
-    ``enabled``
-        When false, all documents share one FIFO queue (the legacy flat
-        semaphore order) and no per-tenant budgets apply.
     ``weights`` / ``default_weight``
         Relative admission shares per document under contention.  A
         document absent from ``weights`` gets ``default_weight``.
@@ -70,7 +62,6 @@ class FairnessPolicy:
         tenant is never shed on stale history).
     """
 
-    enabled: bool = True
     default_weight: float = 1.0
     weights: Mapping[str, float] = field(default_factory=dict)
     default_slice: Optional[int] = None
@@ -110,9 +101,8 @@ class FairnessPolicy:
 class WeightedFairAdmission:
     """Deficit-round-robin admission over per-document pending queues.
 
-    Synchronous bookkeeping + futures, like the
-    :class:`~repro.service.actors.ReadWriteGate`: all state transitions
-    happen between awaits of one event loop, so no locking is needed.  The
+    Synchronous bookkeeping + futures: all state transitions happen
+    between awaits of one event loop, so no locking is needed.  The
     scheduler survives loop turnover (the blocking facade runs each call
     under a fresh ``asyncio.run``) by dropping state bound to a dead loop.
     """
@@ -128,7 +118,7 @@ class WeightedFairAdmission:
         self.capacity = capacity
         self.policy = policy if policy is not None else FairnessPolicy()
         self.metrics = metrics
-        #: queue key -> FIFO of (future, queued_at, document)
+        #: document -> FIFO of (future, queued_at)
         self._queues: Dict[str, Deque[tuple]] = {}
         self._deficits: Dict[str, float] = {}
         self._in_flight: Dict[str, int] = {}
@@ -158,9 +148,6 @@ class WeightedFairAdmission:
             self._loop_ref = weakref.ref(loop)
         return loop
 
-    def _key(self, document: str) -> str:
-        return document if self.policy.enabled else ""
-
     # -- introspection ------------------------------------------------------
 
     @property
@@ -168,10 +155,10 @@ class WeightedFairAdmission:
         return self._in_flight_total
 
     def in_flight(self, document: str) -> int:
-        return self._in_flight.get(self._key(document), 0)
+        return self._in_flight.get(document, 0)
 
     def queue_depth(self, document: str) -> int:
-        queue = self._queues.get(self._key(document))
+        queue = self._queues.get(document)
         if not queue:
             return 0
         return sum(1 for waiter in queue if not waiter[0].done())
@@ -185,8 +172,6 @@ class WeightedFairAdmission:
     def overload_reason(self, document: str) -> Optional[str]:
         """Why a new submission for *document* should be shed, or ``None``."""
         policy = self.policy
-        if not policy.enabled:
-            return None
         depth = self.queue_depth(document)
         if policy.max_queue_depth is not None and depth >= policy.max_queue_depth:
             return f"queue depth {depth} >= budget {policy.max_queue_depth}"
@@ -207,24 +192,22 @@ class WeightedFairAdmission:
         granted concurrently with the cancellation is handed back).
         """
         loop = self._bind_loop()
-        key = self._key(document)
-        queue = self._queues.get(key)
+        queue = self._queues.get(document)
         if (
             self._in_flight_total < self.capacity
-            and self._slice_ok(key)
+            and self._slice_ok(document)
             and not queue
         ):
             # Work-conserving fast path.  Waiters may exist on *other*
             # queues only when they are slice-capped (dispatch runs after
             # every release and enqueue), so taking a free slot here never
             # jumps anyone who could have been granted.
-            self._grant(key, document, 0.0)
+            self._grant(document, 0.0)
             return
         future = loop.create_future()
-        waiter = (future, time.perf_counter(), document)
         if queue is None:
-            queue = self._queues[key] = deque()
-        queue.append(waiter)
+            queue = self._queues[document] = deque()
+        queue.append((future, time.perf_counter()))
         try:
             if timeout is not None:
                 await asyncio.wait_for(future, timeout)
@@ -234,27 +217,25 @@ class WeightedFairAdmission:
             if future.done() and not future.cancelled():
                 # Granted in the same loop iteration the cancellation /
                 # timeout landed: hand the slot back.
-                self._release_key(key)
+                self._release_slot(document)
             else:
                 future.cancel()
-            self._prune(key)
+            self._prune(document)
             self._dispatch()
             raise
 
     def release(self, document: str) -> None:
-        self._release_key(self._key(document))
+        self._release_slot(document)
         self._dispatch()
 
     # -- internals ----------------------------------------------------------
 
     def _slice_ok(self, key: str) -> bool:
-        if not self.policy.enabled:
-            return True
         limit = self.policy.slice_limit(key)
         return limit is None or self._in_flight.get(key, 0) < limit
 
-    def _grant(self, key: str, document: str, waited: float) -> None:
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
+    def _grant(self, document: str, waited: float) -> None:
+        self._in_flight[document] = self._in_flight.get(document, 0) + 1
         self._in_flight_total += 1
         self.grants += 1
         waits = self._recent_waits.get(document)
@@ -264,14 +245,14 @@ class WeightedFairAdmission:
         if self.metrics is not None:
             self.metrics.record_queue_wait(document, waited)
 
-    def _release_key(self, key: str) -> None:
-        held = self._in_flight.get(key, 0)
+    def _release_slot(self, document: str) -> None:
+        held = self._in_flight.get(document, 0)
         if held <= 0:
             return
         if held == 1:
-            del self._in_flight[key]
+            del self._in_flight[document]
         else:
-            self._in_flight[key] = held - 1
+            self._in_flight[document] = held - 1
         self._in_flight_total -= 1
 
     def _prune(self, key: str) -> None:
@@ -289,9 +270,9 @@ class WeightedFairAdmission:
         queue = self._queues.get(key)
         if not queue:
             return False
-        future, queued_at, document = queue.popleft()
+        future, queued_at = queue.popleft()
         self._prune(key)
-        self._grant(key, document, time.perf_counter() - queued_at)
+        self._grant(key, time.perf_counter() - queued_at)
         self.queued_grants += 1
         future.set_result(None)
         return True
@@ -328,7 +309,7 @@ class WeightedFairAdmission:
                     # deficit it cannot spend would let it burst unfairly
                     # the moment a slot frees.
                     continue
-                weight = self.policy.weight(key) if self.policy.enabled else 1.0
+                weight = self.policy.weight(key)
                 deficit = self._deficits.get(key, 0.0)
                 if not (mid_service and position == 0 and key == resume_key):
                     # Credit the quantum only on a fresh visit: a key whose
@@ -361,9 +342,8 @@ class WeightedFairAdmission:
                 )
 
     def summary_line(self) -> str:
-        mode = "weighted-fair" if self.policy.enabled else "fifo"
         return (
-            f"admission  : {mode}, capacity={self.capacity},"
+            f"admission  : weighted-fair, capacity={self.capacity},"
             f" in_flight={self._in_flight_total},"
             f" queued={sum(len(q) for q in self._queues.values())},"
             f" grants={self.grants} ({self.queued_grants} queued)"

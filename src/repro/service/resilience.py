@@ -49,9 +49,9 @@ class DeadlineExceededError(RuntimeError):
     """A request outlived its deadline budget.
 
     ``stage`` names where the budget ran out: ``"queued"`` (shed before any
-    work — the satellite's "release the pending slot, record a shed metric"
-    path), ``"gate"`` (parked behind a writer), or ``"wire"`` (mid-round,
-    turned into degradation by the evaluator when possible).
+    work: the pending slot is released and a shed metric recorded) or
+    ``"wire"`` (mid-round, turned into degradation by the evaluator when
+    possible).
     """
 
     def __init__(self, message: str, stage: str = ""):

@@ -5,12 +5,11 @@
 fragmented document to a catalog of them.  One host owns a
 :class:`~repro.service.store.DocumentStore` (named documents), one
 :class:`~repro.service.actors.ActorPool` (per-site concurrency limits), one
-admission semaphore, one shared :class:`~repro.service.cache.QueryResultCache`
+admission scheduler, one shared :class:`~repro.service.cache.QueryResultCache`
 and one :class:`~repro.service.metrics.ServiceMetrics` aggregator.  Each
 registered document gets a :class:`DocumentSession` — its compiled-plan
-cache, version tag, fused-scan batcher and a per-document
-:class:`~repro.service.actors.ReadWriteGate` serializing that document's
-writes against that document's reads (and nothing else).
+cache, version tag, fused-scan batcher, MVCC snapshot registry and a writer
+lock serializing that document's writes (and nothing else).
 
 A request routed by ``submit(document, query)`` passes three layers:
 
@@ -23,26 +22,26 @@ A request routed by ``submit(document, query)`` passes three layers:
    ``max_pending`` queued evaluations host-wide is rejected with
    :class:`AdmissionError` instead of waiting.
 2. **Single-flight coalescing** — identical queries (same document, same
-   *normalized* form, algorithm and annotations setting) submitted while one
+   *normalized* form and annotations setting) submitted while one
    evaluation is in flight all await that one evaluation.
 3. **Result cache** — completed answers are stored under the document name,
    the normalized query and the document's version tag and served back in
    microseconds until evicted or invalidated; the namespace guarantees no
    cross-tenant hits.
 
-Writes routed by ``apply_update(document, mutation)`` take that document's
-gate exclusively — but snapshot-eligible readers (PaX2 on a columnar
-engine, kernel or vector) never hold that gate: they pin an MVCC version
-snapshot (:mod:`repro.fragments.snapshots`) at admission and keep scanning
-their pinned flat encodings while the write lands, so a write waits only
-for gate-mode readers.  Readers and writers of *other* documents proceed
-untouched (per-document write exclusivity — concurrent writes to different
-documents never serialize against each other).
+Every read is natively asynchronous PaX2 on a columnar engine (``kernel``
+or ``vector``) against a pinned MVCC version snapshot
+(:mod:`repro.fragments.snapshots`): the read captures the current version's
+flat encodings at admission and keeps scanning them while a write lands, so
+a write never waits for a reader and a reader never waits for a write.
+Writes routed by ``apply_update(document, mutation)`` serialize only with
+other writes to the same document; readers and writers of *other* documents
+proceed untouched.  PaX3, ParBoX, the naive baseline and the ``reference``
+engine stay in the synchronous :class:`~repro.core.engine.DistributedQueryEngine`.
 
-:class:`ServiceEngine` remains as the single-document facade: the exact
-pre-host API (``submit(query)``, ``apply_update(mutation)``, …) implemented
-as a host with one document registered under
-:data:`~repro.service.store.DEFAULT_DOCUMENT`.
+:class:`ServiceEngine` is the single-document facade: a host with one
+document registered under :data:`~repro.service.store.DEFAULT_DOCUMENT`,
+plus the pre-host call shapes (``submit(query)``, ``apply_update(mutation)``, …).
 
 Blocking callers use :meth:`ServiceHost.execute` / :meth:`serve_batch`;
 ``asyncio`` callers use :meth:`submit` / :meth:`run_many` directly.
@@ -52,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -62,7 +62,7 @@ from repro.distributed.async_transport import LatencyModel
 from repro.distributed.faults import FaultInjector
 from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
-from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy, VersionSnapshot
+from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
 from repro.obs.trace import (
     NEGLIGIBLE_WAIT_SECONDS,
     NULL_TRACER,
@@ -71,7 +71,7 @@ from repro.obs.trace import (
     set_stats,
     span as trace_span,
 )
-from repro.service.actors import ActorPool, FragmentWaveBatcher, ReadWriteGate
+from repro.service.actors import ActorPool, FragmentWaveBatcher
 from repro.service.fairness import FairnessPolicy, WeightedFairAdmission
 from repro.service.cache import (
     QueryResultCache,
@@ -109,8 +109,8 @@ __all__ = [
     "ServiceHost",
 ]
 
-#: algorithms the service accepts (PaX2 natively async, the rest via fallback)
-SERVICE_ALGORITHMS = ("pax2", "pax3", "naive", "parbox")
+#: the engines whose reads evaluate purely from pinned flat encodings
+SNAPSHOT_ENGINES = (KERNEL, VECTOR)
 
 
 class AdmissionError(RuntimeError):
@@ -132,11 +132,10 @@ class OverloadShedError(AdmissionError):
 class ServiceConfig:
     """Tunables of one :class:`ServiceHost` (shared by all its documents)."""
 
-    #: default evaluation algorithm (overridable per query)
-    algorithm: str = "pax2"
     #: default XPath-annotation setting (overridable per query)
     use_annotations: bool = True
-    #: per-fragment pass implementation (``None`` = process default; see
+    #: per-fragment pass implementation, ``kernel`` or ``vector`` (``None`` =
+    #: process default, resolved once when the host is built; see
     #: :mod:`repro.core.kernel.dispatch`)
     engine: Optional[str] = None
     #: concurrent evaluations admitted at once, across all documents
@@ -152,7 +151,7 @@ class ServiceConfig:
     cache_capacity: int = 256
     #: join identical in-flight queries instead of re-evaluating
     coalesce: bool = True
-    #: coalesce concurrent per-fragment rounds into fused scans (PaX2)
+    #: coalesce concurrent per-fragment rounds into fused scans
     batching: bool = True
     #: batching window in seconds: how long a fragment round waits for
     #: companions before its fused scan runs (0 = next event-loop iteration)
@@ -170,24 +169,20 @@ class ServiceConfig:
     #: setting one without a resilience policy turns the default policy on
     fault_injector: Optional[FaultInjector] = None
     #: weighted-fair admission: per-document weights, ``max_in_flight``
-    #: slices and overload budgets (``FairnessPolicy(enabled=False)``
-    #: restores the flat FIFO semaphore order)
+    #: slices and overload budgets
     fairness: FairnessPolicy = field(default_factory=FairnessPolicy)
-    #: MVCC snapshot reads: eligible readers (PaX2 on a columnar engine)
-    #: pin a version snapshot instead of holding the read gate, so writes
-    #: never wait for reader drain (``SnapshotPolicy(enabled=False)``
-    #: restores gate-serialized reads)
+    #: MVCC snapshot reads: the retained-versions watermark writers honour
     snapshots: SnapshotPolicy = field(default_factory=SnapshotPolicy)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in SERVICE_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; choose from {sorted(SERVICE_ALGORITHMS)}"
-            )
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_pending is not None and self.max_pending < 0:
             raise ValueError("max_pending must be >= 0 when set")
+        if self.site_parallelism < 1:
+            raise ValueError("site_parallelism must be >= 1")
+        if self.cache_capacity < 0:
+            raise ValueError("cache_capacity must be >= 0 (0 disables caching)")
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if self.batch_window < 0.0:
@@ -201,30 +196,27 @@ class DocumentSession:
     document*: the fragmentation and placement (shared with the catalog
     entry), the version tag its cached answers are keyed under, the
     compiled-plan cache, the fused-scan batcher bound to its flat arrays,
-    and the readers-writer gate giving its mutations exclusivity over its
-    readers only.  Scheduling (actors, admission, cache storage, metrics)
-    lives on the host and is shared across sessions.
+    the MVCC registry its readers pin and the lock serializing its writers.
+    Scheduling (actors, admission, cache storage, metrics) lives on the host
+    and is shared across sessions.
     """
 
     #: compiled plans retained per session (normalized form -> plan)
     MAX_PLANS = 4096
 
-    def __init__(self, entry: DocumentEntry, config: ServiceConfig):
+    def __init__(self, entry: DocumentEntry, config: ServiceConfig, engine: str):
         self.name = entry.name
         self.entry = entry
         self.config = config
         #: version tag of the fragmentation the cached answers are valid for
         self.version = version_tag(entry.fragmentation, entry.placement)
-        #: write-vs-read exclusivity for THIS document only
-        self.gate = ReadWriteGate()
-        #: MVCC registry of pinned version snapshots for THIS document —
-        #: snapshot-eligible readers pin here instead of taking the gate
+        #: MVCC registry of pinned version snapshots for THIS document
         self.snapshots = SnapshotManager(entry.fragmentation, config.snapshots)
         #: fused-scan batching window (None when batching is disabled)
         self.batcher: Optional[FragmentWaveBatcher] = (
             FragmentWaveBatcher(
                 entry.fragmentation,
-                engine=config.engine,
+                engine=engine,
                 window=config.batch_window,
             )
             if config.batching
@@ -232,6 +224,8 @@ class DocumentSession:
         )
         #: normalized query text -> compiled plan (parse/compile once per form)
         self._plans: Dict[str, QueryPlan] = {}
+        self._writer: Optional[asyncio.Lock] = None
+        self._writer_loop: Optional[weakref.ref] = None
 
     @property
     def fragmentation(self) -> Fragmentation:
@@ -240,6 +234,20 @@ class DocumentSession:
     @property
     def placement(self) -> Dict[str, str]:
         return self.entry.placement
+
+    def writer_lock(self) -> asyncio.Lock:
+        """The lock serializing THIS document's writes.
+
+        Readers never take it (they pin snapshots).  Rebuilt whenever the
+        running event loop changes: the blocking facade runs each call in a
+        fresh ``asyncio.run`` loop, and a lock bound to a dead loop cannot
+        be waited on in the next.
+        """
+        loop = asyncio.get_running_loop()
+        if self._writer_loop is None or self._writer_loop() is not loop:
+            self._writer = asyncio.Lock()
+            self._writer_loop = weakref.ref(loop)
+        return self._writer
 
     def key_and_plan(self, query: QueryInput) -> Tuple[str, QueryPlan]:
         """Normalize *query* to its cache-key text and a compiled plan.
@@ -282,6 +290,10 @@ class ServiceHost:
         from (sessions are opened for every entry already registered);
         defaults to a fresh empty catalog.  Grow it through
         :meth:`register`, shrink it through :meth:`drop_document`.
+
+    Raises ``ValueError`` when the engine (the configured one, or else the
+    process default) is ``reference``: it walks the live object tree, so
+    its reads cannot be snapshot-isolated from concurrent writes.
     """
 
     def __init__(
@@ -292,6 +304,15 @@ class ServiceHost:
     ):
         base = config or ServiceConfig()
         self.config = replace(base, **overrides) if overrides else base
+        engine = self.config.engine or fragment_engine()
+        if engine not in SNAPSHOT_ENGINES:
+            raise ValueError(
+                f"the service reads pinned snapshots on a columnar engine"
+                f" ({' or '.join(SNAPSHOT_ENGINES)}); engine {engine!r} walks the"
+                f" live object tree — evaluate it with DistributedQueryEngine"
+            )
+        #: the columnar engine every read of this host runs on
+        self.engine = engine
         self.store = store or DocumentStore()
         self.sessions: Dict[str, DocumentSession] = {}
         #: one actor pool shared by every document's sites
@@ -311,8 +332,8 @@ class ServiceHost:
         if self.config.resilience is not None or self.config.fault_injector is not None:
             self.resilience = ResilienceState(self.config.resilience or ResiliencePolicy())
         self._inflight: Dict[Tuple, asyncio.Future] = {}
-        #: deficit-round-robin admission over per-document queues (replaces
-        #: the old flat semaphore; self-rebinding across event loops)
+        #: deficit-round-robin admission over per-document queues
+        #: (self-rebinding across event loops)
         self._admission = WeightedFairAdmission(
             self.config.max_in_flight, self.config.fairness, metrics=self.metrics
         )
@@ -334,7 +355,7 @@ class ServiceHost:
         return self._open_session(entry)
 
     def _open_session(self, entry: DocumentEntry) -> DocumentSession:
-        session = DocumentSession(entry, self.config)
+        session = DocumentSession(entry, self.config, self.engine)
         for site_id in entry.placement.values():
             self.actors[site_id]  # grow the shared pool to cover this document
         self.sessions[entry.name] = session
@@ -386,7 +407,6 @@ class ServiceHost:
         self,
         document: str,
         query: QueryInput,
-        algorithm: Optional[str] = None,
         use_annotations: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> QueryResult:
@@ -394,65 +414,17 @@ class ServiceHost:
         one evaluation.
 
         ``deadline`` is this request's whole budget in seconds — it covers
-        queueing at the gate and the admission semaphore, the batching
-        window, and every wire wait of every site round.  A request whose
-        budget runs out *before* evaluation starts is shed with
+        queueing for admission, the batching window, and every wire wait of
+        every site round.  A request whose budget runs out *before*
+        evaluation starts is shed with
         :class:`~repro.service.resilience.DeadlineExceededError` (recorded
         as a shed, never as a latency sample); one whose budget runs out
         *during* evaluation degrades to a
         :class:`~repro.core.results.PartialAnswer` over the reachable sites.
         """
-        return await self._submit(
-            document, query, algorithm=algorithm, use_annotations=use_annotations,
-            deadline=deadline,
-        )
-
-    def _resilience_context(
-        self, deadline: Optional[float]
-    ) -> Optional[ResilienceContext]:
-        """Per-request resilience context (or None for the plain path).
-
-        The layer is on when configured (policy or injector) or when this
-        particular request carries a deadline — a deadline needs the
-        machinery (budget-capped wire waits, degradation) even on a host
-        that never saw a fault.
-        """
-        if self.resilience is None:
-            if deadline is None:
-                return None
-            self.resilience = ResilienceState(ResiliencePolicy())
-        budget = deadline
-        if budget is None:
-            budget = self.resilience.policy.default_deadline_seconds
-        request_deadline = Deadline.after(budget) if budget is not None else None
-        return self.resilience.for_request(request_deadline)
-
-    def _result(self, session: DocumentSession, stats: RunStats) -> QueryResult:
-        """Wrap final stats for the caller, surfacing degraded runs as
-        :class:`PartialAnswer` so incompleteness is impossible to miss."""
-        if stats.incomplete:
-            return PartialAnswer(session.fragmentation.tree, stats)
-        return QueryResult(session.fragmentation.tree, stats)
-
-    async def _submit(
-        self,
-        document: str,
-        query: QueryInput,
-        algorithm: Optional[str] = None,
-        use_annotations: Optional[bool] = None,
-        deadline: Optional[float] = None,
-    ) -> QueryResult:
-        # The non-polymorphic core: internal callers (run_many, the blocking
-        # facade) come here so the single-document facade's re-signatured
-        # overrides never shadow them.
         started = time.perf_counter()
         self._bind_loop()
         session = self.session(document)
-        name = algorithm or self.config.algorithm
-        if name not in SERVICE_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {name!r}; choose from {sorted(SERVICE_ALGORITHMS)}"
-            )
         annotations = (
             self.config.use_annotations if use_annotations is None else bool(use_annotations)
         )
@@ -460,8 +432,8 @@ class ServiceHost:
         with self.tracer.request("query", kind="query", document=session.name):
             with trace_span("plan:compile", stage="compile"):
                 normalized, plan = session.key_and_plan(query)
-            set_attributes(query=normalized, algorithm=name, annotations=annotations)
-            key = (session.name, normalized, name, annotations, session.version)
+            set_attributes(query=normalized, annotations=annotations)
+            key = (session.name, normalized, annotations, session.version)
 
             # Layer 2: join an identical in-flight evaluation (no admission
             # cost).  The shared stats are attached to this request's span
@@ -517,7 +489,7 @@ class ServiceHost:
                 self._inflight[key] = future
             try:
                 stats, evaluated_version = await self._admit_and_evaluate(
-                    session, plan, name, annotations, resilience
+                    session, plan, annotations, resilience
                 )
                 stats.evaluated_version = evaluated_version
                 set_stats(stats)
@@ -539,19 +511,19 @@ class ServiceHost:
                 and self.sessions.get(session.name) is session
                 and session.version == evaluated_version
             ):
-                # Keyed under the version the evaluation saw (an update may
+                # Keyed under the version the evaluation pinned (a write may
                 # have landed while this query waited for admission) —
                 # storing under the submission-time tag would strand a dead
                 # entry in the LRU.  The session check closes the drop race:
                 # a document dropped while this evaluation was in flight must
                 # not re-enter the shared LRU after its purge.  The version
-                # check closes the MVCC race the same way: a snapshot read
-                # overlapped by a write finished exact-at-its-version, but
-                # that version is already retired — storing it would strand
-                # an unservable entry.
+                # check closes the MVCC race: a read overlapped by a write
+                # finished exact at its pinned version, but that version is
+                # already retired — storing it would strand an unservable
+                # entry.
                 with trace_span("cache:store", stage="cache"):
                     self.cache.put(
-                        (session.name, normalized, name, annotations, evaluated_version),
+                        (session.name, normalized, annotations, evaluated_version),
                         stats,
                         dependencies=update_dependencies(session.fragmentation, stats),
                     )
@@ -562,6 +534,33 @@ class ServiceHost:
                 )
                 return self._result(session, stats)
 
+    def _resilience_context(
+        self, deadline: Optional[float]
+    ) -> Optional[ResilienceContext]:
+        """Per-request resilience context (or None for the plain path).
+
+        The layer is on when configured (policy or injector) or when this
+        particular request carries a deadline — a deadline needs the
+        machinery (budget-capped wire waits, degradation) even on a host
+        that never saw a fault.
+        """
+        if self.resilience is None:
+            if deadline is None:
+                return None
+            self.resilience = ResilienceState(ResiliencePolicy())
+        budget = deadline
+        if budget is None:
+            budget = self.resilience.policy.default_deadline_seconds
+        request_deadline = Deadline.after(budget) if budget is not None else None
+        return self.resilience.for_request(request_deadline)
+
+    def _result(self, session: DocumentSession, stats: RunStats) -> QueryResult:
+        """Wrap final stats for the caller, surfacing degraded runs as
+        :class:`PartialAnswer` so incompleteness is impossible to miss."""
+        if stats.incomplete:
+            return PartialAnswer(session.fragmentation.tree, stats)
+        return QueryResult(session.fragmentation.tree, stats)
+
     def _record_shed(
         self, document: str, stage: str, resilience: Optional[ResilienceContext]
     ) -> None:
@@ -571,20 +570,6 @@ class ServiceHost:
         if resilience is not None:
             resilience.stats.shed_requests += 1
         set_attributes(shed_at=stage)
-
-    def _snapshot_reads(self, algorithm: str) -> bool:
-        """Whether reads of *algorithm* run against pinned MVCC snapshots.
-
-        Only the PaX2 path on the columnar engines (kernel, vector)
-        evaluates purely from :class:`~repro.xmltree.flat.FlatFragment`
-        arrays — the vector tier's numpy window columns hang off the pinned
-        flats, so a snapshot freezes them too; the reference engine and the
-        sync fallbacks walk the live object tree and must keep
-        gate-serialized reads.
-        """
-        if not self.config.snapshots.enabled or algorithm != "pax2":
-            return False
-        return (self.config.engine or fragment_engine()) in (KERNEL, VECTOR)
 
     def _check_pending_budget(self) -> None:
         limit = self.config.max_pending
@@ -601,31 +586,30 @@ class ServiceHost:
         self,
         session: DocumentSession,
         plan: QueryPlan,
-        algorithm: str,
         use_annotations: bool,
         resilience: Optional[ResilienceContext] = None,
     ) -> Tuple[RunStats, str]:
-        """Layer 1 (admission control) around the actual evaluation.
+        """Layer 1 (admission control) around one snapshot-pinned evaluation.
 
         Two shed checks run before anything is queued: a request whose
         deadline is already dead is shed at stage ``submit`` without
-        touching the gate or the admission queue, and a request whose
-        document has blown its overload budget (queue depth or rolling
-        queue-time p95 — see :class:`~repro.service.fairness.FairnessPolicy`)
-        is rejected with :class:`OverloadShedError` at stage ``overload`` —
-        that tenant's excess is shed, nobody else's.
+        touching the admission queue, and a request whose document has
+        blown its overload budget (queue depth or rolling queue-time p95 —
+        see :class:`~repro.service.fairness.FairnessPolicy`) is rejected
+        with :class:`OverloadShedError` at stage ``overload`` — that
+        tenant's excess is shed, nobody else's.
 
-        Snapshot-eligible reads (:meth:`_snapshot_reads`) then pin the
-        current version's flat encodings and evaluate without the gate, so
-        a concurrent writer never waits for them nor they for it.  All
-        other reads keep the PR 5 discipline: gate taken shared outside the
-        admission slot, pending/overload accounting inside the gate so
-        readers parked behind one tenant's writer don't eat the shared
-        ``max_pending`` budget.
+        After the admission grant the read pins the current version
+        synchronously — between reading ``session.version`` and capturing
+        the flats there is no await, so under the cooperative loop the
+        snapshot is consistent by construction.  A writer landing during
+        the evaluation installs new fragment epochs while this read keeps
+        scanning its pinned encodings; the result is exact at the pinned
+        version and :meth:`submit` checks currency before caching it.
         """
         has_deadline = resilience is not None and resilience.deadline is not None
         if has_deadline and resilience.deadline_expired():
-            # Dead on arrival: shed before the gate or any queue sees it.
+            # Dead on arrival: shed before any queue sees it.
             self._record_shed(session.name, "submit", resilience)
             raise DeadlineExceededError(
                 f"deadline expired at submission for {session.name!r}",
@@ -636,36 +620,6 @@ class ServiceHost:
         if reason is not None:
             self._record_shed(session.name, "overload", resilience)
             raise OverloadShedError(f"document {session.name!r} overloaded: {reason}")
-        if self._snapshot_reads(algorithm):
-            return await self._evaluate_snapshot(
-                session, plan, algorithm, use_annotations, resilience,
-                admission, has_deadline,
-            )
-        return await self._evaluate_gated(
-            session, plan, algorithm, use_annotations, resilience,
-            admission, has_deadline,
-        )
-
-    async def _evaluate_snapshot(
-        self,
-        session: DocumentSession,
-        plan: QueryPlan,
-        algorithm: str,
-        use_annotations: bool,
-        resilience: Optional[ResilienceContext],
-        admission: WeightedFairAdmission,
-        has_deadline: bool,
-    ) -> Tuple[RunStats, str]:
-        """MVCC read path: fair admission, pin a snapshot, never the gate.
-
-        The pin happens synchronously right after the admission grant —
-        between reading ``session.version`` and capturing the flats there is
-        no await, so under the cooperative loop the snapshot is consistent
-        by construction.  A writer landing during the evaluation installs
-        new fragment epochs while this read keeps scanning its pinned
-        encodings; the result is exact at the pinned version and the cache
-        store in ``_submit`` checks currency before keeping it.
-        """
         self._check_pending_budget()
         self._pending_evaluations += 1
         try:
@@ -709,10 +663,21 @@ class ServiceHost:
                         version=snapshot.version,
                     )
                 try:
-                    with trace_span("evaluate", stage="queue", algorithm=algorithm):
-                        stats = await self._evaluate(
-                            session, plan, algorithm, use_annotations, resilience,
+                    # Staged "queue" as a low-precedence filler: instants no
+                    # kernel/wire/... child covers are event-loop waits.
+                    with trace_span("evaluate", stage="queue"):
+                        stats = await evaluate_query_async(
+                            session.fragmentation,
+                            session.placement,
+                            plan,
+                            self.actors,
                             snapshot,
+                            use_annotations=use_annotations,
+                            latency=self.config.latency,
+                            engine=self.engine,
+                            batcher=session.batcher,
+                            injector=self.config.fault_injector,
+                            resilience=resilience,
                         )
                     return stats, snapshot.version
                 finally:
@@ -722,118 +687,14 @@ class ServiceHost:
         finally:
             self._pending_evaluations -= 1
 
-    async def _evaluate_gated(
-        self,
-        session: DocumentSession,
-        plan: QueryPlan,
-        algorithm: str,
-        use_annotations: bool,
-        resilience: Optional[ResilienceContext],
-        admission: WeightedFairAdmission,
-        has_deadline: bool,
-    ) -> Tuple[RunStats, str]:
-        """Gate-serialized read path (reference engine, sync fallbacks, or
-        snapshots disabled).
-
-        The session's gate is taken shared *outside* the admission slot:
-        writers never hold slots, so a reader parked at the gate (its
-        document mid-write) is not hoarding evaluation capacity other
-        documents could use.  While the gate is held shared no writer can
-        touch this document, so the version tag read inside it is the one
-        the evaluation actually sees.
-        """
-        shed_stage = "gate"
-        gate_queued_at = time.perf_counter()
-        try:
-            gate = session.gate.read_locked(
-                timeout=resilience.deadline_remaining() if has_deadline else None
-            )
-            async with gate:
-                shed_stage = "admission"
-                gate_acquired_at = time.perf_counter()
-                if gate_acquired_at - gate_queued_at >= NEGLIGIBLE_WAIT_SECONDS:
-                    add_span("gate:read", "queue", gate_queued_at, gate_acquired_at)
-                self._check_pending_budget()
-                self._pending_evaluations += 1
-                try:
-                    evaluated_version = session.version
-                    admission_queued_at = time.perf_counter()
-                    # Bounded wait in the admission queue when a deadline is
-                    # set: an expiring budget sheds the request (releasing
-                    # its pending slot via the finally below) instead of
-                    # letting it stampede an already-loaded host.
-                    await admission.acquire(
-                        session.name,
-                        timeout=(
-                            resilience.deadline_remaining() if has_deadline else None
-                        ),
-                    )
-                    try:
-                        admitted_at = time.perf_counter()
-                        if admitted_at - admission_queued_at >= NEGLIGIBLE_WAIT_SECONDS:
-                            add_span(
-                                "fair_queue", "queue", admission_queued_at, admitted_at
-                            )
-                        if has_deadline and resilience.deadline_expired():
-                            self._record_shed(session.name, "admission", resilience)
-                            raise DeadlineExceededError(
-                                f"deadline expired between admission grant and"
-                                f" evaluation for {session.name!r}",
-                                stage="queued",
-                            )
-                        # Staged "queue" as a low-precedence filler: instants no
-                        # kernel/wire/... child covers are event-loop waits.
-                        with trace_span("evaluate", stage="queue", algorithm=algorithm):
-                            stats = await self._evaluate(
-                                session, plan, algorithm, use_annotations, resilience,
-                                None,
-                            )
-                        return stats, evaluated_version
-                    finally:
-                        admission.release(session.name)
-                finally:
-                    self._pending_evaluations -= 1
-        except asyncio.TimeoutError:
-            if not has_deadline:
-                raise
-            self._record_shed(session.name, shed_stage, resilience)
-            raise DeadlineExceededError(
-                f"deadline expired while queued ({shed_stage}) for {session.name!r}",
-                stage="queued",
-            ) from None
-
-    async def _evaluate(
-        self,
-        session: DocumentSession,
-        plan: QueryPlan,
-        algorithm: str,
-        use_annotations: bool,
-        resilience: Optional[ResilienceContext],
-        snapshot: Optional[VersionSnapshot],
-    ) -> RunStats:
-        return await evaluate_query_async(
-            session.fragmentation,
-            session.placement,
-            plan,
-            self.actors,
-            algorithm=algorithm,
-            use_annotations=use_annotations,
-            latency=self.config.latency,
-            engine=self.config.engine,
-            batcher=session.batcher,
-            injector=self.config.fault_injector,
-            resilience=resilience,
-            snapshot=snapshot,
-        )
-
     def _bind_loop(self) -> None:
         """Rebuild loop-bound state when the running event loop changes.
 
         The blocking facade runs each call in a fresh ``asyncio.run`` loop;
         futures bound to a finished loop must not leak into the next one.
         Must run before any in-flight future is registered.  (The per-session
-        gates, snapshot managers, the admission scheduler and the actors
-        rebuild themselves the same way on first use in a new loop.)
+        writer locks, snapshot managers, the admission scheduler and the
+        actors rebuild themselves the same way on first use in a new loop.)
         """
         loop_id = id(asyncio.get_running_loop())
         if self._loop_id != loop_id:
@@ -849,7 +710,6 @@ class ServiceHost:
         document: str,
         queries: Sequence[QueryInput],
         concurrency: Optional[int] = None,
-        algorithm: Optional[str] = None,
     ) -> List[QueryResult]:
         """Serve a batch of queries of one document, optionally capping client
         concurrency.
@@ -858,42 +718,27 @@ class ServiceHost:
         batch; ``None`` submits everything at once (the host's admission
         control still bounds actual evaluations).
         """
-        return await self._run_many(
-            document, queries, concurrency=concurrency, algorithm=algorithm
-        )
-
-    async def _run_many(
-        self,
-        document: str,
-        queries: Sequence[QueryInput],
-        concurrency: Optional[int] = None,
-        algorithm: Optional[str] = None,
-    ) -> List[QueryResult]:
         if concurrency is None or concurrency >= len(queries):
-            return list(
-                await asyncio.gather(
-                    *(self._submit(document, q, algorithm=algorithm) for q in queries)
-                )
-            )
-        gate = asyncio.Semaphore(max(1, concurrency))
+            return list(await asyncio.gather(*(self.submit(document, q) for q in queries)))
+        clients = asyncio.Semaphore(max(1, concurrency))
 
         async def client(query: QueryInput) -> QueryResult:
-            async with gate:
-                return await self._submit(document, query, algorithm=algorithm)
+            async with clients:
+                return await self.submit(document, query)
 
         return list(await asyncio.gather(*(client(q) for q in queries)))
 
     # -- updates -------------------------------------------------------------
 
     async def apply_update(self, document: str, mutation: Mutation) -> UpdateResult:
-        """Apply one mutation to *document*, exclusive only within it.
+        """Apply one mutation to *document*, serialized only with its writes.
 
-        The writer takes the document's gate exclusively: in-flight readers
-        of the *same* document drain first and no new one starts until the
-        mutation has landed — no evaluation ever reads a half-applied edit.
-        Readers and writers of *other* documents are completely unaffected
-        (each session has its own gate), so concurrent writes to different
-        documents proceed in parallel.  The mutation lands through
+        The writer takes the document's writer lock, so two writes to the
+        same document never interleave; readers never take it — each pins
+        its own version snapshot and keeps scanning it while the mutation
+        lands, so no evaluation ever reads a half-applied edit and no write
+        waits for a reader.  Readers and writers of *other* documents are
+        completely unaffected.  The mutation lands through
         :func:`repro.updates.apply.apply_mutation` (bumping only the touched
         fragment's epoch and dropping only its columnar encoding), then the
         document's version tag rolls forward from the epochs in
@@ -904,22 +749,18 @@ class ServiceHost:
         dropped, and only within this document's namespace.  The
         compiled-plan cache always survives.
         """
-        return await self._apply_update(document, mutation)
-
-    async def _apply_update(self, document: str, mutation: Mutation) -> UpdateResult:
         started = time.perf_counter()
         self._bind_loop()
         session = self.session(document)
         with self.tracer.request("update", kind="update", document=session.name):
-            gate_queued_at = time.perf_counter()
-            async with session.gate.write_locked():
-                gate_acquired_at = time.perf_counter()
-                if gate_acquired_at - gate_queued_at >= NEGLIGIBLE_WAIT_SECONDS:
-                    add_span("gate:write", "queue", gate_queued_at, gate_acquired_at)
+            lock_queued_at = time.perf_counter()
+            async with session.writer_lock():
+                lock_acquired_at = time.perf_counter()
+                if lock_acquired_at - lock_queued_at >= NEGLIGIBLE_WAIT_SECONDS:
+                    add_span("writer:lock", "queue", lock_queued_at, lock_acquired_at)
                 # MVCC watermark: installing a new version turns every live
                 # snapshot into retained history; wait for a reclaim while
-                # the bound is reached.  Snapshot readers never take the
-                # gate, so they keep draining while we hold it.
+                # the bound is reached.
                 stall_started = time.perf_counter()
                 await session.snapshots.wait_for_capacity()
                 stall_ended = time.perf_counter()
@@ -962,7 +803,7 @@ class ServiceHost:
 
     def update(self, document: str, mutation: Mutation) -> UpdateResult:
         """Blocking single-mutation entry point (see :meth:`apply_update`)."""
-        return self._run_blocking(self._apply_update(document, mutation))
+        return self._run_blocking(self.apply_update(document, mutation))
 
     # -- blocking facade -----------------------------------------------------
 
@@ -970,36 +811,27 @@ class ServiceHost:
         self,
         document: str,
         query: QueryInput,
-        algorithm: Optional[str] = None,
         use_annotations: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> QueryResult:
         """Blocking single-query entry point, mirroring
         :meth:`repro.core.engine.DistributedQueryEngine.execute`."""
         return self._run_blocking(
-            self._submit(
-                document, query, algorithm=algorithm,
-                use_annotations=use_annotations, deadline=deadline,
-            )
+            self.submit(document, query, use_annotations=use_annotations, deadline=deadline)
         )
 
-    def run(
-        self, document: str, query: QueryInput, algorithm: Optional[str] = None
-    ) -> RunStats:
+    def run(self, document: str, query: QueryInput) -> RunStats:
         """Blocking evaluation returning the raw :class:`RunStats`."""
-        return self.execute(document, query, algorithm=algorithm).stats
+        return self.execute(document, query).stats
 
     def serve_batch(
         self,
         document: str,
         queries: Sequence[QueryInput],
         concurrency: Optional[int] = None,
-        algorithm: Optional[str] = None,
     ) -> List[QueryResult]:
         """Blocking batch entry point (see :meth:`run_many`)."""
-        return self._run_blocking(
-            self._run_many(document, queries, concurrency=concurrency, algorithm=algorithm)
-        )
+        return self._run_blocking(self.run_many(document, queries, concurrency=concurrency))
 
     @staticmethod
     def _run_blocking(coroutine):
@@ -1049,7 +881,7 @@ class ServiceHost:
         document_names = self.documents()
         lines = [
             f"service host     : {len(document_names)} document(s) on"
-            f" {len(self.actors)} sites, algorithm={self.config.algorithm},"
+            f" {len(self.actors)} sites, engine={self.engine},"
             f" annotations={self.config.use_annotations}",
         ]
         for name in document_names:
@@ -1060,8 +892,7 @@ class ServiceHost:
             )
         lines.append(
             f"admission        : max_in_flight={self.config.max_in_flight},"
-            f" max_pending={self.config.max_pending}"
-            f" (shared, {'weighted-fair' if self.config.fairness.enabled else 'fifo'})"
+            f" max_pending={self.config.max_pending} (shared, weighted-fair)"
         )
         for name in document_names:
             stats = self.sessions[name].snapshots.stats
@@ -1089,23 +920,21 @@ class ServiceHost:
 
     def __repr__(self) -> str:
         return (
-            f"<ServiceHost documents={len(self.sessions)}"
-            f" algorithm={self.config.algorithm!r}"
+            f"<ServiceHost documents={len(self.sessions)} engine={self.engine!r}"
             f" served={self.metrics.total_requests}>"
         )
 
 
-class ServiceEngine(ServiceHost):
-    """Single-document facade over :class:`ServiceHost` (the pre-host API).
+class ServiceEngine:
+    """Single-document facade over a :class:`ServiceHost` (the pre-host API).
 
     Serves concurrent XPath queries over **one** fragmented document with
     the historical call shapes — ``submit(query)`` instead of
     ``submit(document, query)`` — by registering the document under
     :data:`~repro.service.store.DEFAULT_DOCUMENT` in a host of its own.
-    Existing single-document deployments, examples and benchmarks keep
-    working unchanged; code hosting several documents should use
-    :class:`ServiceHost` directly (the full scheduler is underneath either
-    way: ``engine.host`` is ``engine`` itself).
+    Everything else (metrics, cache, actors, config, summary) is read
+    through :attr:`host`; the document's own serving state (version,
+    fragmentation, batcher, snapshots) through :attr:`session`.
 
     Parameters
     ----------
@@ -1125,122 +954,51 @@ class ServiceEngine(ServiceHost):
         config: Optional[ServiceConfig] = None,
         **overrides: object,
     ):
-        super().__init__(config=config, **overrides)
-        self._session = self.register(DEFAULT_DOCUMENT, fragmentation, placement)
+        #: the full scheduler underneath
+        self.host = ServiceHost(config=config, **overrides)
+        #: the one document's serving state
+        self.session = self.host.register(DEFAULT_DOCUMENT, fragmentation, placement)
+        #: the name the document is registered under
+        self.document = self.session.name
 
-    # -- single-document views ------------------------------------------------
-
-    @property
-    def host(self) -> "ServiceHost":
-        """The full multi-document scheduler underneath (this object)."""
-        return self
-
-    @property
-    def document(self) -> str:
-        """The name this engine's document is registered under."""
-        return self._session.name
-
-    @property
-    def fragmentation(self) -> Fragmentation:
-        return self._session.fragmentation
-
-    @property
-    def placement(self) -> Dict[str, str]:
-        return self._session.placement
-
-    @property
-    def version(self) -> str:
-        return self._session.version
-
-    @property
-    def batcher(self) -> Optional[FragmentWaveBatcher]:
-        return self._session.batcher
-
-    # -- the historical single-document call shapes ----------------------------
-
-    async def submit(  # type: ignore[override]
+    async def submit(
         self,
         query: QueryInput,
-        algorithm: Optional[str] = None,
         use_annotations: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> QueryResult:
-        return await self._submit(
-            self._session.name, query, algorithm=algorithm,
-            use_annotations=use_annotations, deadline=deadline,
+        return await self.host.submit(
+            self.document, query, use_annotations=use_annotations, deadline=deadline
         )
 
-    async def run_many(  # type: ignore[override]
-        self,
-        queries: Sequence[QueryInput],
-        concurrency: Optional[int] = None,
-        algorithm: Optional[str] = None,
+    async def run_many(
+        self, queries: Sequence[QueryInput], concurrency: Optional[int] = None
     ) -> List[QueryResult]:
-        return await self._run_many(
-            self._session.name, queries, concurrency=concurrency, algorithm=algorithm
-        )
+        return await self.host.run_many(self.document, queries, concurrency=concurrency)
 
-    async def apply_update(self, mutation: Mutation) -> UpdateResult:  # type: ignore[override]
-        return await self._apply_update(self._session.name, mutation)
+    async def apply_update(self, mutation: Mutation) -> UpdateResult:
+        return await self.host.apply_update(self.document, mutation)
 
-    def update(self, mutation: Mutation) -> UpdateResult:  # type: ignore[override]
-        return self._run_blocking(self.apply_update(mutation))
+    def update(self, mutation: Mutation) -> UpdateResult:
+        return self.host.update(self.document, mutation)
 
-    def execute(  # type: ignore[override]
+    def execute(
         self,
         query: QueryInput,
-        algorithm: Optional[str] = None,
         use_annotations: Optional[bool] = None,
         deadline: Optional[float] = None,
     ) -> QueryResult:
-        return self._run_blocking(
-            self.submit(
-                query, algorithm=algorithm, use_annotations=use_annotations,
-                deadline=deadline,
-            )
+        return self.host.execute(
+            self.document, query, use_annotations=use_annotations, deadline=deadline
         )
 
-    def run(self, query: QueryInput, algorithm: Optional[str] = None) -> RunStats:  # type: ignore[override]
-        return self.execute(query, algorithm=algorithm).stats
+    def run(self, query: QueryInput) -> RunStats:
+        return self.host.run(self.document, query)
 
-    def serve_batch(  # type: ignore[override]
-        self,
-        queries: Sequence[QueryInput],
-        concurrency: Optional[int] = None,
-        algorithm: Optional[str] = None,
+    def serve_batch(
+        self, queries: Sequence[QueryInput], concurrency: Optional[int] = None
     ) -> List[QueryResult]:
-        return self._run_blocking(
-            self.run_many(queries, concurrency=concurrency, algorithm=algorithm)
-        )
+        return self.host.serve_batch(self.document, queries, concurrency=concurrency)
 
-    def refresh_version(self) -> str:  # type: ignore[override]
-        return super().refresh_version(self._session.name)
-
-    # -- presentation -----------------------------------------------------------
-
-    def summary(self) -> str:
-        """Service-wide status: traffic, latency, cache and actor health."""
-        lines = [
-            f"service          : {len(self.fragmentation)} fragments on"
-            f" {len(self.actors)} sites, algorithm={self.config.algorithm},"
-            f" annotations={self.config.use_annotations}",
-            f"admission        : max_in_flight={self.config.max_in_flight},"
-            f" max_pending={self.config.max_pending}",
-            self.metrics.summary(),
-        ]
-        if self.resilience is not None:
-            lines.append(self.resilience.stats.summary())
-        if self.config.fault_injector is not None:
-            lines.append(self.config.fault_injector.stats.summary())
-        if self.cache is not None:
-            lines.append(self.cache.stats.summary())
-        if self.batcher is not None:
-            lines.append(self.batcher.stats.summary())
-        lines.append(self.actors.summary())
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ServiceEngine sites={len(self.actors)} algorithm={self.config.algorithm!r}"
-            f" served={self.metrics.total_requests}>"
-        )
+    def refresh_version(self) -> str:
+        return self.host.refresh_version(self.document)

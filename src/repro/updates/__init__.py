@@ -22,8 +22,9 @@ per-fragment columnar encodings) maintainable in time proportional to the
 update's locality, never the database size.
 
 Entry points: :func:`apply_mutation` / :func:`apply_mutations` for the sync
-engines, :meth:`repro.service.ServiceEngine.apply_update` for the concurrent
-service (admission-controlled alongside queries), and
+engines, :meth:`repro.service.ServiceHost.apply_update` for the concurrent
+service (serialized with the document's other writes while readers keep
+their pinned snapshots), and
 :class:`MixedWorkload` for generating read/write request streams.
 """
 

@@ -25,7 +25,7 @@ async def ownership_transfer(gate):
 
 
 async def caller_owns_the_permit(gate, timeout):
-    await gate.acquire_read(timeout)
+    await gate.acquire("doc", timeout)
 
 
 async def shed_on_timeout(admission, metrics, session, peer):

@@ -1,6 +1,7 @@
 """Mutation self-test: re-introduce each fixed bug, prove its rule catches it.
 
-Each case takes a real source file from ``src/repro/service/``, applies a
+Each case takes a real source file of the async serving path
+(``src/repro/service/`` and the async transport), applies a
 textual mutation that recreates a bug class this repo actually fixed
 (permit leaks across awaits, skipped counter restores, silent sheds, stage
 typos, dead loop-rebinding, blocking sleeps), and asserts the matching rule
@@ -17,28 +18,13 @@ from repro.analysis import analyze_source, run
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
-UNGUARDED_READ_LOCK = """\
-        await self.acquire_read(timeout)
-        yield
-        self._release_read()
-"""
-
-GUARDED_READ_LOCK = """\
-        await self.acquire_read(timeout)
-        try:
-            yield
-        finally:
-            # Synchronous: a cancellation arriving here cannot interrupt it.
-            self._release_read()
-"""
-
 MUTATIONS = [
     pytest.param(
-        "repro/service/actors.py",
-        GUARDED_READ_LOCK,
-        UNGUARDED_READ_LOCK,
+        "repro/service/server.py",
+        "session.snapshots.release(snapshot)",
+        "pass",
         "permit-leak",
-        id="permit-leak:read_locked-loses-its-finally",
+        id="permit-leak:snapshot-pin-loses-its-release",
     ),
     pytest.param(
         "repro/service/server.py",
@@ -77,8 +63,15 @@ MUTATIONS = [
     ),
     pytest.param(
         "repro/service/evaluator.py",
-        "await asyncio.sleep(delay)",
-        "time.sleep(delay)",
+        "await asyncio.sleep(backoff)",
+        "time.sleep(backoff)",
+        "blocking-in-async",
+        id="blocking-in-async:retry-backoff-blocks-the-loop",
+    ),
+    pytest.param(
+        "repro/distributed/async_transport.py",
+        "await asyncio.sleep(total)",
+        "time.sleep(total)",
         "blocking-in-async",
         id="blocking-in-async:wire-replay-blocks-the-loop",
     ),

@@ -33,7 +33,7 @@ from repro.booleans.env import Environment
 from repro.booleans.formula import And, Not, Or, Var
 from repro.core.batch import run_pax2_batch
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL, VECTOR
+from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
 from repro.core.kernel.tables import PlanTables
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
@@ -148,7 +148,7 @@ def run_pax2_wave(scenario, query, engine):
 
 
 def run_service_read(scenario, query, engine):
-    """One read through a host; kernel and vector reads pin a snapshot."""
+    """One read through a host, pinned to a snapshot (columnar engines only)."""
     host = ServiceHost(engine=engine, cache_capacity=0, coalesce=False)
     host.register("doc", scenario.fragmentation, scenario.placement)
     return host.execute("doc", query).stats
@@ -195,8 +195,12 @@ def coordinator_work(monkeypatch):
     return resolves, walks
 
 
-@pytest.mark.parametrize("runner", sorted(RUNNERS))
-@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("engine, runner", [
+    (engine, runner)
+    for engine in available_engines()
+    for runner in sorted(RUNNERS)
+    if not (runner == "service" and engine == REFERENCE)
+])
 def test_candidates_resolve_per_distinct_formula_and_accounting_walks_no_tree(
     coordinator_work, engine, runner
 ):

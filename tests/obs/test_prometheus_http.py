@@ -24,7 +24,7 @@ def traced_service():
         ["client/name", CLIENTELE_QUERIES["brokers_goog"], "client/name"],
         concurrency=2,
     )
-    return service
+    return service.host
 
 
 class TestRenderPrometheus:
@@ -54,7 +54,7 @@ class TestRenderPrometheus:
     def test_untraced_host_renders_without_tracer_block(self):
         tree = clientele_example_tree()
         service = ServiceEngine(clientele_paper_fragmentation(tree))
-        text = render_prometheus(service)
+        text = render_prometheus(service.host)
         assert "repro_requests_total 0" in text
         assert "repro_traced_requests_total" not in text
 

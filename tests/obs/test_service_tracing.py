@@ -3,6 +3,8 @@ accounting and guarantee coverage on live traffic."""
 
 import pytest
 
+from repro.core.kernel.dispatch import KERNEL, VECTOR
+from repro.core.vector import numpy_available
 from repro.obs.trace import Tracer
 from repro.service.server import ServiceEngine
 from repro.workloads.queries import PAPER_QUERIES
@@ -60,19 +62,19 @@ class TestRequestSpans:
             assert root.attributes["max_site_visits"] <= 2  # PaX2 bound
             assert root.attributes["answer_count"] == len(root.stats.answer_ids)
 
-    @pytest.mark.parametrize("algorithm", ["pax2", "pax3", "naive", "parbox"])
-    def test_zero_guarantee_violations_on_live_traffic(self, ft2, algorithm):
-        # ParBoX evaluates Boolean queries only; the others get the paper's.
-        queries = (
-            [".[//people/person/profile/age > 20]"]
-            if algorithm == "parbox"
-            else list(PAPER_QUERIES.values())
-        )
+    @pytest.mark.parametrize("engine", [
+        KERNEL,
+        pytest.param(
+            VECTOR, marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+        ),
+    ])
+    def test_zero_guarantee_violations_on_live_traffic(self, ft2, engine):
+        queries = list(PAPER_QUERIES.values())
         tracer = Tracer(check_guarantees=True)
         service = ServiceEngine(
             ft2.fragmentation,
             placement=ft2.placement,
-            algorithm=algorithm,
+            engine=engine,
             tracer=tracer,
             cache_capacity=0,
         )
@@ -157,6 +159,6 @@ class TestTracerSwap:
         )
         service.execute(PAPER_QUERIES["Q1"])  # untraced warm-up
         tracer = Tracer(check_guarantees=True)
-        service.tracer = tracer
+        service.host.tracer = tracer
         service.execute(PAPER_QUERIES["Q1"])
         assert tracer.requests_traced == 1

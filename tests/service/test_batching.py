@@ -3,8 +3,7 @@
 Concurrent in-flight queries that reach the same fragment round must share
 one fused scan — with duplicate plans deduplicated to a single kernel slot —
 while every request still receives exactly the answers and accounting its
-un-batched evaluation would produce, including waves that mix algorithms
-(PaX2 through the batcher, the rest through the sync fallback).
+un-batched evaluation would produce.
 """
 
 import asyncio
@@ -12,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL, REFERENCE
+from repro.core.kernel.dispatch import KERNEL
 from repro.service.actors import FragmentWaveBatcher
 from repro.service.server import ServiceConfig, ServiceEngine
 from repro.workloads.queries import (
@@ -48,7 +47,7 @@ class TestBatchedAnswers:
         results = service.serve_batch(queries, concurrency=24)
         for query, result in zip(queries, results):
             assert result.stats.answer_ids == expected[query]
-        stats = service.batcher.stats
+        stats = service.session.batcher.stats
         assert stats.fused_scans > 0
         assert stats.batched_queries > stats.fused_scans  # real coalescing
         assert stats.queries_per_scan > 1.0
@@ -74,50 +73,22 @@ class TestBatchedAnswers:
         unbatched = fingerprints(make_service(ft2, batching=False))
         assert batched == unbatched
 
-    def test_reference_engine_waves_still_coalesce(self, ft2, expected):
-        service = make_service(ft2, engine=REFERENCE, batch_window=0.002)
-        queries = [query for query in PAPER_QUERIES.values() for _ in range(3)]
-        results = service.serve_batch(queries, concurrency=12)
-        for query, result in zip(queries, results):
-            assert result.stats.answer_ids == expected[query]
-        assert service.batcher.stats.queries_per_scan > 1.0
-
-    def test_mixed_algorithm_wave(self, ft2, expected):
-        """PaX2 rides the batcher while PaX3/naive take the sync fallback."""
-        service = make_service(ft2, batch_window=0.002)
-        queries = list(PAPER_QUERIES.values())
-
-        async def mixed():
-            jobs = []
-            for index in range(12):
-                query = queries[index % len(queries)]
-                algorithm = ("pax2", "pax3", "naive")[index % 3]
-                jobs.append(service.submit(query, algorithm=algorithm))
-            return await asyncio.gather(*jobs)
-
-        results = asyncio.run(mixed())
-        for index, result in enumerate(results):
-            query = queries[index % len(queries)]
-            assert result.stats.answer_ids == expected[query], (index, query)
-        # Only the PaX2 third of the wave went through fused scans.
-        assert service.batcher.stats.batched_queries > 0
-
 
 class TestConfiguration:
     def test_batching_disabled_leaves_no_batcher(self, ft2, expected):
         service = make_service(ft2, batching=False)
-        assert service.batcher is None
+        assert service.session.batcher is None
         result = service.execute(PAPER_QUERIES["Q1"])
         assert result.stats.answer_ids == expected[PAPER_QUERIES["Q1"]]
-        assert "batching" not in service.summary()
+        assert "batching" not in service.host.summary()
 
     def test_summary_surfaces_batch_efficiency(self, ft2):
         service = make_service(ft2, batch_window=0.002)
         service.serve_batch(list(PAPER_QUERIES.values()) * 2, concurrency=8)
-        summary = service.summary()
+        summary = service.host.summary()
         assert "fused scans" in summary
         assert "dedup" in summary
-        payload = service.batcher.stats.to_dict()
+        payload = service.session.batcher.stats.to_dict()
         assert payload["fused_scans"] > 0
         assert "queries_per_scan" in payload
         assert "window_seconds" in payload
@@ -184,4 +155,4 @@ def test_clientele_service_batching_end_to_end():
     results = service.serve_batch([query] * 8, concurrency=8)
     for result in results:
         assert result.stats.answer_ids == expected
-    assert service.batcher.stats.dedup_hits > 0
+    assert service.session.batcher.stats.dedup_hits > 0

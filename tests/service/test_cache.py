@@ -123,7 +123,7 @@ class TestVersionTag:
 
 class TestQueryResultCache:
     def key(self, cache, query, version="v0"):
-        return cache.make_key(query, "pax2", True, version)
+        return cache.make_key(query, True, version)
 
     def test_miss_then_hit(self):
         cache = QueryResultCache(capacity=4)
@@ -220,11 +220,10 @@ class TestQueryResultCache:
             assert cache.get(self.key(cache, "//b", version=version)) is None
             assert cache.get(self.key(cache, "//c", version=version)) is None
 
-    def test_algorithm_and_annotations_in_key(self):
+    def test_annotations_in_key(self):
         cache = QueryResultCache(capacity=8)
-        cache.put(cache.make_key("//a", "pax2", True, "v0"), stats_for("//a"))
-        assert cache.get(cache.make_key("//a", "pax3", True, "v0")) is None
-        assert cache.get(cache.make_key("//a", "pax2", False, "v0")) is None
+        cache.put(cache.make_key("//a", True, "v0"), stats_for("//a"))
+        assert cache.get(cache.make_key("//a", False, "v0")) is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -241,7 +240,7 @@ class TestTenantIsolation:
     """One shared LRU, many document namespaces (the ServiceHost contract)."""
 
     def key(self, cache, query, document, version="v0"):
-        return cache.make_key(query, "pax2", True, version, document=document)
+        return cache.make_key(query, True, version, document=document)
 
     def test_same_query_and_version_separate_per_document(self):
         cache = QueryResultCache(capacity=8)

@@ -1,12 +1,13 @@
-"""Cancellation safety: gate, batcher, actor slots and the host pipeline.
+"""Cancellation safety: batcher, actor slots and the host pipeline.
 
-A request can be cancelled (or time out) at *any* await point — parked at
-the readers-writer gate, inside the batching window, queued for a site
-slot, mid-evaluation.  Whatever the point, the primitives must come back
-clean: no leaked permits, no stranded waiters, no counters the next
-request could observe half-updated.  The brute-force tests below cancel a
-victim after every possible number of event-loop steps, which walks the
-cancellation through every await point of the scenario.
+A request can be cancelled (or time out) at *any* await point — queued for
+admission, inside the batching window, queued for a site slot,
+mid-evaluation with its snapshot pinned.  Whatever the point, the
+primitives must come back clean: no leaked permits or pins, no stranded
+waiters, no counters the next request could observe half-updated.  The
+brute-force tests below cancel a victim after every possible number of
+event-loop steps, which walks the cancellation through every await point
+of the scenario.
 """
 
 import asyncio
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.pruning import stage1_init_vector
 from repro.distributed.async_transport import LatencyModel
-from repro.service.actors import FragmentWaveBatcher, ReadWriteGate, SiteActor
+from repro.service.actors import FragmentWaveBatcher, SiteActor
 from repro.service.server import ServiceEngine
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xpath.parser import parse_xpath
@@ -35,231 +36,22 @@ async def step(count=1):
         await asyncio.sleep(0)
 
 
-async def assert_gate_clean(gate):
-    """The gate must be fully reusable: a writer can take it exclusively."""
-    assert gate.readers_active == 0
-    assert not gate.write_held
-    assert gate.writers_waiting == 0 and gate.readers_waiting == 0
-    await asyncio.wait_for(gate.acquire_write(), 1.0)
-    assert gate.write_held
-    gate._release_write()
+async def until_pinned(session, pins=1):
+    """Yield the loop until *session* has served *pins* snapshot pins."""
+    for _ in range(200):
+        if session.snapshots.stats.pins >= pins:
+            return
+        await step()
+    raise AssertionError(f"no reader pinned a snapshot of {session.name!r}")
 
 
-class TestGateCancellation:
-    def test_reader_cancelled_while_queued_behind_writer(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            release = asyncio.Event()
-
-            async def writer():
-                async with gate.write_locked():
-                    await release.wait()
-
-            writer_task = asyncio.create_task(writer())
-            await step()
-            reader_task = asyncio.create_task(gate.acquire_read())
-            await step()
-            assert gate.readers_waiting == 1
-            reader_task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await reader_task
-            release.set()
-            await writer_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_writer_cancelled_while_queued_unblocks_readers(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            release = asyncio.Event()
-
-            async def reader():
-                async with gate.read_locked():
-                    await release.wait()
-
-            reader_task = asyncio.create_task(reader())
-            await step()
-            writer_task = asyncio.create_task(gate.acquire_write())
-            await step()
-            # Writer priority: a new reader queues behind the waiting writer.
-            late_reader = asyncio.create_task(gate.acquire_read())
-            await step()
-            assert gate.readers_waiting == 1
-            writer_task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await writer_task
-            # The cancelled writer must not strand the queued reader.
-            await asyncio.wait_for(late_reader, 1.0)
-            assert gate.readers_active == 2
-            gate._release_read()
-            release.set()
-            await reader_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_grant_racing_reader_cancellation_is_handed_back(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            await gate.acquire_write()
-            reader_task = asyncio.create_task(gate.acquire_read())
-            await step()
-            # Releasing grants the parked reader *synchronously*; cancelling
-            # before it resumes exercises the granted-but-dead handback.
-            gate._release_write()
-            assert gate.readers_active == 1  # grant already landed
-            reader_task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await reader_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_grant_racing_writer_cancellation_is_handed_back(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            await gate.acquire_read()
-            writer_task = asyncio.create_task(gate.acquire_write())
-            await step()
-            gate._release_read()
-            assert gate.write_held  # grant already landed
-            writer_task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await writer_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_timed_out_reader_behaves_like_a_cancelled_one(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            release = asyncio.Event()
-
-            async def writer():
-                async with gate.write_locked():
-                    await release.wait()
-
-            writer_task = asyncio.create_task(writer())
-            await step()
-            with pytest.raises(asyncio.TimeoutError):
-                await gate.acquire_read(timeout=0.01)
-            assert gate.readers_waiting == 0
-            release.set()
-            await writer_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_timed_out_writer_unblocks_queued_readers(self):
-        async def scenario():
-            gate = ReadWriteGate()
-            release = asyncio.Event()
-
-            async def reader():
-                async with gate.read_locked():
-                    await release.wait()
-
-            reader_task = asyncio.create_task(reader())
-            await step()
-            timed_writer = asyncio.create_task(gate.acquire_write(timeout=0.01))
-            await step()
-            late_reader = asyncio.create_task(gate.acquire_read())
-            await step()
-            with pytest.raises(asyncio.TimeoutError):
-                await timed_writer
-            await asyncio.wait_for(late_reader, 1.0)
-            gate._release_read()
-            release.set()
-            await reader_task
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    def test_writer_not_starved_by_steady_reader_stream(self):
-        """Writer-priority regression: a queued writer must be granted ahead
-        of every reader that arrives after it, no matter how many — a steady
-        read stream can otherwise keep ``readers_active`` nonzero forever
-        and the write never lands."""
-
-        async def scenario():
-            gate = ReadWriteGate()
-            release = asyncio.Event()
-            order = []
-
-            async def holding_reader():
-                async with gate.read_locked():
-                    await release.wait()
-
-            async def writer():
-                async with gate.write_locked():
-                    order.append("writer")
-
-            async def churn_reader(index):
-                async with gate.read_locked():
-                    order.append(("reader", index))
-
-            holders = [asyncio.create_task(holding_reader()) for _ in range(3)]
-            await step()
-            assert gate.readers_active == 3
-            writer_task = asyncio.create_task(writer())
-            await step()
-            assert gate.writers_waiting == 1
-            churn = [asyncio.create_task(churn_reader(i)) for i in range(20)]
-            await step()
-            # Every late reader queues behind the waiting writer instead of
-            # piling onto the active-reader count.
-            assert gate.readers_waiting == 20
-            assert gate.readers_active == 3
-            release.set()
-            await asyncio.wait_for(
-                asyncio.gather(writer_task, *churn, *holders), 5.0
-            )
-            assert order[0] == "writer"
-            assert len(order) == 21
-            await assert_gate_clean(gate)
-
-        run(scenario())
-
-    @pytest.mark.parametrize("victim", [0, 1, 2, 3])
-    def test_cancel_at_every_await_point(self, victim):
-        """Brute force: cancel one participant after k loop steps, for every
-        k — the cancellation lands on every await point of the scenario."""
-
-        async def attempt(steps):
-            gate = ReadWriteGate()
-
-            async def reader(hold):
-                async with gate.read_locked():
-                    await asyncio.sleep(hold)
-
-            async def writer(hold):
-                async with gate.write_locked():
-                    await asyncio.sleep(hold)
-
-            tasks = [
-                asyncio.create_task(reader(0.002)),
-                asyncio.create_task(writer(0.002)),
-                asyncio.create_task(reader(0.0)),
-                asyncio.create_task(writer(0.0)),
-            ]
-            await step(steps)
-            tasks[victim].cancel()
-            results = await asyncio.wait_for(
-                asyncio.gather(*tasks, return_exceptions=True), 2.0
-            )
-            # Only the victim may have died, and only by cancellation.
-            for index, outcome in enumerate(results):
-                if isinstance(outcome, BaseException):
-                    assert index == victim
-                    assert isinstance(outcome, asyncio.CancelledError)
-            await assert_gate_clean(gate)
-
-        async def scenario():
-            for steps in range(12):
-                await attempt(steps)
-
-        run(scenario())
+async def assert_session_clean(session):
+    """No snapshot left pinned, and the writer lock is free to take."""
+    assert session.snapshots.retained == 0
+    lock = session.writer_lock()
+    assert not lock.locked()
+    await asyncio.wait_for(lock.acquire(), 1.0)
+    lock.release()
 
 
 class TestBatcherCancellation:
@@ -389,9 +181,8 @@ class TestHostCancellation:
         result = run(scenario())
         assert result.answer_ids
         assert not result.is_partial
-        assert engine._pending_evaluations == 0
-        gate = engine.sessions[engine.document].gate
-        assert gate.readers_active == 0 and not gate.write_held
+        assert engine.host._pending_evaluations == 0
+        assert engine.session.snapshots.retained == 0
 
     def test_cancel_submit_at_every_await_point(self):
         engine = ServiceEngine(
@@ -405,12 +196,11 @@ class TestHostCancellation:
                 await step(steps)
                 doomed.cancel()
                 await asyncio.gather(doomed, return_exceptions=True)
-                assert engine._pending_evaluations == 0
+                assert engine.host._pending_evaluations == 0
             # After the whole sweep the host still serves, reads and writes.
             result = await asyncio.wait_for(engine.submit("//name"), 5.0)
             assert result.answer_ids
-            gate = engine.sessions[engine.document].gate
-            await assert_gate_clean(gate)
+            await assert_session_clean(engine.session)
 
         run(scenario())
 
@@ -421,7 +211,7 @@ class TestHostCancellation:
             clientele_fragmentation(),
             latency=LatencyModel(base_seconds=0.02),
         )
-        fragmentation = engine.fragmentation
+        fragmentation = engine.session.fragmentation
         target = next(
             node
             for node in fragmentation[fragmentation.fragment_ids()[0]].iter_span()
@@ -430,7 +220,7 @@ class TestHostCancellation:
 
         async def scenario():
             reader = asyncio.create_task(engine.submit("//client/name"))
-            await asyncio.sleep(0.01)  # reader holds the gate, on the wire
+            await asyncio.sleep(0.01)  # reader holds its pin, on the wire
             doomed = asyncio.create_task(
                 engine.apply_update(EditText(target.node_id, "cancelled"))
             )
@@ -446,5 +236,128 @@ class TestHostCancellation:
                 engine.apply_update(EditText(target.node_id, "landed")), 5.0
             )
             assert update.kind
+
+        run(scenario())
+
+    def test_timed_out_reader_releases_its_pin(self):
+        engine = ServiceEngine(
+            clientele_fragmentation(),
+            cache_capacity=0,
+            latency=LatencyModel(base_seconds=0.02),
+        )
+
+        async def scenario():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(engine.submit("//client/name"), 0.01)
+            assert engine.session.snapshots.stats.pins == 1  # it was mid-read
+            assert engine.host._pending_evaluations == 0
+            await assert_session_clean(engine.session)
+            return await asyncio.wait_for(engine.submit("//name"), 5.0)
+
+        result = run(scenario())
+        assert result.answer_ids and not result.is_partial
+
+    def test_cancelled_reader_lets_its_superseded_version_be_reclaimed(self):
+        from repro.updates import EditText
+
+        engine = ServiceEngine(
+            clientele_fragmentation(),
+            cache_capacity=0,
+            latency=LatencyModel(base_seconds=0.02),
+        )
+        session = engine.session
+        target = next(
+            node for node in session.fragmentation.tree.root.iter_subtree() if node.is_text
+        )
+
+        async def scenario():
+            reader = asyncio.create_task(engine.submit("//client/name"))
+            await until_pinned(session)
+            await engine.apply_update(EditText(target.node_id, "rolled"))
+            # the reader's pinned version is now retained history
+            assert session.snapshots.retained == 1
+            reader.cancel()
+            await asyncio.gather(reader, return_exceptions=True)
+            assert session.snapshots.stats.snapshots_reclaimed == 1
+            await assert_session_clean(session)
+
+        run(scenario())
+
+    def test_cancelled_reader_unblocks_a_watermark_stalled_writer(self):
+        from repro.fragments.snapshots import SnapshotPolicy
+        from repro.updates import EditText
+
+        engine = ServiceEngine(
+            clientele_fragmentation(),
+            cache_capacity=0,
+            latency=LatencyModel(base_seconds=0.05),
+            snapshots=SnapshotPolicy(max_retained_versions=1),
+        )
+        session = engine.session
+        target = next(
+            node for node in session.fragmentation.tree.root.iter_subtree() if node.is_text
+        )
+
+        async def scenario():
+            reader = asyncio.create_task(engine.submit("//client/name"))
+            await until_pinned(session)
+            writer = asyncio.create_task(
+                engine.apply_update(EditText(target.node_id, "after"))
+            )
+            await step(4)
+            assert not writer.done()  # the watermark holds it back
+            assert session.snapshots.stats.writer_stalls == 1
+            reader.cancel()
+            await asyncio.gather(reader, return_exceptions=True)
+            # the cancelled pin was the only thing in the writer's way
+            await asyncio.wait_for(writer, 1.0)
+            assert target.value == "after"
+            await assert_session_clean(session)
+
+        run(scenario())
+
+    @pytest.mark.parametrize("victim", [0, 1, 2, 3])
+    def test_cancel_readers_and_writers_at_every_await_point(self, victim):
+        """Brute force over one document: two readers and two writers, one
+        of them cancelled after k loop steps for every k — the cancellation
+        lands on every await point of the admit/pin/evaluate/release read
+        path and of the writer lock.  Only the victim may die, and the
+        session must come back with no pin held and its lock free."""
+        from repro.updates import EditText
+
+        engine = ServiceEngine(
+            clientele_fragmentation(),
+            cache_capacity=0,
+            coalesce=False,
+            latency=LatencyModel(base_seconds=0.001),
+        )
+        first, second = [
+            node
+            for node in engine.session.fragmentation.tree.root.iter_subtree()
+            if node.is_text
+        ][:2]
+
+        async def attempt(steps):
+            tasks = [
+                asyncio.create_task(engine.submit("//client/name")),
+                asyncio.create_task(engine.apply_update(EditText(first.node_id, "a"))),
+                asyncio.create_task(engine.submit("//name")),
+                asyncio.create_task(engine.apply_update(EditText(second.node_id, "b"))),
+            ]
+            await step(steps)
+            tasks[victim].cancel()
+            results = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), 5.0
+            )
+            for index, outcome in enumerate(results):
+                if isinstance(outcome, BaseException):
+                    assert index == victim
+                    assert isinstance(outcome, asyncio.CancelledError)
+            assert engine.host._pending_evaluations == 0
+            await assert_session_clean(engine.session)
+
+        async def scenario():
+            for steps in range(25):
+                await attempt(steps)
 
         run(scenario())

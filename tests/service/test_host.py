@@ -5,7 +5,8 @@ import asyncio
 import pytest
 
 from repro.core.engine import DistributedQueryEngine
-from repro.fragments.snapshots import SnapshotPolicy
+from repro.core.kernel.dispatch import KERNEL, use_fragment_engine
+from repro.distributed.async_transport import LatencyModel
 from repro.service.server import AdmissionError, ServiceEngine, ServiceHost
 from repro.service.store import (
     DEFAULT_DOCUMENT,
@@ -38,21 +39,6 @@ def twin_host():
     """A host serving two *identical* clientele documents — the worst case
     for cross-tenant cache bleed (same content, same version tag text)."""
     host = ServiceHost(max_in_flight=8)
-    host.register("alpha", clientele_fragmentation())
-    host.register("beta", clientele_fragmentation())
-    return host
-
-
-@pytest.fixture()
-def gated_twin_host():
-    """Twin host with MVCC snapshots off: reads hold the per-session gate.
-
-    The gate-exclusivity tests below verify the *gate-mode* contract that
-    remains behind ``SnapshotPolicy(enabled=False)`` (and that non-kernel
-    engines always use); with snapshots on, eligible readers never park at
-    a writer's gate in the first place.
-    """
-    host = ServiceHost(max_in_flight=8, snapshots=SnapshotPolicy(enabled=False))
     host.register("alpha", clientele_fragmentation())
     host.register("beta", clientele_fragmentation())
     return host
@@ -236,29 +222,24 @@ class TestDropDocument:
 
 
 class TestPerDocumentWriteExclusivity:
-    def test_writers_on_different_documents_do_not_serialize(self, gated_twin_host):
+    def test_writers_on_different_documents_do_not_serialize(self, twin_host):
         # Regression for the PR 4 design: one writer used to drain the
         # host-global admission semaphore, so ANY write froze every tenant.
-        host = gated_twin_host
+        host = twin_host
         target_beta = first_text_in(host.session("beta").fragmentation)
 
         async def scenario():
-            alpha_gate = host.session("alpha").gate
-            async with alpha_gate.write_locked():
-                # alpha's writer gate is held: beta's write and read both
-                # complete — they only contend on beta's own gate.
+            async with host.session("alpha").writer_lock():
+                # alpha's writer lock is held: beta's write and read both
+                # complete — writers contend only within their own document.
                 await asyncio.wait_for(
                     host.apply_update("beta", EditText(target_beta.node_id, "w")),
                     timeout=5.0,
                 )
-                await asyncio.wait_for(host.submit("beta", "client/name"), timeout=5.0)
-                # ...while a reader of alpha is parked behind alpha's writer.
-                reader = asyncio.ensure_future(host.submit("alpha", "client/name"))
-                done, _ = await asyncio.wait({reader}, timeout=0.05)
-                assert not done
-            # gate released: the parked reader now completes
-            result = await asyncio.wait_for(reader, timeout=5.0)
-            assert result.answer_ids
+                result = await asyncio.wait_for(
+                    host.submit("beta", "client/name"), timeout=5.0
+                )
+                assert result.answer_ids
 
         asyncio.run(scenario())
 
@@ -288,60 +269,191 @@ class TestPerDocumentWriteExclusivity:
         assert host.metrics.document("alpha").updates == 4
         assert host.metrics.document("beta").updates == 4
 
-    def test_write_still_excludes_readers_of_its_own_document(self, gated_twin_host):
-        # The per-session gate must not have weakened single-document
-        # exclusivity: while alpha's write gate is held, alpha's reads wait.
-        host = gated_twin_host
+    def test_writer_lock_rebinds_across_event_loops(self, twin_host):
+        # The blocking facade runs every call under its own asyncio.run; a
+        # contended writer lock binds to its loop, so without rebinding the
+        # next loop's contended write would raise "bound to a different
+        # event loop".
+        host = twin_host
+        session = host.session("alpha")
+        target = first_text_in(session.fragmentation)
+
+        async def contended_write(text):
+            async with session.writer_lock():
+                write = asyncio.ensure_future(
+                    host.apply_update("alpha", EditText(target.node_id, text))
+                )
+                await asyncio.sleep(0)  # the write now waits on the lock
+            return await asyncio.wait_for(write, timeout=5.0)
+
+        for text in ("x", "y", "z"):
+            asyncio.run(contended_write(text))
+        assert host.metrics.document("alpha").updates == 3
+
+    def test_queued_writes_apply_in_arrival_order(self, twin_host):
+        host = twin_host
+        session = host.session("alpha")
+        target = first_text_in(session.fragmentation)
+        texts = ("one", "two", "three")
 
         async def scenario():
-            gate = host.session("alpha").gate
-            async with gate.write_locked():
-                reader = asyncio.ensure_future(host.submit("alpha", "client/name"))
-                done, _ = await asyncio.wait({reader}, timeout=0.05)
-                assert not done
-            assert (await asyncio.wait_for(reader, timeout=5.0)).answer_ids
+            async with session.writer_lock():
+                writes = []
+                for text in texts:
+                    writes.append(asyncio.ensure_future(
+                        host.apply_update("alpha", EditText(target.node_id, text))
+                    ))
+                    await asyncio.sleep(0)  # queued on the lock in this order
+                assert not any(write.done() for write in writes)
+            await asyncio.wait_for(asyncio.gather(*writes), timeout=5.0)
+
+        asyncio.run(scenario())
+        assert target.value == texts[-1]
+        assert host.metrics.document("alpha").updates == len(texts)
+        solo = DistributedQueryEngine(session.fragmentation, placement=session.placement)
+        assert (
+            host.execute("alpha", "client/name").answer_ids
+            == solo.execute("client/name").answer_ids
+        )
+
+    @pytest.mark.parametrize("abandon", ["cancelled", "timed-out"])
+    def test_abandoned_queued_write_applies_nothing(self, twin_host, abandon):
+        host = twin_host
+        session = host.session("alpha")
+        target = first_text_in(session.fragmentation)
+        original = target.value
+
+        async def scenario():
+            pre = session.version
+            async with session.writer_lock():
+                write = asyncio.ensure_future(
+                    host.apply_update("alpha", EditText(target.node_id, "abandoned"))
+                )
+                if abandon == "cancelled":
+                    await asyncio.sleep(0)  # queued on the held lock
+                    write.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await write
+                else:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(write, timeout=0.01)
+            assert session.version == pre
+            assert target.value == original
+            assert host.metrics.document("alpha").updates == 0
+            # the lock came back free: the next write lands at once
+            await asyncio.wait_for(
+                host.apply_update("alpha", EditText(target.node_id, "landed")),
+                timeout=5.0,
+            )
+            assert session.version != pre
+
+        asyncio.run(scenario())
+        assert target.value == "landed"
+        assert host.metrics.document("alpha").updates == 1
+
+    def test_write_waits_for_no_inflight_reader(self):
+        # Readers of alpha and beta are mid-evaluation on a slow simulated
+        # wire (50 ms a message, several messages per read) with their
+        # snapshots pinned when alpha's write arrives: the write lands while
+        # every reader is still in flight.
+        host = ServiceHost(
+            max_in_flight=8, cache_capacity=0, coalesce=False,
+            latency=LatencyModel(base_seconds=0.05),
+        )
+        host.register("alpha", clientele_fragmentation())
+        host.register("beta", clientele_fragmentation())
+        alpha, beta = host.session("alpha"), host.session("beta")
+        target = first_text_in(alpha.fragmentation)
+
+        async def scenario():
+            pre = alpha.version
+            readers = [
+                asyncio.ensure_future(host.submit(name, "client/name"))
+                for name in ("alpha", "alpha", "beta", "beta")
+            ]
+            for _ in range(200):
+                if alpha.snapshots.stats.pins == beta.snapshots.stats.pins == 2:
+                    break
+                await asyncio.sleep(0)
+            assert alpha.snapshots.stats.pins == beta.snapshots.stats.pins == 2
+            await asyncio.wait_for(
+                host.apply_update("alpha", EditText(target.node_id, "w")), timeout=5.0
+            )
+            assert alpha.version != pre
+            assert not any(reader.done() for reader in readers)
+            results = await asyncio.wait_for(asyncio.gather(*readers), timeout=5.0)
+            assert [r.stats.evaluated_version for r in results[:2]] == [pre, pre]
+            assert all(result.answer_ids for result in results)
+
+        asyncio.run(scenario())
+
+    def test_reads_under_a_held_writer_lock_serve_the_pre_write_version(
+        self, twin_host
+    ):
+        host = twin_host
+        session = host.session("alpha")
+        target = first_text_in(session.fragmentation)
+        queries = ("client/name", CLIENTELE_QUERIES["brokers_goog"])
+        solo = DistributedQueryEngine(session.fragmentation, placement=session.placement)
+        expected = [solo.execute(query).answer_ids for query in queries]
+
+        async def scenario():
+            pre = session.version
+            async with session.writer_lock():
+                write = asyncio.ensure_future(
+                    host.apply_update("alpha", EditText(target.node_id, "later"))
+                )
+                results = await asyncio.wait_for(
+                    asyncio.gather(*(host.submit("alpha", q) for q in queries)),
+                    timeout=5.0,
+                )
+                assert not write.done()  # queued behind the held lock
+            await asyncio.wait_for(write, timeout=5.0)
+            assert session.version != pre
+            assert [r.stats.evaluated_version for r in results] == [pre, pre]
+            assert [r.answer_ids for r in results] == expected
 
         asyncio.run(scenario())
 
 
-class TestSharedScheduler:
-    def test_write_parked_readers_do_not_eat_the_pending_budget(self):
-        # Regression: readers parked behind one tenant's writer used to
-        # count toward the shared max_pending budget, tripping
-        # AdmissionError for healthy tenants with idle capacity.
-        host = ServiceHost(
-            max_in_flight=2,
-            max_pending=0,
-            coalesce=False,
-            snapshots=SnapshotPolicy(enabled=False),  # gate-mode accounting
-        )
+class TestColumnarEnginesOnly:
+    def test_reference_engine_host_is_refused(self):
+        with pytest.raises(ValueError, match="DistributedQueryEngine"):
+            ServiceHost(engine="reference")
+        with use_fragment_engine("reference"):
+            with pytest.raises(ValueError, match="DistributedQueryEngine"):
+                ServiceHost()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"algorithm": "pax3"},
+            {"algorithm": "parbox"},
+            {"algorithm": "naive"},
+            {"algorithm": "pax2", "engine": "reference"},
+        ],
+        ids=["pax3", "parbox", "naive", "pax2-reference"],
+    )
+    def test_as_service_refuses_non_pax2_engines(self, kwargs):
+        engine = DistributedQueryEngine(clientele_fragmentation(), **kwargs)
+        with pytest.raises(ValueError, match="DistributedQueryEngine"):
+            engine.as_service()
+        # the sync engine itself keeps serving that configuration (a Boolean
+        # query, which ParBoX accepts too)
+        assert engine.execute(".[//client/name]").answer_ids
+
+    def test_engine_is_resolved_once_at_construction(self):
+        with use_fragment_engine(KERNEL):
+            host = ServiceHost()
         host.register("alpha", clientele_fragmentation())
-        host.register("beta", clientele_fragmentation())
+        with use_fragment_engine("reference"):
+            # a later process default does not reach the built host
+            assert host.execute("alpha", "client/name").answer_ids
+        assert host.engine == KERNEL
+        assert "engine=kernel" in host.summary()
 
-        async def scenario():
-            gate = host.session("alpha").gate
-            async with gate.write_locked():
-                parked = [
-                    asyncio.ensure_future(host.submit("alpha", "client/name"))
-                    for _ in range(4)
-                ]
-                await asyncio.sleep(0)
-                # beta has the whole host to itself and must be admitted
-                result = await asyncio.wait_for(
-                    host.submit("beta", "client/name"), timeout=5.0
-                )
-                assert result.answer_ids
-            # Once alpha's writer releases, its readers un-park together and
-            # the overload policy applies to THEM (max_pending=0 admits two,
-            # rejects the rest) — but never to the other tenant above.
-            outcomes = await asyncio.gather(*parked, return_exceptions=True)
-            served = [r for r in outcomes if not isinstance(r, BaseException)]
-            rejected = [r for r in outcomes if isinstance(r, AdmissionError)]
-            assert len(served) + len(rejected) == len(parked)
-            assert served  # the write never strands alpha's readers entirely
 
-        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
-
+class TestSharedScheduler:
     def test_admission_is_shared_across_documents(self, twin_host):
         host = ServiceHost(max_in_flight=1, max_pending=0, coalesce=False)
         host.register("alpha", clientele_fragmentation())
@@ -408,14 +520,14 @@ class TestSharedScheduler:
 class TestSingleDocumentFacade:
     def test_service_engine_is_a_one_document_host(self):
         service = ServiceEngine(clientele_fragmentation(), max_in_flight=4)
-        assert service.documents() == [DEFAULT_DOCUMENT]
+        assert service.host.documents() == [DEFAULT_DOCUMENT]
         assert service.document == DEFAULT_DOCUMENT
-        assert service.host is service
+        assert service.host.session(DEFAULT_DOCUMENT) is service.session
         # both call shapes reach the same session
         facade = service.execute("client/name").answer_ids
-        routed = service.host.session(DEFAULT_DOCUMENT)
-        assert routed.version == service.version
-        assert facade
+        routed = service.host.execute(DEFAULT_DOCUMENT, "client/name").answer_ids
+        assert facade and facade == routed
+        assert service.host.cache.stats.hits == 1
 
     def test_engine_register_with_joins_a_host(self):
         engine = DistributedQueryEngine(clientele_fragmentation())

@@ -155,8 +155,8 @@ class TestParity:
         assert result.stats.communication_units == baseline.stats.communication_units
         assert result.stats.message_count == baseline.stats.message_count
         assert result.stats.local_units == baseline.stats.local_units
-        assert armored.resilience.stats.retries == 0
-        assert armored.resilience.stats.degraded_answers == 0
+        assert armored.host.resilience.stats.retries == 0
+        assert armored.host.resilience.stats.degraded_answers == 0
 
     def test_disabled_injector_is_bit_identical(self):
         plain = ServiceEngine(clientele_fragmentation())
@@ -197,8 +197,8 @@ class TestRetryAccounting:
         result = engine.execute(QUERY)
         assert not result.is_partial
         assert result.answer_ids == baseline.answer_ids
-        assert engine.resilience.stats.retries >= 1
-        assert engine.resilience.stats.retries_by_site.get("S1", 0) >= 1
+        assert engine.host.resilience.stats.retries >= 1
+        assert engine.host.resilience.stats.retries_by_site.get("S1", 0) >= 1
         assert injector.stats.blackout_drops >= 1
         # Exactly-once accounting: the failed attempt's staged messages and
         # site counters rolled back, so the differential is zero.
@@ -257,14 +257,14 @@ class TestDegradation:
         # Soundness: every returned answer is in the complete answer.
         assert set(result.answer_ids) <= set(baseline.answer_ids)
         assert len(result.answer_ids) < len(baseline.answer_ids)
-        assert engine.resilience.stats.degraded_answers == 1
-        assert engine.metrics.total_degraded == 1
+        assert engine.host.resilience.stats.degraded_answers == 1
+        assert engine.host.metrics.total_degraded == 1
 
     def test_partial_answers_are_never_cached(self):
         engine, injector = self.downed_engine()
         first = engine.execute("//name")
         assert first.is_partial
-        assert len(engine.cache) == 0
+        assert len(engine.host.cache) == 0
         # The fault clears; the same query must re-evaluate and come back
         # complete — a cached partial would have been served as truth.
         injector.enabled = False
@@ -272,20 +272,20 @@ class TestDegradation:
         second = engine.execute("//name")
         assert not second.is_partial
         assert set(first.answer_ids) < set(second.answer_ids)
-        assert engine.metrics.total_evaluated == 2
+        assert engine.host.metrics.total_evaluated == 2
 
     def test_breaker_trips_and_recovers(self):
         engine, injector = self.downed_engine()
         engine.execute(QUERY)
-        breaker = engine.resilience.breaker("S1")
-        assert engine.resilience.stats.breaker_trips >= 1
+        breaker = engine.host.resilience.breaker("S1")
+        assert engine.host.resilience.stats.breaker_trips >= 1
         assert breaker.state == "open"
         injector.enabled = False
         time.sleep(0.03)  # past breaker_reset_seconds: probe allowed
         result = engine.execute(QUERY)
         assert not result.is_partial
         assert breaker.state == "closed"
-        assert engine.resilience.stats.breaker_probes >= 1
+        assert engine.host.resilience.stats.breaker_probes >= 1
 
     def test_summary_surfaces_resilience_and_fault_lines(self):
         engine, _ = self.downed_engine()
@@ -320,13 +320,13 @@ class TestShedding:
 
         result = self.run(scenario())
         assert not result.is_partial  # the victim of the queue, not the shed
-        assert engine.metrics.total_shed == 1
-        assert engine.metrics.shed_by_stage == {"admission": 1}
-        assert engine.resilience.stats.shed_requests == 1
+        assert engine.host.metrics.total_shed == 1
+        assert engine.host.metrics.shed_by_stage == {"admission": 1}
+        assert engine.host.resilience.stats.shed_requests == 1
         # A shed is never a latency sample: only the slow query was recorded.
-        assert engine.metrics.total_requests == 1
+        assert engine.host.metrics.total_requests == 1
         # The pending slot was released with the shed.
-        assert engine._pending_evaluations == 0
+        assert engine.host._pending_evaluations == 0
 
     def test_shed_request_releases_its_pending_slot(self):
         engine = ServiceEngine(
@@ -349,8 +349,8 @@ class TestShedding:
             return await slow, result
 
         self.run(scenario())
-        assert engine.metrics.total_shed == 1
-        assert engine.metrics.total_requests == 2
+        assert engine.host.metrics.total_shed == 1
+        assert engine.host.metrics.total_requests == 2
 
     def test_deadline_expired_awaiting_coalesced_leader_sheds(self):
         engine = ServiceEngine(
@@ -367,15 +367,15 @@ class TestShedding:
 
         result = self.run(scenario())
         assert not result.is_partial  # the leader is unaffected by the shed
-        assert engine.metrics.shed_by_stage == {"coalesced": 1}
-        assert engine.metrics.total_requests == 1
+        assert engine.host.metrics.shed_by_stage == {"coalesced": 1}
+        assert engine.host.metrics.total_requests == 1
 
     def test_generous_deadline_serves_normally(self):
         engine = ServiceEngine(clientele_fragmentation())
         baseline = engine.execute(QUERY)
         result = engine.execute("//client/account", deadline=5.0)
         assert not result.is_partial
-        assert engine.metrics.total_shed == 0
+        assert engine.host.metrics.total_shed == 0
         assert baseline.answer_ids  # both served
 
     def test_default_deadline_from_policy(self):
@@ -385,7 +385,7 @@ class TestShedding:
         )
         result = engine.execute(QUERY)
         assert not result.is_partial
-        assert engine.metrics.total_shed == 0
+        assert engine.host.metrics.total_shed == 0
 
 
 class TestAdmissionPressure:
@@ -407,7 +407,7 @@ class TestAdmissionPressure:
 
         asyncio.run(scenario())
         # An AdmissionError is an explicit rejection, not a shed.
-        assert engine.metrics.total_shed == 0
+        assert engine.host.metrics.total_shed == 0
 
 
 class TestChaosSchedule:

@@ -5,7 +5,9 @@ import asyncio
 import pytest
 
 from repro.core.engine import DistributedQueryEngine
+from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.pax2 import run_pax2
+from repro.core.vector import numpy_available
 from repro.distributed.async_transport import LatencyModel
 from repro.service.server import AdmissionError, ServiceConfig, ServiceEngine
 from repro.workloads.queries import (
@@ -29,21 +31,20 @@ def ft2():
     return build_ft2(total_bytes=60_000, seed=5)
 
 
+COLUMNAR_ENGINES = [
+    KERNEL,
+    pytest.param(VECTOR, marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy")),
+]
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("algorithm", ["pax2", "pax3", "naive"])
-    def test_answers_match_centralized(self, clientele, algorithm):
+    @pytest.mark.parametrize("engine", COLUMNAR_ENGINES)
+    def test_answers_match_centralized(self, clientele, engine):
         tree, fragmentation = clientele
-        service = ServiceEngine(fragmentation, algorithm=algorithm)
+        service = ServiceEngine(fragmentation, engine=engine)
         for query in ("client/name", CLIENTELE_QUERIES["brokers_goog"]):
             result = service.execute(query)
             assert result.answer_ids == evaluate_centralized(tree, query).answer_ids
-
-    def test_parbox_boolean_fallback(self, clientele):
-        tree, fragmentation = clientele
-        service = ServiceEngine(fragmentation)
-        assert service.execute(
-            CLIENTELE_QUERIES["boolean_goog"], algorithm="parbox"
-        ).answer_ids == [tree.root.node_id]
 
     def test_concurrent_batch_matches_sequential(self, ft2):
         engine = DistributedQueryEngine(ft2.fragmentation, placement=ft2.placement)
@@ -87,17 +88,6 @@ class TestCorrectness:
         query = CLIENTELE_QUERIES["brokers_goog"]
         assert service.execute(query).answer_ids == evaluate_centralized(tree, query).answer_ids
 
-    def test_latency_charged_on_fallback_algorithms_too(self, clientele):
-        import time
-
-        _, fragmentation = clientele
-        service = ServiceEngine(
-            fragmentation, latency=LatencyModel(base_seconds=0.005), cache_capacity=0
-        )
-        started = time.perf_counter()
-        service.execute("client/broker/name", algorithm="pax3")  # crosses sites
-        assert time.perf_counter() - started >= 0.005
-
 
 class TestCachingAndCoalescing:
     def test_repeat_query_hits_cache(self, clientele):
@@ -106,46 +96,46 @@ class TestCachingAndCoalescing:
         first = service.execute("client/name")
         second = service.execute("client/name")
         assert first.answer_ids == second.answer_ids
-        assert service.cache.stats.hits == 1
-        assert service.metrics.total_evaluated == 1
-        assert service.metrics.total_cache_hits == 1
+        assert service.host.cache.stats.hits == 1
+        assert service.host.metrics.total_evaluated == 1
+        assert service.host.metrics.total_cache_hits == 1
 
     def test_equivalent_query_text_hits_cache(self, clientele):
         _, fragmentation = clientele
         service = ServiceEngine(fragmentation)
         service.execute("client/./name")
         service.execute("client/name")
-        assert service.cache.stats.hits == 1
+        assert service.host.cache.stats.hits == 1
 
     def test_identical_inflight_queries_coalesce(self, ft2):
         service = ServiceEngine(ft2.fragmentation, placement=ft2.placement)
         queries = [PAPER_QUERIES["Q1"]] * 20
         service.serve_batch(queries, concurrency=20)
-        assert service.metrics.total_evaluated == 1
-        assert service.metrics.total_coalesced == 19
+        assert service.host.metrics.total_evaluated == 1
+        assert service.host.metrics.total_coalesced == 19
 
     def test_cache_disabled(self, clientele):
         _, fragmentation = clientele
         service = ServiceEngine(fragmentation, cache_capacity=0)
-        assert service.cache is None
+        assert service.host.cache is None
         service.execute("client/name")
         service.execute("client/name")
-        assert service.metrics.total_evaluated == 2
-        assert service.invalidate_cache() == 0
+        assert service.host.metrics.total_evaluated == 2
+        assert service.host.invalidate_cache() == 0
 
     def test_invalidate_forces_reevaluation(self, clientele):
         _, fragmentation = clientele
         service = ServiceEngine(fragmentation)
         service.execute("client/name")
-        assert service.invalidate_cache() == 1
+        assert service.host.invalidate_cache() == 1
         service.execute("client/name")
-        assert service.metrics.total_evaluated == 2
+        assert service.host.metrics.total_evaluated == 2
 
     def test_refresh_version_retires_old_entries(self, clientele):
         _, fragmentation = clientele
         service = ServiceEngine(fragmentation)
         service.execute("client/name")
-        old_version = service.version
+        old_version = service.session.version
         # Simulate an in-place document update the fingerprint cannot see.
         for node in fragmentation.tree.root.iter_subtree():
             if not node.is_element:
@@ -153,16 +143,9 @@ class TestCachingAndCoalescing:
                 break
         assert service.refresh_version() != old_version
         # The old-version entry is dropped, not just unreachable in the LRU.
-        assert len(service.cache) == 0
+        assert len(service.host.cache) == 0
         service.execute("client/name")
-        assert service.metrics.total_evaluated == 2
-
-    def test_algorithms_cached_separately(self, clientele):
-        _, fragmentation = clientele
-        service = ServiceEngine(fragmentation)
-        service.execute("client/name", algorithm="pax2")
-        service.execute("client/name", algorithm="pax3")
-        assert service.metrics.total_evaluated == 2
+        assert service.host.metrics.total_evaluated == 2
 
 
 class TestAdmissionAndScheduling:
@@ -199,8 +182,8 @@ class TestAdmissionAndScheduling:
         )
         queries = list(PAPER_QUERIES.values()) * 4
         service.serve_batch(queries, concurrency=len(queries))
-        assert service.actors.peak_in_flight() <= 2
-        assert service.actors.total_requests() > 0
+        assert service.host.actors.peak_in_flight() <= 2
+        assert service.host.actors.total_requests() > 0
 
     def test_blocking_api_rejected_inside_loop(self, clientele):
         _, fragmentation = clientele
@@ -229,16 +212,8 @@ class TestConfiguration:
         service = ServiceEngine(
             fragmentation, config=ServiceConfig(max_in_flight=3), site_parallelism=7
         )
-        assert service.config.max_in_flight == 3
-        assert service.config.site_parallelism == 7
-
-    def test_invalid_algorithm_rejected(self, clientele):
-        _, fragmentation = clientele
-        with pytest.raises(ValueError):
-            ServiceEngine(fragmentation, algorithm="magic")
-        service = ServiceEngine(fragmentation)
-        with pytest.raises(ValueError):
-            service.execute("client/name", algorithm="magic")
+        assert service.host.config.max_in_flight == 3
+        assert service.host.config.site_parallelism == 7
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -246,29 +221,55 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             ServiceConfig(max_pending=-1)
 
+    @pytest.mark.parametrize(
+        "name, value", [("site_parallelism", 0), ("cache_capacity", -5)]
+    )
+    def test_bad_sizes_rejected_at_construction(self, clientele, name, value):
+        # Once site_parallelism=0 failed only inside the first register(),
+        # and cache_capacity=-5 silently turned the cache off.
+        with pytest.raises(ValueError, match=name):
+            ServiceConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            ServiceEngine(clientele[1], **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("site_parallelism", 1), ("cache_capacity", 0)]
+    )
+    def test_smallest_sizes_accepted(self, clientele, name, value):
+        tree, fragmentation = clientele
+        service = ServiceEngine(fragmentation, coalesce=False, **{name: value})
+        assert getattr(service.host.config, name) == value
+        queries = ["client/name", CLIENTELE_QUERIES["brokers_goog"]] * 3
+        expected = [evaluate_centralized(tree, q).answer_ids for q in queries]
+        results = service.serve_batch(queries, concurrency=len(queries))
+        assert [result.answer_ids for result in results] == expected
+        if name == "site_parallelism":
+            assert service.host.actors.peak_in_flight() == 1
+        else:
+            assert service.host.cache is None
+            assert service.host.metrics.total_evaluated == len(queries)
+
     def test_as_service_inherits_engine_defaults(self, clientele):
         _, fragmentation = clientele
         engine = DistributedQueryEngine(
-            fragmentation, algorithm="pax3", use_annotations=False
+            fragmentation, use_annotations=False, engine=VECTOR if numpy_available() else KERNEL
         )
         service = engine.as_service()
-        assert service.config.algorithm == "pax3"
-        assert service.config.use_annotations is False
-        assert service.placement == engine.placement
+        assert service.host.config.use_annotations is False
+        assert service.host.engine == engine.engine
+        assert service.session.placement == engine.placement
 
     def test_as_service_explicit_config_wins_over_engine_defaults(self, clientele):
         _, fragmentation = clientele
-        engine = DistributedQueryEngine(fragmentation, algorithm="pax2")
-        service = engine.as_service(
-            config=ServiceConfig(algorithm="pax3", use_annotations=False)
-        )
-        assert service.config.algorithm == "pax3"
-        assert service.config.use_annotations is False
+        engine = DistributedQueryEngine(fragmentation, use_annotations=True)
+        service = engine.as_service(config=ServiceConfig(use_annotations=False))
+        assert service.host.config.use_annotations is False
 
     def test_summary_renders(self, clientele):
         _, fragmentation = clientele
         service = ServiceEngine(fragmentation)
         service.execute("client/name")
-        text = service.summary()
+        text = service.host.summary()
         assert "throughput" in text and "cache" in text and "actor pool" in text
-        assert "ServiceEngine" in repr(service)
+        assert "weighted-fair" in text and "fifo" not in text
+        assert "ServiceHost" in repr(service.host)

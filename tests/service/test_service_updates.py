@@ -1,4 +1,4 @@
-"""ServiceEngine.apply_update: exclusive writes, incremental cache retirement."""
+"""ServiceEngine.apply_update: serialized writes, incremental cache retirement."""
 
 import asyncio
 
@@ -31,17 +31,18 @@ def first_text_in(fragmentation, fragment_id):
 class TestApplyUpdate:
     def test_update_rolls_the_version_forward(self, clientele_service):
         service = clientele_service
-        old_version = service.version
-        target = first_text_in(service.fragmentation, service.fragmentation.fragment_ids()[0])
+        old_version = service.session.version
+        fragmentation = service.session.fragmentation
+        target = first_text_in(fragmentation, fragmentation.fragment_ids()[0])
         result = service.update(EditText(target.node_id, "rolled"))
         assert result.kind == "edit"
-        assert service.version != old_version
+        assert service.session.version != old_version
 
     def test_answers_reflect_updates_immediately(self, clientele_service):
         service = clientele_service
         query = 'client[country/text() = "us"]/name'
         assert service.execute(query).answer_ids
-        for node in list(service.fragmentation.tree.iter_elements()):
+        for node in list(service.session.fragmentation.tree.iter_elements()):
             if node.tag == "country" and node.text().strip().lower() == "us":
                 text_child = next(c for c in node.children if c.is_text)
                 service.update(EditText(text_child.node_id, "uk"))
@@ -58,7 +59,7 @@ class TestApplyUpdate:
         queries = [PAPER_QUERIES["Q1"], PAPER_QUERIES["Q2"], PAPER_QUERIES["Q3"]]
         for query in queries:
             service.execute(query)
-        assert len(service.cache) == len(queries)
+        assert len(service.host.cache) == len(queries)
 
         # a fragment no paper query depends on: rooted at a regions subtree
         regions_fragment = next(
@@ -69,63 +70,19 @@ class TestApplyUpdate:
         target = first_text_in(fragmentation, regions_fragment)
         service.update(EditText(target.node_id, "untouched-dependencies"))
 
-        hits_before = service.cache.stats.hits
+        hits_before = service.host.cache.stats.hits
         for query in queries:
             service.execute(query)
-        assert service.cache.stats.hits == hits_before + len(queries)
-        assert service.cache.stats.rekeyed == len(queries)
+        assert service.host.cache.stats.hits == hits_before + len(queries)
+        assert service.host.cache.stats.rekeyed == len(queries)
 
         # …and a write into a fragment the queries DO depend on drops them.
         people_fragment = service.execute(queries[0]).stats.fragments_evaluated[-1]
         target = first_text_in(fragmentation, people_fragment)
         service.update(EditText(target.node_id, "dependent"))
-        evaluated_before = service.metrics.total_evaluated
+        evaluated_before = service.host.metrics.total_evaluated
         service.execute(queries[0])
-        assert service.metrics.total_evaluated == evaluated_before + 1
-
-    def test_pax3_entries_never_survive_a_write(self):
-        # PaX3's qualifier stage reads every fragment even when the selection
-        # stages prune, so its cached accounting depends on the whole
-        # document — update_dependencies must be conservative for it.
-        from repro.core.pax3 import run_pax3
-        from repro.service.cache import update_dependencies
-
-        scenario = build_ft2(total_bytes=25_000, seed=5)
-        fragmentation = scenario.fragmentation
-        stats = run_pax3(
-            fragmentation,
-            PAPER_QUERIES["Q3"],
-            placement=scenario.placement,
-            use_annotations=True,
-        )
-        assert set(stats.fragments_evaluated) < set(fragmentation.fragment_ids())
-        assert update_dependencies(fragmentation, stats) == frozenset(
-            fragmentation.fragment_ids()
-        )
-
-        # end to end: a write into a selection-pruned fragment still forces
-        # a PaX3 re-evaluation, and the served accounting matches fresh.
-        service = ServiceEngine(
-            fragmentation, placement=scenario.placement, max_in_flight=4
-        )
-        service.execute(PAPER_QUERIES["Q3"], algorithm="pax3")
-        pruned_fragment = next(
-            fid
-            for fid in fragmentation.fragment_ids()
-            if fid not in stats.fragments_evaluated
-        )
-        target = first_text_in(fragmentation, pruned_fragment)
-        service.update(EditText(target.node_id, "qualifier-visible"))
-        served = service.execute(PAPER_QUERIES["Q3"], algorithm="pax3").stats
-        fresh = run_pax3(
-            fragmentation,
-            PAPER_QUERIES["Q3"],
-            placement=scenario.placement,
-            use_annotations=True,
-        )
-        assert served.answer_ids == fresh.answer_ids
-        assert served.communication_units == fresh.communication_units
-        assert served.message_count == fresh.message_count
+        assert service.host.metrics.total_evaluated == evaluated_before + 1
 
     def test_rekeyed_entries_stay_exact(self):
         # Cached-after-rekey answers must equal a fresh evaluation.
@@ -170,7 +127,7 @@ class TestApplyUpdate:
 
         results = asyncio.run(asyncio.wait_for(storm(), timeout=10.0))
         assert len(results) == 10
-        assert service.metrics.total_updates == len(texts)
+        assert service.host.metrics.total_updates == len(texts)
 
     def test_query_admitted_after_a_write_caches_under_the_new_version(self):
         # Regression: a query that computed its cache key, then waited for
@@ -196,16 +153,17 @@ class TestApplyUpdate:
 
         asyncio.run(asyncio.wait_for(interleave(), timeout=10.0))
         # q2's answer must be a *servable* entry: same query again is a hit.
-        evaluated_before = service.metrics.total_evaluated
+        evaluated_before = service.host.metrics.total_evaluated
         service.execute('client[country/text() = "us"]/name')
-        assert service.metrics.total_evaluated == evaluated_before
+        assert service.host.metrics.total_evaluated == evaluated_before
         # and nothing is stranded under a superseded tag
-        for key in service.cache._entries:
-            assert key[-1] == service.version
+        for key in service.host.cache._entries:
+            assert key[-1] == service.session.version
 
     def test_updates_are_admission_exclusive(self, clientele_service):
         service = clientele_service
-        target = first_text_in(service.fragmentation, service.fragmentation.fragment_ids()[0])
+        fragmentation = service.session.fragmentation
+        target = first_text_in(fragmentation, fragmentation.fragment_ids()[0])
 
         async def mixed():
             reads = [service.submit("client/name") for _ in range(6)]
@@ -221,7 +179,7 @@ class TestApplyUpdate:
     def test_insert_served_through_the_service(self, clientele_service):
         service = clientele_service
         before = len(service.execute("client/name").answer_ids)
-        root = service.fragmentation.tree.root
+        root = service.session.fragmentation.tree.root
         service.update(
             InsertSubtree(root.node_id, element("client", element("name", "Zoe")))
         )
@@ -229,12 +187,13 @@ class TestApplyUpdate:
 
     def test_update_metrics_recorded(self, clientele_service):
         service = clientele_service
-        target = first_text_in(service.fragmentation, service.fragmentation.fragment_ids()[0])
+        fragmentation = service.session.fragmentation
+        target = first_text_in(fragmentation, fragmentation.fragment_ids()[0])
         service.update(EditText(target.node_id, "metered"))
-        metrics = service.metrics
+        metrics = service.host.metrics
         assert metrics.total_updates == 1
         assert metrics.updates_by_kind == {"edit": 1}
-        assert metrics.update_records[0].fragment_id in service.fragmentation.fragments
+        assert metrics.update_records[0].fragment_id in fragmentation.fragments
         assert "updates" in metrics.summary()
         assert metrics.to_dict()["updates"]["applied"] == 1
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.common import account_answers, answer_subtree_nodes
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL, VECTOR, fragment_engine
+from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.vector import numpy_available
 from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
 from repro.service.cache import version_tag
@@ -25,12 +25,6 @@ from repro.workloads.queries import (
     clientele_example_tree,
     clientele_paper_fragmentation,
 )
-
-columnar_only = pytest.mark.skipif(
-    fragment_engine() not in (KERNEL, VECTOR),
-    reason="snapshot reads only run on the columnar engines (kernel, vector)",
-)
-
 
 def clientele_fragmentation():
     return clientele_paper_fragmentation(clientele_example_tree())
@@ -162,7 +156,6 @@ class TestSnapshotManager:
         run(scenario())
 
 
-@columnar_only
 class TestHostSnapshotReads:
     def host(self, **overrides):
         host = ServiceHost(
@@ -251,15 +244,22 @@ class TestHostSnapshotReads:
         assert stats.snapshots_reclaimed >= 1
         assert host.session("alpha").snapshots.retained == 0
 
-    def test_gated_mode_never_pins(self):
-        host = self.host(snapshots=SnapshotPolicy(enabled=False))
+    def test_cache_hits_and_coalesced_joins_pin_nothing(self):
+        # Only an evaluation pins: a request served from an in-flight leader
+        # or from the result cache reads no fragment and holds no version.
+        host = ServiceHost(max_in_flight=4)
+        host.register("alpha", clientele_fragmentation())
 
         async def scenario():
-            result = await host.submit("alpha", "client/name")
-            assert result.answer_ids
+            await asyncio.gather(*(host.submit("alpha", "client/name") for _ in range(3)))
+            await host.submit("alpha", "client/name")
 
         run(scenario())
-        assert host.session("alpha").snapshots.stats.pins == 0
+        assert host.metrics.total_coalesced == 2
+        assert host.metrics.total_cache_hits == 1
+        stats = host.session("alpha").snapshots.stats
+        assert stats.pins == 1
+        assert host.session("alpha").snapshots.retained == 0
 
 
 class Role(NamedTuple):

@@ -185,6 +185,63 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             main(["serve", "--queries", str(queries)])
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--site-parallelism", "0"), ("--cache-capacity", "-5")]
+    )
+    def test_serve_rejects_out_of_range_sizes_with_usage(
+        self, catalog_path, tmp_path, capsys, flag, value
+    ):
+        # Once --site-parallelism 0 exited 1 with a traceback and
+        # --cache-capacity -5 silently served without a cache.
+        queries = tmp_path / "queries.txt"
+        queries.write_text("//book/title\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", catalog_path, "--queries", str(queries), flag, value])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err and "Traceback" not in err
+
+    def test_serve_runs_at_the_smallest_sizes(self, catalog_path, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("//book/title\n", encoding="utf-8")
+        code = main([
+            "serve", catalog_path, "--queries", str(queries), "--fragment-size", "4",
+            "--site-parallelism", "1", "--cache-capacity", "0", "--repeat", "2",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "requests         : 2" in out
+        assert "cache: " not in out  # capacity 0 serves without a cache
+
+    def test_serve_engine_choices_exclude_reference(self, catalog_path, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("//book/title\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", catalog_path, "--queries", str(queries), "--engine", "reference"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--engine" in err
+
+    def test_serve_refuses_a_reference_default_engine_without_traceback(
+        self, catalog_path, tmp_path, capsys
+    ):
+        from repro.core.kernel.dispatch import use_fragment_engine
+
+        queries = tmp_path / "queries.txt"
+        queries.write_text("//book/title\n", encoding="utf-8")
+        with use_fragment_engine("reference"):
+            code = main(["serve", catalog_path, "--queries", str(queries)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ") and "reference" in captured.err
+        assert "Traceback" not in captured.err
+        assert "requests" not in captured.out  # nothing was submitted
+        # --engine overrides the process default
+        with use_fragment_engine("reference"):
+            assert main([
+                "serve", catalog_path, "--queries", str(queries), "--engine", "kernel",
+            ]) == 0
+
 
 class TestUnreadableDocuments:
     """Bad input ends in one line on stderr and exit code 2, never a traceback."""
