@@ -35,10 +35,9 @@ from repro.core.common import (
     stage_timer,
 )
 from repro.core.kernel.dispatch import combined_pass_batch, prewarm_fragments
-from repro.core.pax2 import _output_units, _retrieve_answers, _unify_outputs
-from repro.core.pruning import relevant_fragments, stage1_init_vector
+from repro.core.pax2 import _output_units, _retrieve_answers, _unify_outputs, pax2_schedule
 from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network
+from repro.distributed.network import Network, SiteIndex
 from repro.distributed.placement import one_site_per_fragment
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
@@ -94,7 +93,8 @@ def run_pax2_batch(
 
     if placement is None:
         placement = one_site_per_fragment(fragmentation)
-    networks = [Network(fragmentation, placement) for _ in plans]
+    sites = SiteIndex(fragmentation, placement)
+    networks = [Network(fragmentation, placement, sites) for _ in plans]
     coordinator_id = networks[0].coordinator_id
     root_fragment_id = fragmentation.root_fragment_id
 
@@ -104,24 +104,16 @@ def run_pax2_batch(
     ]
 
     # ---------------------------------------------------------------- pruning
-    slot_evaluated: List[List[str]] = []
-    slot_pruned: List[List[str]] = []
-    for plan in slot_plans:
-        if use_annotations:
-            decision = relevant_fragments(fragmentation, plan)
-            slot_evaluated.append(
-                [fid for fid in fragmentation.fragment_ids() if decision.keeps(fid)]
-            )
-            slot_pruned.append(sorted(decision.pruned))
-        else:
-            slot_evaluated.append(fragmentation.fragment_ids())
-            slot_pruned.append([])
+    schedules = [
+        pax2_schedule(fragmentation, plan, use_annotations, sites)
+        for plan in slot_plans
+    ]
+    slot_evaluated = [schedule.evaluated for schedule in schedules]
     slot_eval_set = [set(evaluated) for evaluated in slot_evaluated]
     for index in range(n_queries):
-        slot = slot_of[index]
-        if use_annotations:
-            stats_list[index].fragments_pruned = list(slot_pruned[slot])
-        stats_list[index].fragments_evaluated = list(slot_evaluated[slot])
+        schedule = schedules[slot_of[index]]
+        stats_list[index].fragments_pruned = list(schedule.pruned)
+        stats_list[index].fragments_evaluated = list(schedule.evaluated)
 
     # per query: (fragment id, answer ids it produced): the answers and their accounting
     answered: List[List[Tuple[str, List[int]]]] = [[] for _ in plans]
@@ -180,13 +172,7 @@ def run_pax2_batch(
                     fragmentation,
                     fragment_id,
                     [slot_plans[slot] for slot in wave_slots],
-                    [
-                        stage1_init_vector(
-                            fragmentation, slot_plans[slot], fragment_id,
-                            use_annotations,
-                        )
-                        for slot in wave_slots
-                    ],
+                    [schedules[slot].init_vectors[fragment_id] for slot in wave_slots],
                     is_root_fragment=(fragment_id == root_fragment_id),
                     engine=engine,
                 )

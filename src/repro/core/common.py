@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import gc
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import add
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.distributed.network import Network
@@ -97,22 +102,33 @@ def account_answers(
     returns a fragment's flat encoding — the live one, or a pinned
     snapshot's.  An answer's subtree is its ``subtree_size`` within its own
     span plus the whole span, sub-fragments included, of every fragment
-    hanging below it; those span totals are computed once per call.  No
-    object-tree node is touched, so the count is exact at the version the
-    flats encode.
+    hanging below it.  Per fragment, the span totals below its virtual rows
+    are summed once into prefix sums over ``virtual_indices``; an answer's
+    share is then the difference of two prefix entries found by bisection,
+    and all answers of a fragment are counted with C-level ``map`` calls, no
+    per-answer Python loop.  No object-tree node is touched, so the count
+    is exact at the version the flats encode.
     """
     span_totals: Dict[str, int] = {}
+    below_prefix: Dict[str, List[int]] = {}
+
+    def prefix_below(fragment_id: str, flat: FlatFragment) -> List[int]:
+        """``prefix[k]``: span totals hanging below the first *k* virtual rows."""
+        prefix = below_prefix.get(fragment_id)
+        if prefix is None:
+            prefix = [0]
+            for index in flat.virtual_indices:
+                prefix.append(
+                    prefix[-1] + sum(map(span_total, flat.virtual_at[index]))
+                )
+            below_prefix[fragment_id] = prefix
+        return prefix
 
     def span_total(fragment_id: str) -> int:
         total = span_totals.get(fragment_id)
         if total is None:
             flat = flat_of(fragment_id)
-            total = flat.n + sum(
-                span_total(sub_id)
-                for index in flat.virtual_indices
-                for sub_id in flat.virtual_at[index]
-            )
-            span_totals[fragment_id] = total
+            total = span_totals[fragment_id] = flat.n + prefix_below(fragment_id, flat)[-1]
         return total
 
     total = 0
@@ -126,13 +142,14 @@ def account_answers(
             raise AnswerAccountingError(
                 f"answer {missing} is not a node of fragment {fragment_id}"
             )
-        sizes = flat.subtree_size
-        total += sum(map(sizes.__getitem__, rows))
-        if flat.virtual_indices:
-            for row in rows:
-                for index in flat.virtuals_in(row, row + sizes[row]):
-                    for sub_id in flat.virtual_at[index]:
-                        total += span_total(sub_id)
+        sizes = list(map(flat.subtree_size.__getitem__, rows))
+        total += sum(sizes)
+        indices = flat.virtual_indices
+        if indices:
+            # virtual rows in [row, row + size): prefix[hi] - prefix[lo]
+            prefix = prefix_below(fragment_id, flat).__getitem__
+            total += sum(map(prefix, map(bisect_left, repeat(indices), map(add, rows, sizes))))
+            total -= sum(map(prefix, map(bisect_left, repeat(indices), rows)))
     return total
 
 

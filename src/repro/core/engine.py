@@ -45,6 +45,7 @@ from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
 from repro.core.pruning import relevant_fragments
 from repro.core.results import QueryResult
+from repro.distributed.network import Network, SiteIndex
 from repro.distributed.placement import one_site_per_fragment
 from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
@@ -107,6 +108,7 @@ class DistributedQueryEngine:
         self.algorithm = algorithm
         self.use_annotations = use_annotations
         self.engine = engine
+        self._sites = SiteIndex(fragmentation, self.placement)
 
     # -- queries -----------------------------------------------------------
 
@@ -135,7 +137,9 @@ class DistributedQueryEngine:
             kwargs["engine"] = self.engine
         if name not in _NO_ANNOTATION_ALGORITHMS:
             kwargs["use_annotations"] = annotations
-        return runner(self.fragmentation, query, placement=self.placement, **kwargs)
+        self._sites = self._sites.refreshed(self.fragmentation, self.placement)
+        network = Network(self.fragmentation, self.placement, self._sites)
+        return runner(self.fragmentation, query, network=network, **kwargs)
 
     def run_batch(
         self,

@@ -20,7 +20,8 @@ initialization is concrete so the second visit disappears.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, formula_size
@@ -44,12 +45,65 @@ from repro.core.unify import (
     unify_selection_vectors,
 )
 from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network
+from repro.distributed.network import Network, SiteIndex
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.xpath.plan import QueryPlan
 
-__all__ = ["run_pax2"]
+__all__ = ["Pax2Schedule", "pax2_schedule", "run_pax2"]
+
+
+@dataclass(frozen=True, eq=False)
+class Pax2Schedule:
+    """The request-invariant half of a PaX2 run: what the coordinator
+    decides from the plan and the fragment tree before any site works.
+
+    It reads the plan, the site index and the label paths down to the
+    fragment roots (paper Section 5), never fragment content, so it holds
+    across every write through :mod:`repro.updates` and changes only with
+    the fragment tree — when *sites* stops being current (see
+    :attr:`~repro.fragments.fragment_tree.Fragmentation.structure_version`).
+    """
+
+    #: the site index the stage-1 sites were read from
+    sites: SiteIndex
+    #: fragments stage 1 evaluates, in fragment-id order
+    evaluated: Tuple[str, ...]
+    #: fragments the annotations pruned, sorted (empty without annotations)
+    pruned: Tuple[str, ...]
+    #: (site id, the evaluated fragments it holds), by site id
+    stage1: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    #: fragment id -> the initialization vector its stage-1 pass starts from
+    init_vectors: Mapping[str, Tuple[FormulaLike, ...]]
+
+
+def pax2_schedule(
+    fragmentation: Fragmentation,
+    plan: QueryPlan,
+    use_annotations: bool,
+    sites: SiteIndex,
+) -> Pax2Schedule:
+    """Prune, group the evaluated fragments by site and build their init
+    vectors — the one schedule builder of the sync and the service runs."""
+    if use_annotations:
+        decision = relevant_fragments(fragmentation, plan)
+        evaluated = tuple(fid for fid in fragmentation.fragment_ids() if decision.keeps(fid))
+        pruned = tuple(sorted(decision.pruned))
+    else:
+        evaluated = tuple(fragmentation.fragment_ids())
+        pruned = ()
+    kept = set(evaluated)
+    stage1 = []
+    for site_id in sorted({sites.placement[fid] for fid in evaluated}):
+        held = sites.fragments_on[site_id]
+        stage1.append((site_id, tuple(fid for fid in held if fid in kept)))
+    # Qualifier-free annotated vectors repeat across fragments: share them.
+    distinct: Dict[Tuple[FormulaLike, ...], Tuple[FormulaLike, ...]] = {}
+    init_vectors = {}
+    for fid in evaluated:
+        vector = tuple(stage1_init_vector(fragmentation, plan, fid, use_annotations))
+        init_vectors[fid] = distinct.setdefault(vector, vector)
+    return Pax2Schedule(sites, evaluated, pruned, tuple(stage1), init_vectors)
 
 
 def _output_units(plan: QueryPlan, output: FragmentCombinedOutput) -> int:
@@ -167,29 +221,22 @@ def run_pax2(
     root_fragment_id = fragmentation.root_fragment_id
 
     stats = RunStats(algorithm="PaX2", query=plan.source, use_annotations=use_annotations)
-
-    if use_annotations:
-        decision = relevant_fragments(fragmentation, plan)
-        evaluated = [fid for fid in fragmentation.fragment_ids() if decision.keeps(fid)]
-        stats.fragments_pruned = sorted(decision.pruned)
-    else:
-        evaluated = fragmentation.fragment_ids()
-    stats.fragments_evaluated = list(evaluated)
-    evaluated_set = set(evaluated)
+    schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
+    stats.fragments_evaluated = list(schedule.evaluated)
+    stats.fragments_pruned = list(schedule.pruned)
 
     # (fragment id, answer ids it produced): the answers and their accounting
     answered: List[Tuple[str, List[int]]] = []
-    prewarm_fragments(fragmentation, evaluated, engine=engine)
+    prewarm_fragments(fragmentation, schedule.evaluated, engine=engine)
 
     # ------------------------------------------------------------------ stage 1
     stage1 = StageStats(name="combined")
-    stage1_sites = network.sites_holding(evaluated)
+    stage1_sites = [site_id for site_id, _ in schedule.stage1]
     outputs: Dict[str, FragmentCombinedOutput] = {}
     candidate_sites: Dict[str, List[str]] = {}
 
-    for site_id in stage1_sites:
+    for site_id, fragment_ids in schedule.stage1:
         site = network.sites[site_id]
-        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated_set]
         network.send(
             coordinator_id, site_id, MessageKind.EXEC_REQUEST,
             units=plan_units(plan) * len(fragment_ids),
@@ -199,14 +246,11 @@ def run_pax2(
         site_units = 0
         with site.visit("pax2:combined"):
             for fragment_id in fragment_ids:
-                init_vector: Sequence[FormulaLike] = stage1_init_vector(
-                    fragmentation, plan, fragment_id, use_annotations
-                )
                 output = combined_pass(
                     fragmentation,
                     fragment_id,
                     plan,
-                    init_vector,
+                    schedule.init_vectors[fragment_id],
                     is_root_fragment=(fragment_id == root_fragment_id),
                     engine=engine,
                 )

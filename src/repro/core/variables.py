@@ -1,6 +1,9 @@
 """Naming scheme of the Boolean variables introduced by partial evaluation.
 
-Three families of variables exist (see DESIGN.md, Section 6):
+Three families of variables exist; they are the unknowns of the paper's
+partial evaluation (Sections 3–4: PaX3's stages and PaX2's combined pass),
+and the README's *The columnar fragment kernel* describes the passes that
+introduce them:
 
 ``qh:<fragment>:<item>`` / ``qd:<fragment>:<item>``
     The unknown HEAD / DESC qualifier values of a sub-fragment's root,

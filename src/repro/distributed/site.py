@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterable, Iterator, List
 
 __all__ = ["Site"]
 
@@ -20,23 +20,19 @@ class Site:
     per-stage elapsed time are recorded in one place.
     """
 
-    def __init__(self, site_id: str):
+    def __init__(self, site_id: str, fragment_ids: Iterable[str] = ()):
         self.site_id = site_id
         #: ids of the fragments stored at this site
-        self.fragment_ids: List[str] = []
+        self.fragment_ids: List[str] = list(fragment_ids)
         #: algorithm scratch space surviving between visits, keyed by fragment id
-        self.storage: Dict[str, Dict[str, Any]] = {}
+        self.storage: Dict[str, Dict[str, Any]] = {
+            fragment_id: {} for fragment_id in self.fragment_ids
+        }
         self.visits = 0
         self.stage_seconds: Dict[str, float] = {}
         self.operations = 0
 
     # -- fragments -----------------------------------------------------------
-
-    def assign_fragment(self, fragment_id: str) -> None:
-        """Place a fragment on this site."""
-        if fragment_id not in self.fragment_ids:
-            self.fragment_ids.append(fragment_id)
-            self.storage[fragment_id] = {}
 
     def holds(self, fragment_id: str) -> bool:
         return fragment_id in self.fragment_ids

@@ -46,6 +46,14 @@ class Fragmentation:
         #: full-document fingerprint walks performed so far; tests assert the
         #: steady-state query path never increments this
         self.full_walks = 0
+        #: bumped whenever the fragment set, or a label on the path down to a
+        #: fragment root, may have changed: a new fragment, invalidate_flat(),
+        #: a refresh that found out-of-band edits.  Writes through
+        #: repro.updates never bump it (they cannot move a fragment root or
+        #: touch its ancestors), so what is derived from the fragment tree's
+        #: label paths — pruning, stage-1 init vectors, site indexes — is
+        #: valid for as long as this number stands.
+        self.structure_version = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -103,6 +111,8 @@ class Fragmentation:
             tag = self.content_fingerprint()
             if tag != self._content_version:
                 self._flat_cache.clear()
+                if self._content_version is not None:
+                    self.structure_version += 1
                 self._content_version = tag
         return self._content_version
 
@@ -164,6 +174,7 @@ class Fragmentation:
         """Drop the flat encodings and the cached content fingerprint."""
         self._flat_cache.clear()
         self._content_version = None
+        self.structure_version += 1
 
     # -- lookup ----------------------------------------------------------------
 

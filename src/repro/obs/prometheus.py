@@ -10,6 +10,7 @@ exposition format (version 0.0.4) a Prometheus scraper, ``curl`` or
 * ``repro_requests_total`` / ``…_evaluated`` / ``…_cache_hits`` /
   ``…_coalesced`` and per-document variants (label ``document``);
 * update counters by kind and document, plus node/invalidation totals;
+* prepared-query hits, misses and evictions per document;
 * result-cache counters host-wide and per document;
 * fused-scan batching counters per document;
 * per-site actor gauges (requests, busy/queued seconds, peak concurrency);
@@ -218,6 +219,11 @@ def render_prometheus(host: Any) -> str:
         lines.add("repro_document_shed_total", getattr(totals, "shed", 0),
                   labels=labels,
                   help_text="Requests shed, by document.")
+        for outcome, count in sorted(totals.prepared_dict().items()):
+            lines.add("repro_document_prepared_total", count,
+                      labels={"document": name, "outcome": outcome},
+                      help_text="Prepared-query lookups by document: hits, misses"
+                                " and raw texts evicted from the LRU.")
         for stage, count in sorted(getattr(totals, "shed_by_stage", {}).items()):
             lines.add("repro_document_shed_by_stage_total", count,
                       labels={"document": name, "stage": stage},

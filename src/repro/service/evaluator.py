@@ -16,7 +16,9 @@ Each query run gets its own :class:`~repro.distributed.network.Network`
 :class:`~repro.distributed.stats.RunStats` are exactly what the synchronous
 path would produce; the actor pool carries the cross-query machine-level
 counters instead.  The evaluator is document-agnostic: the fragmentation,
-placement and batcher all arrive per call, so one shared
+placement, batcher and the session's prepared PaX2 schedule
+(:class:`~repro.core.pax2.Pax2Schedule`: pruning, stage-1 sites, init
+vectors) all arrive per call, so one shared
 :class:`~repro.service.actors.ActorPool` serves every
 :class:`~repro.service.server.DocumentSession` of a multi-document host —
 rounds of different queries *and* different documents interleave on the
@@ -43,14 +45,18 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.booleans.formula import FormulaLike
 from repro.core.combined import FragmentCombinedOutput
 from repro.core.kernel.dispatch import combined_pass, fragment_engine
-from repro.core.pax2 import _answer_bindings, _output_units, _unify_outputs
+from repro.core.pax2 import (
+    Pax2Schedule,
+    _answer_bindings,
+    _output_units,
+    _unify_outputs,
+    pax2_schedule,
+)
 from repro.core.common import account_answers, plan_units, stage_site_times, stage_timer
-from repro.core.pruning import relevant_fragments, stage1_init_vector
 from repro.core.unify import resolve_candidates
 from repro.distributed.async_transport import AsyncTransport, LatencyModel, RoundBuffer
 from repro.distributed.faults import FaultInjector, TransportError
@@ -85,6 +91,7 @@ async def evaluate_query_async(
     batcher: Optional[FragmentWaveBatcher] = None,
     injector: Optional[FaultInjector] = None,
     resilience: Optional[ResilienceContext] = None,
+    schedule: Optional[Pax2Schedule] = None,
 ) -> RunStats:
     """Evaluate one query with PaX2 through the actor pool; return its RunStats.
 
@@ -101,10 +108,17 @@ async def evaluate_query_async(
     unchanged.  ``injector`` makes the wire unreliable; ``resilience`` adds
     the per-round retry/breaker/deadline machinery and graceful degradation
     to partial answers.  Without an injector and without resilience the
-    behaviour is bit-identical to the plain path.
+    behaviour is bit-identical to the plain path.  ``schedule`` is the
+    run's :class:`~repro.core.pax2.Pax2Schedule` (pruning, stage-1 sites,
+    init vectors) when the caller prepared it for this fragment tree,
+    plan and annotations setting; without one it is built here.
     """
     with trace_span("network:setup", stage="compile"):
-        network = Network(fragmentation, placement)
+        network = Network(
+            fragmentation, placement, schedule.sites if schedule is not None else None
+        )
+        if schedule is None:
+            schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
     transport = AsyncTransport(
         network,
         latency,
@@ -116,8 +130,8 @@ async def evaluate_query_async(
         hedge_counter=resilience.stats if resilience is not None else None,
     )
     return await _run_pax2_async(
-        fragmentation, plan, network, transport, actors, snapshot, use_annotations,
-        engine, batcher, resilience,
+        fragmentation, plan, schedule, network, transport, actors, snapshot,
+        use_annotations, engine, batcher, resilience,
     )
 
 
@@ -201,6 +215,7 @@ async def _resilient_round(
 async def _run_pax2_async(
     fragmentation: Fragmentation,
     plan: QueryPlan,
+    schedule: Pax2Schedule,
     network: Network,
     transport: AsyncTransport,
     actors: ActorPool,
@@ -219,24 +234,19 @@ async def _run_pax2_async(
     coordinator_id = network.coordinator_id
     root_fragment_id = fragmentation.root_fragment_id
     stats = RunStats(algorithm="PaX2", query=plan.source, use_annotations=use_annotations)
-
-    if use_annotations:
-        with trace_span("prune:annotations", stage="compile"):
-            decision = relevant_fragments(fragmentation, plan)
-            evaluated = [fid for fid in fragmentation.fragment_ids() if decision.keeps(fid)]
-            stats.fragments_pruned = sorted(decision.pruned)
-    else:
-        evaluated = fragmentation.fragment_ids()
-    stats.fragments_evaluated = list(evaluated)
-    evaluated_set = set(evaluated)
+    stats.fragments_evaluated = list(schedule.evaluated)
+    stats.fragments_pruned = list(schedule.pruned)
+    init_vectors = schedule.init_vectors
 
     # ------------------------------------------------------------------ stage 1
     stage1 = StageStats(name="combined")
-    stage1_sites = network.sites_holding(evaluated)
+    stage1_fragments = dict(schedule.stage1)
+    stage1_sites = list(stage1_fragments)
 
-    async def stage1_round(site_id: str) -> Tuple[str, Dict[str, FragmentCombinedOutput]]:
+    async def stage1_round(
+        site_id: str, fragment_ids: Tuple[str, ...]
+    ) -> Tuple[str, Dict[str, FragmentCombinedOutput]]:
         site = network.sites[site_id]
-        fragment_ids = [fid for fid in network.fragments_on(site_id) if fid in evaluated_set]
 
         async def attempt(buffer: Optional[RoundBuffer]):
             await transport.send(
@@ -249,23 +259,6 @@ async def _run_pax2_async(
             site_answers: List[int] = []
             site_units = 0
             with site.visit("pax2:combined"):
-                # kernel:init / kernel:collect are per-fragment micro-work
-                # (microseconds); timing them with a perf_counter pair and
-                # recording a span only when they actually cost something
-                # keeps the traced hot path allocation-light.
-                init_started = time.perf_counter()
-                init_vectors: List[Sequence[FormulaLike]] = [
-                    stage1_init_vector(
-                        fragmentation, plan, fragment_id, use_annotations
-                    )
-                    for fragment_id in fragment_ids
-                ]
-                init_ended = time.perf_counter()
-                if init_ended - init_started >= NEGLIGIBLE_WAIT_SECONDS:
-                    add_span(
-                        "kernel:init", "kernel", init_started, init_ended,
-                        site=site_id,
-                    )
                 if batcher is not None:
                     # Fused path: park all of this site's fragment rounds
                     # in the batching window at once — one window per
@@ -277,13 +270,11 @@ async def _run_pax2_async(
                     outputs = await asyncio.gather(
                         *(
                             batcher.combined(
-                                fragment_id, plan, init_vector,
+                                fragment_id, plan, init_vectors[fragment_id],
                                 is_root_fragment=(fragment_id == root_fragment_id),
                                 flat=snapshot.flat(fragment_id),
                             )
-                            for fragment_id, init_vector in zip(
-                                fragment_ids, init_vectors
-                            )
+                            for fragment_id in fragment_ids
                         )
                     )
                 else:
@@ -297,15 +288,17 @@ async def _run_pax2_async(
                                 fragmentation,
                                 fragment_id,
                                 plan,
-                                init_vector,
+                                init_vectors[fragment_id],
                                 is_root_fragment=(fragment_id == root_fragment_id),
                                 engine=engine,
                                 flat=snapshot.flat(fragment_id),
                             )
-                            for fragment_id, init_vector in zip(
-                                fragment_ids, init_vectors
-                            )
+                            for fragment_id in fragment_ids
                         ]
+                # kernel:collect is per-fragment micro-work (microseconds);
+                # timing it with a perf_counter pair and recording a span only
+                # when it actually costs something keeps the traced hot path
+                # allocation-light.
                 collect_started = time.perf_counter()
                 for fragment_id, output in zip(fragment_ids, outputs):
                     site_outputs[fragment_id] = output
@@ -344,7 +337,7 @@ async def _run_pax2_async(
         return site_id, site_outputs
 
     round_results = await asyncio.gather(
-        *(stage1_round(site_id) for site_id in stage1_sites),
+        *(stage1_round(site_id, ids) for site_id, ids in schedule.stage1),
         return_exceptions=resilience is not None,
     )
     rounds: List[Tuple[str, Dict[str, FragmentCombinedOutput]]] = []
@@ -381,16 +374,11 @@ async def _run_pax2_async(
         # fragment's vectors, so candidate resolution is skipped wholesale.
         if resilience is not None:
             resilience.stats.degraded_answers += 1
-        missing = {
-            fid
-            for site_id in failed_sites
-            for fid in network.fragments_on(site_id)
-            if fid in evaluated_set
-        }
+        missing = {fid for site_id in failed_sites for fid in stage1_fragments[site_id]}
         stats.incomplete = True
         stats.missing_sites = sorted(failed_sites)
         stats.missing_fragments = sorted(missing)
-        stats.fragments_evaluated = [fid for fid in evaluated if fid not in missing]
+        stats.fragments_evaluated = [fid for fid in schedule.evaluated if fid not in missing]
         stats.notes = (
             f"partial answer: sites {', '.join(sorted(failed_sites))} unreachable;"
             " stage-1 definite answers over reached fragments only"

@@ -200,6 +200,18 @@ class DocumentTotals:
     shed: int = 0
     #: shed counts broken down by the stage that shed them
     shed_by_stage: Dict[str, int] = field(default_factory=dict)
+    #: prepared-query lookups (see repro.service.prepared): served from a
+    #: prepared entry, prepared afresh, and raw texts evicted from the LRU
+    prepared_hits: int = 0
+    prepared_misses: int = 0
+    prepared_evictions: int = 0
+
+    def prepared_dict(self) -> Dict[str, int]:
+        return {
+            "hits": self.prepared_hits,
+            "misses": self.prepared_misses,
+            "evictions": self.prepared_evictions,
+        }
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -214,6 +226,7 @@ class DocumentTotals:
             "degraded": self.degraded,
             "shed": self.shed,
             "shed_by_stage": dict(sorted(self.shed_by_stage.items())),
+            "prepared": self.prepared_dict(),
         }
 
 
@@ -321,6 +334,24 @@ class ServiceMetrics:
         totals.shed += 1
         totals.shed_by_stage[stage] = totals.shed_by_stage.get(stage, 0) + 1
         self._last_finish = time.perf_counter()
+
+    def record_prepared(self, document: str, hit: bool, evicted: bool) -> None:
+        """Record one prepared-query lookup of *document*: a *hit* on a
+        prepared entry or a miss, which may have *evicted* a raw text."""
+        totals = self.document(document)
+        if hit:
+            totals.prepared_hits += 1
+        else:
+            totals.prepared_misses += 1
+            totals.prepared_evictions += evicted
+
+    def prepared_totals(self) -> Dict[str, int]:
+        """Prepared-query hits, misses and evictions over every document."""
+        totals = {"hits": 0, "misses": 0, "evictions": 0}
+        for document in self.documents.values():
+            for name, count in document.prepared_dict().items():
+                totals[name] += count
+        return totals
 
     def record_queue_wait(self, document: str, seconds: float) -> None:
         """Record one admission-queue wait for *document* (window-bounded)."""
@@ -472,6 +503,12 @@ class ServiceMetrics:
             f"latency p99      : {self.p99 * 1000:.2f} ms",
             f"latency mean     : {self.mean_latency * 1000:.2f} ms",
         ]
+        prepared = self.prepared_totals()
+        if prepared["hits"] or prepared["misses"]:
+            lines.append(
+                f"prepared queries : {prepared['hits']} hits, {prepared['misses']} misses,"
+                f" {prepared['evictions']} evictions"
+            )
         if self.total_degraded or self.total_shed:
             by_stage = ", ".join(
                 f"{count} at {stage}"
@@ -512,7 +549,9 @@ class ServiceMetrics:
                     f" {payload['updates']} updates,"
                     f" p50 {latency['p50'] * 1000:.2f} ms"
                     f" p95 {latency['p95'] * 1000:.2f} ms,"
-                    f" queue p95 {queue_wait['p95'] * 1000:.2f} ms"
+                    f" queue p95 {queue_wait['p95'] * 1000:.2f} ms,"
+                    f" prepared {payload['prepared']['hits']} hits"
+                    f" / {payload['prepared']['misses']} misses"
                     f"{shed_suffix}"
                 )
         return "\n".join(lines)
@@ -546,6 +585,7 @@ class ServiceMetrics:
                     "p95": round(self.update_p95, 6),
                 },
             },
+            "prepared": self.prepared_totals(),
             "documents": self.document_breakdown(),
         }
 

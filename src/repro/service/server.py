@@ -7,11 +7,14 @@ fragmented document to a catalog of them.  One host owns a
 :class:`~repro.service.actors.ActorPool` (per-site concurrency limits), one
 admission scheduler, one shared :class:`~repro.service.cache.QueryResultCache`
 and one :class:`~repro.service.metrics.ServiceMetrics` aggregator.  Each
-registered document gets a :class:`DocumentSession` — its compiled-plan
-cache, version tag, fused-scan batcher, MVCC snapshot registry and a writer
+registered document gets a :class:`DocumentSession` — its prepared-query
+LRU, version tag, fused-scan batcher, MVCC snapshot registry and a writer
 lock serializing that document's writes (and nothing else).
 
-A request routed by ``submit(document, query)`` passes three layers:
+A request routed by ``submit(document, query)`` first looks its raw text up
+in the session's :class:`~repro.service.prepared.PreparedQueries` (one
+dictionary lookup when seen before; a miss parses, normalizes and compiles),
+then passes three layers:
 
 1. **Admission control** — at most ``max_in_flight`` evaluations run at
    once *across all documents*, scheduled weighted-fair per document
@@ -60,6 +63,7 @@ from repro.core.kernel.dispatch import ENGINES, KERNEL, VECTOR, fragment_engine
 from repro.core.results import PartialAnswer, QueryResult
 from repro.distributed.async_transport import LatencyModel
 from repro.distributed.faults import FaultInjector
+from repro.distributed.network import SiteIndex
 from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
@@ -80,6 +84,7 @@ from repro.service.cache import (
 )
 from repro.service.evaluator import evaluate_query_async
 from repro.service.metrics import DEFAULT_SAMPLE_WINDOW, ServiceMetrics
+from repro.service.prepared import PreparedQueries, PreparedQuery
 from repro.service.resilience import (
     Deadline,
     DeadlineExceededError,
@@ -95,10 +100,6 @@ from repro.service.store import (
 )
 from repro.updates.apply import apply_mutation
 from repro.updates.ops import Mutation, UpdateResult
-from repro.xpath.ast import PathExpr
-from repro.xpath.normalize import normalize
-from repro.xpath.parser import parse_xpath
-from repro.xpath.plan import QueryPlan, compile_plan
 
 __all__ = [
     "AdmissionError",
@@ -195,13 +196,13 @@ class DocumentSession:
     The session owns everything whose lifetime and scope is *one tenant's
     document*: the fragmentation and placement (shared with the catalog
     entry), the version tag its cached answers are keyed under, the
-    compiled-plan cache, the fused-scan batcher bound to its flat arrays,
+    prepared-query LRU, the fused-scan batcher bound to its flat arrays,
     the MVCC registry its readers pin and the lock serializing its writers.
     Scheduling (actors, admission, cache storage, metrics) lives on the host
     and is shared across sessions.
     """
 
-    #: compiled plans retained per session (normalized form -> plan)
+    #: raw query texts whose prepared entries a session retains (LRU)
     MAX_PLANS = 4096
 
     def __init__(self, entry: DocumentEntry, config: ServiceConfig, engine: str):
@@ -222,8 +223,9 @@ class DocumentSession:
             if config.batching
             else None
         )
-        #: normalized query text -> compiled plan (parse/compile once per form)
-        self._plans: Dict[str, QueryPlan] = {}
+        #: raw query text -> prepared entry (key text, plan, PaX2 schedules)
+        self.prepared = PreparedQueries(self.MAX_PLANS)
+        self._sites = SiteIndex(entry.fragmentation, entry.placement)
         self._writer: Optional[asyncio.Lock] = None
         self._writer_loop: Optional[weakref.ref] = None
 
@@ -234,6 +236,13 @@ class DocumentSession:
     @property
     def placement(self) -> Dict[str, str]:
         return self.entry.placement
+
+    @property
+    def sites(self) -> SiteIndex:
+        """Which site holds which fragments; rebuilt, and with it every
+        prepared schedule, only when the fragment tree has changed."""
+        self._sites = self._sites.refreshed(self.fragmentation, self.placement)
+        return self._sites
 
     def writer_lock(self) -> asyncio.Lock:
         """The lock serializing THIS document's writes.
@@ -248,27 +257,6 @@ class DocumentSession:
             self._writer = asyncio.Lock()
             self._writer_loop = weakref.ref(loop)
         return self._writer
-
-    def key_and_plan(self, query: QueryInput) -> Tuple[str, QueryPlan]:
-        """Normalize *query* to its cache-key text and a compiled plan.
-
-        The plan is compiled at most once per normalized form; the original
-        input is never re-parsed from its normalized string (whose rendering
-        is a cache key, not guaranteed concrete syntax).
-        """
-        if isinstance(query, QueryPlan):
-            return query.fingerprint, query
-        path = parse_xpath(query) if isinstance(query, str) else query
-        if not isinstance(path, PathExpr):
-            raise TypeError(f"unsupported query input {type(query).__name__}")
-        normalized = str(normalize(path))
-        plan = self._plans.get(normalized)
-        if plan is None:
-            source = query if isinstance(query, str) else str(path)
-            plan = compile_plan(path, source=source)
-            if len(self._plans) < self.MAX_PLANS:
-                self._plans[normalized] = plan
-        return normalized, plan
 
     def __repr__(self) -> str:
         return (
@@ -431,8 +419,13 @@ class ServiceHost:
         resilience = self._resilience_context(deadline)
         with self.tracer.request("query", kind="query", document=session.name):
             with trace_span("plan:compile", stage="compile"):
-                normalized, plan = session.key_and_plan(query)
-            set_attributes(query=normalized, annotations=annotations)
+                prepared, hit, evicted = session.prepared.lookup(query)
+            self.metrics.record_prepared(session.name, hit, evicted)
+            normalized = prepared.key
+            set_attributes(
+                query=normalized, annotations=annotations,
+                prepared="hit" if hit else "miss",
+            )
             key = (session.name, normalized, annotations, session.version)
 
             # Layer 2: join an identical in-flight evaluation (no admission
@@ -489,7 +482,7 @@ class ServiceHost:
                 self._inflight[key] = future
             try:
                 stats, evaluated_version = await self._admit_and_evaluate(
-                    session, plan, annotations, resilience
+                    session, prepared, annotations, resilience
                 )
                 stats.evaluated_version = evaluated_version
                 set_stats(stats)
@@ -585,7 +578,7 @@ class ServiceHost:
     async def _admit_and_evaluate(
         self,
         session: DocumentSession,
-        plan: QueryPlan,
+        prepared: PreparedQuery,
         use_annotations: bool,
         resilience: Optional[ResilienceContext] = None,
     ) -> Tuple[RunStats, str]:
@@ -669,7 +662,7 @@ class ServiceHost:
                         stats = await evaluate_query_async(
                             session.fragmentation,
                             session.placement,
-                            plan,
+                            prepared.plan,
                             self.actors,
                             snapshot,
                             use_annotations=use_annotations,
@@ -678,6 +671,9 @@ class ServiceHost:
                             batcher=session.batcher,
                             injector=self.config.fault_injector,
                             resilience=resilience,
+                            schedule=prepared.schedule(
+                                session.fragmentation, session.sites, use_annotations
+                            ),
                         )
                     return stats, snapshot.version
                 finally:
@@ -747,7 +743,7 @@ class ServiceHost:
         fragments exclude the mutated one are re-keyed under the new tag and
         keep serving hits; only answers the mutation could have changed are
         dropped, and only within this document's namespace.  The
-        compiled-plan cache always survives.
+        prepared queries (plans and PaX2 schedules) always survive.
         """
         started = time.perf_counter()
         self._bind_loop()

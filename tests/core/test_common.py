@@ -16,7 +16,10 @@ from repro.core.common import (
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.stats import StageStats
 from repro.core.common import stage_timer
+from repro.fragments.fragment_tree import build_fragmentation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
+from repro.xmltree.builder import element, text
+from repro.xmltree.nodes import XMLTree
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
 
@@ -60,6 +63,23 @@ class TestAccountAnswers:
     def test_matches_the_tree_walk_on_the_paper_fragmentation(self):
         fragmentation = clientele_paper_fragmentation(clientele_example_tree())
         assert any(fragmentation.flat(fid).virtual_at for fid in fragmentation.fragment_ids())
+        assert_accounting_matches_tree(fragmentation)
+
+    def test_an_answer_enclosing_two_nested_sub_fragments(self):
+        # r/a holds x (cut, F1) with y (cut inside x, F2) and z (cut, F3)
+        # beside it: answer a's subtree spans F1, F1's own sub-fragment F2,
+        # and F3, two of them hanging from a's one virtual row.
+        y = element("y", text("deep"), element("w"))
+        x = element("x", element("v"), y)
+        z = element("z", text("side"))
+        a = element("a", x, element("u"), z)
+        tree = XMLTree(element("r", a, element("b")))
+        fragmentation = build_fragmentation(tree, [x.node_id, y.node_id, z.node_id])
+        assert fragmentation.parent("F2") == "F1" and fragmentation.parent("F3") == "F0"
+        answers = [("F0", [a.node_id]), ("F1", [x.node_id])]
+        assert account_answers(answers, fragmentation.flat) == answer_subtree_nodes(
+            tree, [a.node_id, x.node_id]
+        ) == 9 + 5
         assert_accounting_matches_tree(fragmentation)
 
     def test_a_fragment_may_report_answers_in_several_lists(self):

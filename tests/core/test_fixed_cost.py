@@ -21,6 +21,7 @@ at their peak, all of a fragment's take less memory than two dense int64
 columns of its rows (tracemalloc sees numpy's buffers).
 """
 
+import asyncio
 import gc
 import tracemalloc
 from collections import Counter
@@ -134,6 +135,28 @@ def test_a_never_seen_stream_holds_bounded_tables_and_no_formulas(engine, reques
     gc.collect()
     assert intern_table_sizes() == interned_before
     assert len(fragmentation) == 64  # the document (and its caches) is still here
+
+
+def test_a_never_seen_service_stream_keeps_the_intern_tables_bounded():
+    # A host keeps a prepared entry per query text: its plan and its PaX2
+    # schedule, whose init vectors are the fragments' own sv: variables —
+    # the same for every query of a template, never a per-query formula.
+    scenario = build_ft1(64, 64 * 300, seed=5)
+    host = ServiceHost(engine=KERNEL, cache_capacity=0, coalesce=False)
+    host.register("doc", scenario.fragmentation, scenario.placement)
+
+    def serve(requests):
+        async def stream():
+            for request in requests:
+                await host.submit("doc", QUERY.format(request + 0.25))
+
+        asyncio.run(stream())
+        gc.collect()
+        return intern_table_sizes()
+
+    warm = serve(range(40))
+    assert serve(range(40, 200)) == warm
+    assert len(host.session("doc").prepared) == 200
 
 
 #: 25 candidate answers sharing 3 distinct residual formulas on this document

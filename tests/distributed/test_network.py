@@ -1,11 +1,15 @@
 """Unit tests for the simulated network and message accounting."""
 
+import sys
+
 import pytest
 
+from repro.core.engine import DistributedQueryEngine
 from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network
+from repro.distributed.network import Network, SiteIndex
 from repro.distributed.placement import one_site_per_fragment, round_robin_placement
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
+from repro.workloads.scenarios import build_ft1
 
 
 @pytest.fixture
@@ -92,3 +96,45 @@ class TestMessaging:
         assert stats.sites["S2"].visits == 1
         assert stats.sites["S2"].operations == 100
         assert stats.sites["S2"].seconds >= 0.0
+
+
+class TestSiteIndex:
+    """Which site holds what is indexed once per (fragmentation, placement)."""
+
+    def test_networks_share_a_current_index(self, fragmentation):
+        placement = round_robin_placement(fragmentation, site_count=2)
+        index = SiteIndex(fragmentation, placement)
+        first = Network(fragmentation, placement, index)
+        second = Network(fragmentation, placement, index)
+        assert first.index is second.index is index
+        assert first.sites["S0"] is not second.sites["S0"]  # counters stay per run
+        assert first.fragments_on("S0") == Network(fragmentation, placement).fragments_on("S0")
+
+    def test_an_index_is_rebuilt_only_when_its_pair_moved(self, fragmentation):
+        placement = one_site_per_fragment(fragmentation)
+        index = SiteIndex(fragmentation, placement)
+        assert index.refreshed(fragmentation, dict(placement)) is index
+        moved = index.refreshed(fragmentation, round_robin_placement(fragmentation, 2))
+        assert moved is not index and len(moved.held) == 2
+        fragmentation.invalidate_flat()  # what an out-of-band edit requires
+        assert index.refreshed(fragmentation, placement) is not index
+
+    def test_retained_replies_share_the_index_tuples(self):
+        # FT1 with 64 one-fragment sites behind the sync PaX2 engine
+        scenario = build_ft1(64, 64 * 300, seed=5)
+        engine = DistributedQueryEngine(scenario.fragmentation, scenario.placement)
+        query = "//open_auction[bidder/increase > {}.5]/current"
+        first, second = engine.run(query.format(1)), engine.run(query.format(2))
+        assert len(first.sites) == 64
+        for site_id, site in first.sites.items():
+            assert site.fragment_ids is second.sites[site_id].fragment_ids
+        # the private tuples every run used to allocate: 3 KB of each reply
+        assert sum(sys.getsizeof(site.fragment_ids) for site in first.sites.values()) >= 3000
+        # to_dict() reads as it did then
+        assert {
+            site_id: payload["fragment_ids"]
+            for site_id, payload in first.to_dict()["sites"].items()
+        } == {
+            site_id: [fid for fid, site in engine.placement.items() if site == site_id]
+            for site_id in first.sites
+        }

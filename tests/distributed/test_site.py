@@ -7,10 +7,7 @@ from repro.distributed.site import Site
 
 class TestSite:
     def test_fragment_assignment(self):
-        site = Site("S1")
-        site.assign_fragment("F1")
-        site.assign_fragment("F2")
-        site.assign_fragment("F1")  # idempotent
+        site = Site("S1", ("F1", "F2"))
         assert site.fragment_ids == ["F1", "F2"]
         assert site.holds("F1") and not site.holds("F9")
         assert site.storage["F1"] == {}
@@ -44,8 +41,7 @@ class TestSite:
         assert site.operations == 15
 
     def test_reset_counters_keeps_storage(self):
-        site = Site("S1")
-        site.assign_fragment("F1")
+        site = Site("S1", ["F1"])
         site.storage["F1"]["key"] = "value"
         with site.visit("stage"):
             site.add_operations(3)
@@ -54,8 +50,7 @@ class TestSite:
         assert site.storage["F1"]["key"] == "value"
 
     def test_clear_storage(self):
-        site = Site("S1")
-        site.assign_fragment("F1")
+        site = Site("S1", ["F1"])
         site.storage["F1"]["key"] = "value"
         site.clear_storage()
         assert site.storage["F1"] == {}

@@ -361,12 +361,12 @@ class TestDeadlineShedBoundaries:
 
         async def scenario():
             session = host.session("alpha")
-            _, plan = session.key_and_plan("client/name")
+            prepared, _, _ = session.prepared.lookup("client/name")
             resilience = ResilienceState(ResiliencePolicy()).for_request(
                 FlipDeadline()
             )
             with pytest.raises(DeadlineExceededError) as excinfo:
-                await host._admit_and_evaluate(session, plan, False, resilience)
+                await host._admit_and_evaluate(session, prepared, False, resilience)
             assert excinfo.value.stage == "queued"
             assert "between admission grant and evaluation" in str(excinfo.value)
             # The granted slot was handed back, nothing evaluated.
