@@ -1,14 +1,22 @@
 """The paper's contribution: PaX3, PaX2, ParBoX and their optimizations.
 
-Public entry points:
+Each algorithm is written once, as a coordinator that yields its stages of
+site rounds (:mod:`repro.core.rounds`); drivers only decide how a round
+reaches its site:
 
 * :class:`repro.core.engine.DistributedQueryEngine` — the user-facing API,
+  over the sync driver,
 * :func:`repro.core.pax3.run_pax3`, :func:`repro.core.pax2.run_pax2` — the
-  two partial-evaluation algorithms,
+  two partial-evaluation algorithms, run by the sync driver
+  (:func:`repro.core.pax2.pax2_coordinator` is PaX2 itself),
+* :func:`repro.core.batch.run_pax2_batch` — the wave driver: one PaX2
+  coordinator per query, stage-1 passes fused per fragment,
 * :func:`repro.core.parbox.run_parbox` — the Boolean-query baseline of [5],
 * :func:`repro.core.naive.run_naive_centralized` — the ship-everything
   baseline,
 * :mod:`repro.core.pruning` — the XPath-annotation optimization.
+
+The service's async driver is :func:`repro.service.evaluator.evaluate_query_async`.
 """
 
 from repro.core.engine import DistributedQueryEngine

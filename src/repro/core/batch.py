@@ -2,12 +2,15 @@
 
 :func:`run_pax2` evaluates one query; under many in-flight queries every
 site re-walks the same fragments once per query.  :func:`run_pax2_batch`
-evaluates a whole list of queries in shared site rounds instead: stage 1
-visits each participating site once for the wave, and inside that visit each
+is the *wave driver* of the one PaX2 coordinator
+(:func:`repro.core.pax2.pax2_coordinator`): it steps one coordinator per
+query in lockstep, and runs their stage-1 rounds together — each site is
+visited once per query in one shared wave round, and inside it each
 fragment is scanned **once** by the fused batch kernel
-(:func:`repro.core.kernel.batch.evaluate_fragment_combined_batch`), with
-exact-duplicate plans (same normalized fingerprint) deduplicated to a single
-kernel slot before fusion.
+(:func:`repro.core.kernel.dispatch.combined_pass_batch`), with exact-duplicate
+plans (same normalized fingerprint) deduplicated to a single kernel slot
+before fusion.  Stage 2 goes through the sync round path of
+:func:`repro.core.rounds.drive`.
 
 Accounting stays strictly per query: every query gets its own simulated
 :class:`~repro.distributed.network.Network`, records exactly the messages,
@@ -23,23 +26,15 @@ flight.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.combined import FragmentCombinedOutput
-from repro.core.common import (
-    QueryInput,
-    account_answers,
-    ensure_plan,
-    plan_units,
-    stage_site_times,
-    stage_timer,
-)
+from repro.core.common import QueryInput, ensure_plan
 from repro.core.kernel.dispatch import combined_pass_batch, prewarm_fragments
-from repro.core.pax2 import _output_units, _retrieve_answers, _unify_outputs, pax2_schedule
-from repro.distributed.messages import MessageKind
+from repro.core.pax2 import COMBINED, CombinedPass, pax2_coordinator, pax2_schedule
+from repro.core.rounds import Coordinator, SiteRound, Stage, drive, record_site_times
 from repro.distributed.network import Network, SiteIndex
 from repro.distributed.placement import one_site_per_fragment
-from repro.distributed.stats import RunStats, StageStats
+from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.xpath.plan import QueryPlan
 
@@ -75,6 +70,7 @@ def run_pax2_batch(
     placement: Optional[Mapping[str, str]] = None,
     use_annotations: bool = False,
     engine: Optional[str] = None,
+    sites: Optional[SiteIndex] = None,
 ) -> List[RunStats]:
     """Evaluate a wave of queries with PaX2, one fused scan per fragment.
 
@@ -82,158 +78,88 @@ def run_pax2_batch(
     each is identical (answers and traffic accounting) to what
     :func:`repro.core.pax2.run_pax2` would return for that query alone.
     ``engine`` selects the per-fragment pass implementation; the fused scan
-    requires the kernel engine, the reference engine evaluates the wave
+    requires a columnar engine, the reference engine evaluates the wave
     plan-by-plan (see :func:`repro.core.kernel.dispatch.combined_pass_batch`).
+    ``sites`` is the caller's :class:`SiteIndex` of the placement, reused
+    while it is current.
     """
     plans = [ensure_plan(query) for query in queries]
-    n_queries = len(plans)
-    if n_queries == 0:
+    if not plans:
         return []
     slot_of, slot_plans = dedup_slots(plans)
-
     if placement is None:
         placement = one_site_per_fragment(fragmentation)
-    sites = SiteIndex(fragmentation, placement)
-    networks = [Network(fragmentation, placement, sites) for _ in plans]
-    coordinator_id = networks[0].coordinator_id
-    root_fragment_id = fragmentation.root_fragment_id
-
-    stats_list = [
-        RunStats(algorithm="PaX2", query=plan.source, use_annotations=use_annotations)
-        for plan in plans
-    ]
-
-    # ---------------------------------------------------------------- pruning
+    if sites is None:
+        sites = SiteIndex(fragmentation, placement)
+    else:
+        sites = sites.refreshed(fragmentation, placement)
     schedules = [
-        pax2_schedule(fragmentation, plan, use_annotations, sites)
-        for plan in slot_plans
+        pax2_schedule(fragmentation, plan, use_annotations, sites) for plan in slot_plans
     ]
-    slot_evaluated = [schedule.evaluated for schedule in schedules]
-    slot_eval_set = [set(evaluated) for evaluated in slot_evaluated]
-    for index in range(n_queries):
-        schedule = schedules[slot_of[index]]
-        stats_list[index].fragments_pruned = list(schedule.pruned)
-        stats_list[index].fragments_evaluated = list(schedule.evaluated)
-
-    # per query: (fragment id, answer ids it produced): the answers and their accounting
-    answered: List[List[Tuple[str, List[int]]]] = [[] for _ in plans]
     prewarm_fragments(
         fragmentation,
-        sorted({fid for evaluated in slot_evaluated for fid in evaluated}),
+        sorted({fid for schedule in schedules for fid in schedule.evaluated}),
         engine=engine,
     )
-
-    # ---------------------------------------------------------------- stage 1
-    # One wave round per site: every participating query records its own
-    # EXEC_REQUEST / visit / result messages, but the per-fragment scans run
-    # once per distinct plan slot.
-    per_query_sites = [
-        networks[index].sites_holding(slot_evaluated[slot_of[index]])
-        for index in range(n_queries)
+    networks = [Network(fragmentation, placement, sites) for _ in plans]
+    coordinators = [
+        Coordinator(pax2_coordinator(fragmentation, plan, schedules[slot], engine=engine))
+        for plan, slot in zip(plans, slot_of)
     ]
-    per_query_site_sets = [set(sites) for sites in per_query_sites]
-    wave_sites = sorted({site_id for sites in per_query_sites for site_id in sites})
-    slot_outputs: List[Dict[str, FragmentCombinedOutput]] = [{} for _ in slot_plans]
-    candidate_sites: List[Dict[str, List[str]]] = [{} for _ in plans]
+    stages = [coordinator.advance() for coordinator in coordinators]
+    results = _fused_stage(fragmentation, networks, stages, slot_of, engine)
+    wave: List[RunStats] = []
+    for coordinator, network, stage, stage_results in zip(
+        coordinators, networks, stages, results
+    ):
+        record_site_times(network, stage)
+        wave.append(drive(coordinator, network, coordinator.advance(stage_results)))
+    return wave
 
-    for site_id in wave_sites:
-        participating = [
-            index for index in range(n_queries) if site_id in per_query_site_sets[index]
-        ]
-        fragment_lists: Dict[int, List[str]] = {}
-        for index in participating:
-            slot = slot_of[index]
-            fragment_ids = [
-                fid
-                for fid in networks[index].fragments_on(site_id)
-                if fid in slot_eval_set[slot]
-            ]
-            fragment_lists[index] = fragment_ids
-            networks[index].send(
-                coordinator_id, site_id, MessageKind.EXEC_REQUEST,
-                units=plan_units(plans[index]) * len(fragment_ids),
-                description="stage 1: combined qualifier + selection pass",
-            )
-        site_slots: List[int] = []
-        for index in participating:
-            slot = slot_of[index]
-            if slot not in site_slots:
-                site_slots.append(slot)
+
+def _fused_stage(
+    fragmentation: Fragmentation,
+    networks: List[Network],
+    stages: List[Stage],
+    slot_of: List[int],
+    engine: Optional[str],
+) -> List[List[Any]]:
+    """Every query's stage-1 rounds, one wave round per site: each query
+    records its own messages and visit, while each fragment is scanned once
+    for the distinct slots that reach it."""
+    results: List[List[Any]] = [[None] * len(stage.rounds) for stage in stages]
+    by_site: Dict[str, List[Tuple[int, int, SiteRound]]] = {}
+    for index, stage in enumerate(stages):
+        for position, site_round in enumerate(stage.rounds):
+            by_site.setdefault(site_round.site_id, []).append((index, position, site_round))
+    coordinator_id = networks[0].coordinator_id
+    for site_id, members in sorted(by_site.items()):
+        fused: Dict[str, Dict[int, CombinedPass]] = {}
+        for index, _, site_round in members:
+            for kind, units, description in site_round.requests:
+                networks[index].send(coordinator_id, site_id, kind, units, description)
+            for fid in site_round.fragment_ids:
+                fused.setdefault(fid, {}).setdefault(slot_of[index], site_round.run_pass)
+        replies = []
         with ExitStack() as stack:
-            for index in participating:
-                stack.enter_context(networks[index].sites[site_id].visit("pax2:combined"))
-            for fragment_id in networks[participating[0]].fragments_on(site_id):
-                wave_slots = [
-                    slot for slot in site_slots if fragment_id in slot_eval_set[slot]
-                ]
-                if not wave_slots:
-                    continue
-                outputs = combined_pass_batch(
-                    fragmentation,
-                    fragment_id,
-                    [slot_plans[slot] for slot in wave_slots],
-                    [schedules[slot].init_vectors[fragment_id] for slot in wave_slots],
-                    is_root_fragment=(fragment_id == root_fragment_id),
-                    engine=engine,
+            visited = [
+                stack.enter_context(networks[index].sites[site_id].visit(COMBINED))
+                for index, _, _ in members
+            ]
+            outputs: Dict[Tuple[int, str], Any] = {}
+            for fragment_id, passes in fused.items():
+                scans = [run.scan(fragment_id) for run in passes.values()]
+                scans = combined_pass_batch(
+                    fragmentation, fragment_id,
+                    [scan[0] for scan in scans], [scan[1] for scan in scans],
+                    is_root_fragment=scans[0][2], engine=engine,
                 )
-                for slot, output in zip(wave_slots, outputs):
-                    slot_outputs[slot][fragment_id] = output
-            for index in participating:
-                site = networks[index].sites[site_id]
-                outputs = slot_outputs[slot_of[index]]
-                for fragment_id in fragment_lists[index]:
-                    output = outputs[fragment_id]
-                    site.add_operations(output.operations)
-                    if output.candidates:
-                        site.storage[fragment_id]["candidates"] = output.candidates
-                        candidate_sites[index].setdefault(site_id, []).append(fragment_id)
-        for index in participating:
-            outputs = slot_outputs[slot_of[index]]
-            site_answers: List[int] = []
-            site_units = 0
-            for fragment_id in fragment_lists[index]:
-                output = outputs[fragment_id]
-                site_answers.extend(output.answers)
-                answered[index].append((fragment_id, output.answers))
-                site_units += _output_units(plans[index], output)
-            if site_units:
-                networks[index].send(
-                    site_id, coordinator_id, MessageKind.SELECTION_VECTORS, site_units,
-                    description="stage 1: root qualifier vectors and virtual-node vectors",
-                )
-            if site_answers:
-                networks[index].send(
-                    site_id, coordinator_id, MessageKind.ANSWERS, len(site_answers),
-                    description="stage 1: definite answers",
-                )
-
-    # ------------------------------------------- coordinator unification
-    # Unification and candidate resolution are coordinator-bound
-    # bookkeeping, so they stay per query (the fused work — the scans — is
-    # behind us).
-    for index in range(n_queries):
-        stage1 = StageStats(name="combined")
-        stage1.parallel_seconds, stage1.total_seconds = stage_site_times(
-            networks[index], per_query_sites[index], "pax2:combined"
-        )
-        stage1.sites_involved = len(per_query_sites[index])
-        with stage_timer(stage1):
-            environment = _unify_outputs(
-                fragmentation, plans[index], slot_outputs[slot_of[index]]
-            )
-        stats_list[index].stages.append(stage1)
-
-        # ------------------------------------------------------------ stage 2
-        if candidate_sites[index]:
-            stats_list[index].stages.append(_retrieve_answers(
-                fragmentation, plans[index], networks[index], environment,
-                candidate_sites[index], answered[index],
-            ))
-
-    # ---------------------------------------------------------------- results
-    for index in range(n_queries):
-        stats = stats_list[index]
-        stats.answer_ids = sorted({node_id for _, ids in answered[index] for node_id in ids})
-        stats.answer_nodes_shipped = account_answers(answered[index], fragmentation.flat)
-        networks[index].collect_stats(stats)
-    return stats_list
+                outputs.update(zip([(slot, fragment_id) for slot in passes], scans))
+            for site, (index, position, site_round) in zip(visited, members):
+                site_outputs = [outputs[slot_of[index], fid] for fid in site_round.fragment_ids]
+                results[index][position] = site_outputs
+                replies.append(site_round.collect(site, site_round.fragment_ids, site_outputs))
+        for (index, _, _), messages in zip(members, replies):
+            for kind, units, description in messages:
+                networks[index].send(site_id, coordinator_id, kind, units, description)
+    return results

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import gc
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from itertools import repeat
 from operator import add
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.distributed.network import Network
 from repro.distributed.placement import one_site_per_fragment
-from repro.distributed.stats import StageStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.xmltree.flat import FlatFragment
 from repro.xmltree.nodes import NodeId, XMLTree
@@ -33,7 +29,6 @@ __all__ = [
     "answer_subtree_nodes",
     "AnswerAccountingError",
     "account_answers",
-    "stage_timer",
     "stage_site_times",
 ]
 
@@ -165,23 +160,3 @@ def stage_site_times(
     if not times:
         return 0.0, 0.0
     return max(times), sum(times)
-
-
-@contextmanager
-def stage_timer(stage: StageStats) -> Iterator[StageStats]:
-    """Measure coordinator-side work (``evalFT``) attached to a stage.
-
-    As in :meth:`repro.distributed.site.Site.visit`, the cyclic garbage
-    collector is paused inside the timing window so a multi-ms gen-2
-    collection is not charged to whichever stage happened to trigger it.
-    """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    started = time.perf_counter()
-    try:
-        yield stage
-    finally:
-        stage.coordinator_seconds += time.perf_counter() - started
-        if gc_was_enabled:
-            gc.enable()

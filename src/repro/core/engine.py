@@ -157,12 +157,14 @@ class DistributedQueryEngine:
         annotations = self.use_annotations if use_annotations is None else use_annotations
         if self.algorithm != "pax2":
             return [self.run(query, use_annotations=annotations) for query in queries]
+        self._sites = self._sites.refreshed(self.fragmentation, self.placement)
         return run_pax2_batch(
             self.fragmentation,
             queries,
             placement=self.placement,
             use_annotations=annotations,
             engine=self.engine,
+            sites=self._sites,
         )
 
     def execute_batch(

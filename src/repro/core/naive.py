@@ -8,8 +8,7 @@ whole tree rather than the size of the answer, and nothing runs in parallel.
 
 from __future__ import annotations
 
-import time
-from typing import Mapping, Optional
+from typing import Any, Generator, List, Mapping, Optional, Sequence
 
 from repro.core.common import (
     QueryInput,
@@ -18,14 +17,51 @@ from repro.core.common import (
     ensure_plan,
     plan_units,
 )
+from repro.core.rounds import Envelope, SiteRound, Stage, run_inline
 from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network
+from repro.distributed.network import Network, SiteIndex
+from repro.distributed.site import Site
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.fragments.reassembly import reassemble
 from repro.xpath.centralized import evaluate_centralized
+from repro.xpath.plan import QueryPlan
 
-__all__ = ["run_naive_centralized"]
+__all__ = ["naive_coordinator", "run_naive_centralized"]
+
+
+def _ship(site: Site, fragment_ids: Sequence[str], node_counts: List[int]) -> List[Envelope]:
+    return [(MessageKind.FRAGMENT_SHIPMENT, sum(node_counts), "naive: whole fragments")]
+
+
+def naive_coordinator(
+    fragmentation: Fragmentation, plan: QueryPlan, sites: SiteIndex
+) -> Generator[Stage, List[Any], RunStats]:
+    """The naive coordinator: one shipping stage, then everything at the
+    coordinator — reassembly and the centralized evaluator."""
+    stats = RunStats(algorithm="NaiveCentralized", query=plan.source)
+    stats.fragments_evaluated = fragmentation.fragment_ids()
+    units = plan_units(plan)
+    stage = Stage("naive:ship", StageStats(name="ship-and-evaluate"), [
+        SiteRound(
+            "naive:ship", site_id, fragment_ids,
+            [(MessageKind.EXEC_REQUEST, units * len(fragment_ids), "naive: request fragments")],
+            lambda site, fid: fragmentation[fid].node_count(),
+            _ship,
+        )
+        for site_id, fragment_ids in sorted(sites.fragments_on.items())
+    ])
+    yield stage
+    stage.stats.sites_involved = len(stage.rounds)
+    result = evaluate_centralized(reassemble(fragmentation), plan)
+    stats.stages.append(stage.stats)
+    # Reassembly preserves the original node ids (not just document order —
+    # after in-place mutations ids are no longer a dense pre-order
+    # numbering), so results are comparable across algorithms directly.
+    stats.answer_ids = sorted(result.answer_ids)
+    stats.answer_nodes_shipped = answer_subtree_nodes(fragmentation.tree, stats.answer_ids)
+    stats.notes = "all fragments shipped to the coordinator"
+    return stats
 
 
 def run_naive_centralized(
@@ -38,48 +74,4 @@ def run_naive_centralized(
     plan = ensure_plan(query)
     if network is None:
         network = build_network(fragmentation, placement)
-    coordinator_id = network.coordinator_id
-
-    stats = RunStats(algorithm="NaiveCentralized", query=plan.source)
-    stats.fragments_evaluated = fragmentation.fragment_ids()
-    stage = StageStats(name="ship-and-evaluate")
-
-    site_ids = network.sites_holding(fragmentation.fragment_ids())
-    for site_id in site_ids:
-        site = network.sites[site_id]
-        fragment_ids = network.fragments_on(site_id)
-        network.send(
-            coordinator_id, site_id, MessageKind.EXEC_REQUEST,
-            units=plan_units(plan) * len(fragment_ids),
-            description="naive: request fragments",
-        )
-        shipped_nodes = 0
-        with site.visit("naive:ship"):
-            for fragment_id in fragment_ids:
-                shipped_nodes += fragmentation[fragment_id].node_count()
-        network.send(
-            site_id, coordinator_id, MessageKind.FRAGMENT_SHIPMENT, shipped_nodes,
-            description="naive: whole fragments",
-        )
-
-    times = [network.sites[sid].stage_seconds.get("naive:ship", 0.0) for sid in site_ids]
-    stage.parallel_seconds = max(times) if times else 0.0
-    stage.total_seconds = sum(times)
-    stage.sites_involved = len(site_ids)
-
-    # Coordinator-side: reassemble the document and run the centralized
-    # evaluator.  Both are charged to the coordinator (nothing is parallel).
-    started = time.perf_counter()
-    assembled = reassemble(fragmentation)
-    result = evaluate_centralized(assembled, plan)
-    stage.coordinator_seconds = time.perf_counter() - started
-    stats.stages.append(stage)
-
-    # Reassembly preserves the original node ids (not just document order —
-    # after in-place mutations ids are no longer a dense pre-order
-    # numbering), so results are comparable across algorithms directly.
-    stats.answer_ids = sorted(result.answer_ids)
-    stats.answer_nodes_shipped = answer_subtree_nodes(fragmentation.tree, stats.answer_ids)
-    network.collect_stats(stats)
-    stats.notes = "all fragments shipped to the coordinator"
-    return stats
+    return run_inline(naive_coordinator(fragmentation, plan, network.index), network)

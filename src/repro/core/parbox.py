@@ -14,21 +14,22 @@ embeds it as its first stage.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Any, Generator, List, Mapping, Optional
 
 from repro.booleans.env import Environment
-from repro.core.common import QueryInput, build_network, ensure_plan, plan_units, stage_timer
-from repro.core.kernel.dispatch import prewarm_fragments, qualifier_pass
+from repro.core.common import QueryInput, build_network, ensure_plan
+from repro.core.kernel.dispatch import prewarm_fragments
+from repro.core.pax3 import qualifier_stage, unify_qualifier_stage
 from repro.core.qualifiers import FragmentQualifierOutput
-from repro.core.unify import require_concrete, unify_qualifier_vectors
-from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network
-from repro.distributed.stats import RunStats, StageStats
+from repro.core.rounds import Stage, outputs_by_fragment, run_inline
+from repro.core.unify import require_concrete
+from repro.distributed.network import Network, SiteIndex
+from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.xpath.errors import XPathError
-from repro.xpath.plan import SELFQUAL
+from repro.xpath.plan import SELFQUAL, QueryPlan
 
-__all__ = ["run_parbox", "as_boolean_query"]
+__all__ = ["parbox_coordinator", "run_parbox", "as_boolean_query"]
 
 
 def as_boolean_query(qualifier: str) -> str:
@@ -37,6 +38,31 @@ def as_boolean_query(qualifier: str) -> str:
     if stripped.startswith("[") and stripped.endswith("]"):
         return f".{stripped}"
     return f".[{stripped}]"
+
+
+def parbox_coordinator(
+    fragmentation: Fragmentation,
+    plan: QueryPlan,
+    sites: SiteIndex,
+    engine: Optional[str] = None,
+) -> Generator[Stage, List[Any], RunStats]:
+    """ParBoX's coordinator: one qualifier stage, then one bottom-up
+    unification decides the Boolean query at the root."""
+    stats = RunStats(algorithm="ParBoX", query=plan.source)
+    stats.fragments_evaluated = fragmentation.fragment_ids()
+    stage = qualifier_stage(
+        fragmentation, plan, sites, engine, "parbox:qualifiers", "ParBoX",
+        lambda output: output.root_vector_units,
+    )
+    results = yield stage
+    environment = unify_qualifier_stage(fragmentation, plan, stage, results)
+    result = _boolean_result_at_root(
+        fragmentation, outputs_by_fragment(stage.rounds, results), environment
+    )
+    stats.stages.append(stage.stats)
+    stats.answer_ids = [fragmentation.tree.root.node_id] if result else []
+    stats.notes = f"boolean result: {result}"
+    return stats
 
 
 def run_parbox(
@@ -60,66 +86,17 @@ def run_parbox(
         )
     if network is None:
         network = build_network(fragmentation, placement)
-    coordinator_id = network.coordinator_id
-
-    stats = RunStats(algorithm="ParBoX", query=plan.source)
-    stats.fragments_evaluated = fragmentation.fragment_ids()
-    stage = StageStats(name="qualifiers")
     prewarm_fragments(fragmentation, engine=engine)
-
-    outputs: Dict[str, FragmentQualifierOutput] = {}
-    site_ids = network.sites_holding(fragmentation.fragment_ids())
-    for site_id in site_ids:
-        site = network.sites[site_id]
-        fragment_ids = network.fragments_on(site_id)
-        network.send(
-            coordinator_id, site_id, MessageKind.EXEC_REQUEST,
-            units=plan_units(plan) * len(fragment_ids),
-            description="ParBoX: evaluate the Boolean query",
-        )
-        units = 0
-        with site.visit("parbox:qualifiers"):
-            for fragment_id in fragment_ids:
-                output = qualifier_pass(fragmentation, fragment_id, plan, engine=engine)
-                outputs[fragment_id] = output
-                site.add_operations(output.operations)
-                units += output.root_vector_units
-        network.send(
-            site_id, coordinator_id, MessageKind.QUALIFIER_VECTORS, units,
-            description="ParBoX: root qualifier vectors",
-        )
-
-    times = [network.sites[sid].stage_seconds.get("parbox:qualifiers", 0.0) for sid in site_ids]
-    stage.parallel_seconds = max(times) if times else 0.0
-    stage.total_seconds = sum(times)
-    stage.sites_involved = len(site_ids)
-
-    with stage_timer(stage):
-        environment = unify_qualifier_vectors(
-            fragmentation,
-            plan,
-            {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()},
-            Environment(),
-        )
-        result = _boolean_result_at_root(fragmentation, plan, outputs, environment)
-    stats.stages.append(stage)
-
-    root_id = fragmentation.tree.root.node_id
-    stats.answer_ids = [root_id] if result else []
-    stats.notes = f"boolean result: {result}"
-    network.collect_stats(stats)
-    return stats
+    return run_inline(parbox_coordinator(fragmentation, plan, network.index, engine), network)
 
 
 def _boolean_result_at_root(
     fragmentation: Fragmentation,
-    plan,
     outputs: Mapping[str, FragmentQualifierOutput],
     environment: Environment,
 ) -> bool:
     """Resolve the qualifier expression of ``.[q]`` at the document root."""
-    root_fragment = fragmentation.root_fragment
-    root_output = outputs[root_fragment.fragment_id]
+    root_output = outputs[fragmentation.root_fragment_id]
     values = root_output.qual_values.get(fragmentation.tree.root.node_id, ())
     result = True
     for value in values:

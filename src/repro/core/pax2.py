@@ -16,27 +16,26 @@ With XPath-annotations the combined pass is only executed over fragments
 that can matter for the query (the pruner is conservative with respect to
 both answers and qualifier scopes), and for qualifier-free queries the
 initialization is concrete so the second visit disappears.
+
+The algorithm is written once, as :func:`pax2_coordinator`; the sync
+:func:`run_pax2`, the wave :func:`repro.core.batch.run_pax2_batch` and the
+service's :func:`repro.service.evaluator.evaluate_query_async` only drive
+its site rounds (see :mod:`repro.core.rounds`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.core.combined import FragmentCombinedOutput
 from repro.core.kernel.dispatch import combined_pass, prewarm_fragments
-from repro.core.common import (
-    QueryInput,
-    account_answers,
-    build_network,
-    ensure_plan,
-    plan_units,
-    stage_site_times,
-    stage_timer,
-)
+from repro.core.common import QueryInput, account_answers, build_network, ensure_plan, plan_units
 from repro.core.pruning import relevant_fragments, stage1_init_vector
+from repro.core.rounds import Envelope, SiteRound, Stage, outputs_by_fragment, run_inline
 from repro.core.unify import (
     resolve_candidates,
     resolved_child_qualifier_bindings,
@@ -46,11 +45,26 @@ from repro.core.unify import (
 )
 from repro.distributed.messages import MessageKind
 from repro.distributed.network import Network, SiteIndex
+from repro.distributed.site import Site
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
+from repro.obs.trace import event, set_attributes, span as trace_span
+from repro.xmltree.flat import FlatFragment
 from repro.xpath.plan import QueryPlan
 
-__all__ = ["Pax2Schedule", "pax2_schedule", "run_pax2"]
+__all__ = [
+    "COMBINED",
+    "ANSWERS",
+    "CombinedPass",
+    "Pax2Schedule",
+    "pax2_schedule",
+    "pax2_coordinator",
+    "run_pax2",
+]
+
+#: the stage keys of PaX2's two site visits
+COMBINED = "pax2:combined"
+ANSWERS = "pax2:answers"
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +81,8 @@ class Pax2Schedule:
 
     #: the site index the stage-1 sites were read from
     sites: SiteIndex
+    #: whether the annotations pruned and initialized this schedule
+    use_annotations: bool
     #: fragments stage 1 evaluates, in fragment-id order
     evaluated: Tuple[str, ...]
     #: fragments the annotations pruned, sorted (empty without annotations)
@@ -84,7 +100,7 @@ def pax2_schedule(
     sites: SiteIndex,
 ) -> Pax2Schedule:
     """Prune, group the evaluated fragments by site and build their init
-    vectors — the one schedule builder of the sync and the service runs."""
+    vectors — the one schedule builder of every PaX2 driver."""
     if use_annotations:
         decision = relevant_fragments(fragmentation, plan)
         evaluated = tuple(fid for fid in fragmentation.fragment_ids() if decision.keeps(fid))
@@ -103,7 +119,38 @@ def pax2_schedule(
     for fid in evaluated:
         vector = tuple(stage1_init_vector(fragmentation, plan, fid, use_annotations))
         init_vectors[fid] = distinct.setdefault(vector, vector)
-    return Pax2Schedule(sites, evaluated, pruned, tuple(stage1), init_vectors)
+    return Pax2Schedule(sites, use_annotations, evaluated, pruned, tuple(stage1), init_vectors)
+
+
+@dataclass(slots=True, eq=False)
+class CombinedPass:
+    """A run's stage-1 pass over any of its fragments: called by a driver
+    per fragment, or read by a fused scan
+    (:func:`~repro.core.kernel.dispatch.combined_pass_batch`)."""
+
+    fragmentation: Fragmentation
+    plan: QueryPlan
+    init_vectors: Mapping[str, Tuple[FormulaLike, ...]]
+    engine: Optional[str]
+    #: fragment id -> the pinned encoding the pass reads (``None``: the live ones)
+    flat_of: Optional[Callable[[str], FlatFragment]]
+
+    def scan(self, fragment_id: str) -> Tuple[QueryPlan, Tuple[FormulaLike, ...], bool, Any]:
+        """``(plan, init vector, is_root_fragment, flat)`` of one fragment's pass."""
+        return (
+            self.plan,
+            self.init_vectors[fragment_id],
+            fragment_id == self.fragmentation.root_fragment_id,
+            None if self.flat_of is None else self.flat_of(fragment_id),
+        )
+
+    def __call__(self, site: Site, fragment_id: str) -> FragmentCombinedOutput:
+        return combined_pass(
+            self.fragmentation, fragment_id, self.plan, self.init_vectors[fragment_id],
+            is_root_fragment=fragment_id == self.fragmentation.root_fragment_id,
+            engine=self.engine,
+            flat=None if self.flat_of is None else self.flat_of(fragment_id),
+        )
 
 
 def _output_units(plan: QueryPlan, output: FragmentCombinedOutput) -> int:
@@ -142,62 +189,195 @@ def _unify_outputs(
     )
 
 
-def _answer_bindings(
-    fragmentation: Fragmentation, plan: QueryPlan, fragment_id: str, environment: Environment
-) -> Dict[str, bool]:
-    """What stage 2 ships one fragment: its resolved initialization values
-    plus its sub-fragments' qualifier values."""
-    bindings = resolved_init_bindings(plan, fragment_id, environment)
-    if plan.has_qualifiers:
-        bindings.update(
-            resolved_child_qualifier_bindings(fragmentation, plan, fragment_id, environment)
+def _resolve(bindings: Mapping[str, Dict[str, bool]], site: Site, fragment_id: str) -> List[int]:
+    """Answer retrieval at the site: decide the fragment's stored candidates."""
+    return resolve_candidates(
+        site.storage[fragment_id].get("candidates", {}), bindings[fragment_id], fragment_id
+    )
+
+
+def _collect_answers(
+    description: str, site: Site, fragment_ids: Sequence[str], resolved: List[List[int]]
+) -> List[Envelope]:
+    found = sum(map(len, resolved))
+    return [(MessageKind.ANSWERS, found, description)] if found else []
+
+
+def _answer_rounds(
+    stage: str,
+    candidates: Sequence[Tuple[str, List[str]]],
+    bindings: Sequence[Sequence[Dict[str, bool]]],
+    request: str,
+    reply: str,
+) -> List[SiteRound]:
+    """The answer-retrieval rounds (PaX2 stage 2, PaX3 stage 3): ship each
+    candidate fragment its bindings, resolve its candidates at its site."""
+    collect = partial(_collect_answers, reply)
+    resolve = partial(_resolve, {
+        fid: values
+        for (_, fragment_ids), site_bindings in zip(candidates, bindings)
+        for fid, values in zip(fragment_ids, site_bindings)
+    })
+    return [
+        SiteRound(
+            stage, site_id, fragment_ids,
+            [(MessageKind.RESOLVED_BINDINGS, sum(map(len, site_bindings)), request)],
+            resolve,
+            collect,
         )
-    return bindings
+        for (site_id, fragment_ids), site_bindings in zip(candidates, bindings)
+    ]
 
 
-def _retrieve_answers(
+def _gather(rounds: Sequence[SiteRound], results: Sequence[Any]):
+    """Over the rounds that came back: fragment id -> pass output, the
+    (fragment id, definite answers) pairs, and (site id, its fragments that
+    kept candidates) per site that has any."""
+    outputs: Dict[str, Any] = {}
+    answered: List[Tuple[str, List[int]]] = []
+    candidates: List[Tuple[str, List[str]]] = []
+    for site_round, result in zip(rounds, results):
+        if isinstance(result, BaseException):
+            continue
+        held = []
+        for fragment_id, output in zip(site_round.fragment_ids, result):
+            outputs[fragment_id] = output
+            answered.append((fragment_id, output.answers))
+            if output.candidates:
+                held.append(fragment_id)
+        if held:
+            candidates.append((site_round.site_id, held))
+    return outputs, answered, candidates
+
+
+def _degrade(stats: RunStats, stage: Stage, results: Sequence[Any], why: str) -> bool:
+    """Whether some round came back as an exception (its site is lost); if
+    so, mark *stats* a sound partial answer missing those sites' fragments."""
+    lost = [
+        (site_round, error) for site_round, error in zip(stage.rounds, results)
+        if isinstance(error, BaseException)
+    ]
+    stage.stats.sites_involved = len(stage.rounds) - len(lost)
+    for site_round, error in lost:
+        event("degrade:site", site=site_round.site_id, stage=stage.stats.name,
+              reason=getattr(error, "reason", repr(error)))
+    if lost:
+        stats.incomplete = True
+        stats.missing_sites = sorted(site_round.site_id for site_round, _ in lost)
+        stats.missing_fragments = sorted(
+            fid for site_round, _ in lost for fid in site_round.fragment_ids
+        )
+        stats.notes = f"partial answer: sites {', '.join(stats.missing_sites)} {why}"
+    return bool(lost)
+
+
+def pax2_coordinator(
     fragmentation: Fragmentation,
     plan: QueryPlan,
-    network: Network,
-    environment: Environment,
-    candidate_sites: Mapping[str, List[str]],
-    answered: List[Tuple[str, List[int]]],
-) -> StageStats:
-    """Stage 2: every candidate site gets its bindings, decides its
-    candidates and ships the answers, appended per fragment to *answered*."""
-    stage2 = StageStats(name="answers")
-    coordinator_id = network.coordinator_id
-    for site_id, fragment_ids in sorted(candidate_sites.items()):
-        site = network.sites[site_id]
-        bindings = {
-            fid: _answer_bindings(fragmentation, plan, fid, environment) for fid in fragment_ids
-        }
-        network.send(
-            coordinator_id, site_id, MessageKind.RESOLVED_BINDINGS,
-            sum(map(len, bindings.values())),
-            description="stage 2: resolved initialization and qualifier values",
+    schedule: Pax2Schedule,
+    flat_of: Optional[Callable[[str], FlatFragment]] = None,
+    engine: Optional[str] = None,
+) -> Generator[Stage, List[Any], RunStats]:
+    """PaX2's coordinator over *schedule*: yields the combined stage, then
+    the answers stage when some fragment kept candidates; returns the run's
+    :class:`RunStats` without the per-site accounting its driver adds.
+
+    ``flat_of`` maps a fragment id to the encoding the passes read and the
+    answers are accounted on — a pinned snapshot's; ``None`` reads the live
+    encodings.  ``engine`` selects the per-fragment pass.
+
+    A round result that is an exception marks its site lost, and the run
+    degrades to a sound partial answer instead of failing.  Lost in stage
+    1: the definite answers of the reached fragments are certain (each
+    depends only on its own fragment and its init vector), while
+    unification needs every fragment's vectors, so resolution is skipped.
+    Lost in stage 2: the environment was exact, so only the lost sites'
+    candidate answers are missing.
+    """
+    stats = RunStats(algorithm="PaX2", query=plan.source, use_annotations=schedule.use_annotations)
+    stats.fragments_evaluated = list(schedule.evaluated)
+    stats.fragments_pruned = list(schedule.pruned)
+    request_units = plan_units(plan)
+
+    def collect_combined(site: Site, fragment_ids: Sequence[str], outputs):
+        units = answers = 0
+        for fragment_id, output in zip(fragment_ids, outputs):
+            site.add_operations(output.operations)
+            answers += len(output.answers)
+            if output.candidates:
+                site.storage[fragment_id]["candidates"] = output.candidates
+            units += _output_units(plan, output)
+        replies = []
+        if units:
+            replies.append((
+                MessageKind.SELECTION_VECTORS, units,
+                "stage 1: root qualifier vectors and virtual-node vectors",
+            ))
+        if answers:
+            replies.append((MessageKind.ANSWERS, answers, "stage 1: definite answers"))
+        return replies
+
+    run_pass = CombinedPass(fragmentation, plan, schedule.init_vectors, engine, flat_of)
+    rounds = [
+        SiteRound(
+            COMBINED, site_id, fragment_ids,
+            [(
+                MessageKind.EXEC_REQUEST, request_units * len(fragment_ids),
+                "stage 1: combined qualifier + selection pass",
+            )],
+            run_pass,
+            collect_combined,
         )
-        found = 0
-        with site.visit("pax2:answers"):
-            for fragment_id in fragment_ids:
-                resolved = resolve_candidates(
-                    site.storage[fragment_id].get("candidates", {}),
-                    bindings[fragment_id],
-                    fragment_id,
-                )
-                answered.append((fragment_id, resolved))
-                found += len(resolved)
-        if found:
-            network.send(
-                site_id, coordinator_id, MessageKind.ANSWERS, found,
-                description="stage 2: resolved candidate answers",
-            )
-    candidate_site_ids = sorted(candidate_sites)
-    stage2.parallel_seconds, stage2.total_seconds = stage_site_times(
-        network, candidate_site_ids, "pax2:answers"
-    )
-    stage2.sites_involved = len(candidate_site_ids)
-    return stage2
+        for site_id, fragment_ids in schedule.stage1
+    ]
+    stage = Stage(COMBINED, StageStats(name="combined"), rounds)
+    results = yield stage
+    # answered: (fragment id, answer ids it produced), the answers and their accounting
+    outputs, answered, candidates = _gather(rounds, results)
+    stats.stages.append(stage.stats)
+    if _degrade(
+        stats, stage, results, "unreachable; stage-1 definite answers over reached fragments only"
+    ):
+        stats.fragments_evaluated = [fid for fid in schedule.evaluated if fid in outputs]
+        candidates = []
+    else:
+        with trace_span("unify", stage="kernel"):
+            environment = _unify_outputs(fragmentation, plan, outputs)
+
+    if candidates:
+        with trace_span("kernel:bindings", stage="kernel", sites=len(candidates)):
+            # each fragment's init values, plus its sub-fragments' qualifier values
+            bindings = [
+                [resolved_init_bindings(plan, fid, environment) for fid in fragment_ids]
+                for _, fragment_ids in candidates
+            ]
+            if plan.has_qualifiers:
+                for (_, fragment_ids), site_bindings in zip(candidates, bindings):
+                    for fid, values in zip(fragment_ids, site_bindings):
+                        values.update(resolved_child_qualifier_bindings(
+                            fragmentation, plan, fid, environment
+                        ))
+        rounds = _answer_rounds(
+            ANSWERS, candidates, bindings,
+            "stage 2: resolved initialization and qualifier values",
+            "stage 2: resolved candidate answers",
+        )
+        stage = Stage(ANSWERS, StageStats(name="answers"), rounds)
+        results = yield stage
+        answered.extend(outputs_by_fragment(rounds, results).items())
+        stats.stages.append(stage.stats)
+        _degrade(
+            stats, stage, results,
+            "lost before candidate resolution; their candidate answers are absent",
+        )
+
+    with trace_span("reassembly", stage="reassembly"):
+        stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
+        stats.answer_nodes_shipped = account_answers(
+            answered, flat_of if flat_of is not None else fragmentation.flat
+        )
+        set_attributes(answers=len(stats.answer_ids), incomplete=stats.incomplete)
+    return stats
 
 
 def run_pax2(
@@ -217,78 +397,6 @@ def run_pax2(
     plan = ensure_plan(query)
     if network is None:
         network = build_network(fragmentation, placement)
-    coordinator_id = network.coordinator_id
-    root_fragment_id = fragmentation.root_fragment_id
-
-    stats = RunStats(algorithm="PaX2", query=plan.source, use_annotations=use_annotations)
     schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
-    stats.fragments_evaluated = list(schedule.evaluated)
-    stats.fragments_pruned = list(schedule.pruned)
-
-    # (fragment id, answer ids it produced): the answers and their accounting
-    answered: List[Tuple[str, List[int]]] = []
     prewarm_fragments(fragmentation, schedule.evaluated, engine=engine)
-
-    # ------------------------------------------------------------------ stage 1
-    stage1 = StageStats(name="combined")
-    stage1_sites = [site_id for site_id, _ in schedule.stage1]
-    outputs: Dict[str, FragmentCombinedOutput] = {}
-    candidate_sites: Dict[str, List[str]] = {}
-
-    for site_id, fragment_ids in schedule.stage1:
-        site = network.sites[site_id]
-        network.send(
-            coordinator_id, site_id, MessageKind.EXEC_REQUEST,
-            units=plan_units(plan) * len(fragment_ids),
-            description="stage 1: combined qualifier + selection pass",
-        )
-        site_answers: List[int] = []
-        site_units = 0
-        with site.visit("pax2:combined"):
-            for fragment_id in fragment_ids:
-                output = combined_pass(
-                    fragmentation,
-                    fragment_id,
-                    plan,
-                    schedule.init_vectors[fragment_id],
-                    is_root_fragment=(fragment_id == root_fragment_id),
-                    engine=engine,
-                )
-                outputs[fragment_id] = output
-                site.add_operations(output.operations)
-                site_answers.extend(output.answers)
-                answered.append((fragment_id, output.answers))
-                if output.candidates:
-                    site.storage[fragment_id]["candidates"] = output.candidates
-                    candidate_sites.setdefault(site_id, []).append(fragment_id)
-                site_units += _output_units(plan, output)
-        if site_units:
-            network.send(
-                site_id, coordinator_id, MessageKind.SELECTION_VECTORS, site_units,
-                description="stage 1: root qualifier vectors and virtual-node vectors",
-            )
-        if site_answers:
-            network.send(
-                site_id, coordinator_id, MessageKind.ANSWERS, len(site_answers),
-                description="stage 1: definite answers",
-            )
-
-    stage1.parallel_seconds, stage1.total_seconds = stage_site_times(
-        network, stage1_sites, "pax2:combined"
-    )
-    stage1.sites_involved = len(stage1_sites)
-    with stage_timer(stage1):
-        environment = _unify_outputs(fragmentation, plan, outputs)
-    stats.stages.append(stage1)
-
-    # ------------------------------------------------------------------ stage 2
-    if candidate_sites:
-        stats.stages.append(_retrieve_answers(
-            fragmentation, plan, network, environment, candidate_sites, answered
-        ))
-
-    # ------------------------------------------------------------------ results
-    stats.answer_ids = sorted({node_id for _, ids in answered for node_id in ids})
-    stats.answer_nodes_shipped = account_answers(answered, fragmentation.flat)
-    network.collect_stats(stats)
-    return stats
+    return run_inline(pax2_coordinator(fragmentation, plan, schedule, engine=engine), network)

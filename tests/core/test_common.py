@@ -14,8 +14,6 @@ from repro.core.common import (
     vector_units,
 )
 from repro.distributed.messages import Message, MessageKind
-from repro.distributed.stats import StageStats
-from repro.core.common import stage_timer
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xmltree.builder import element, text
@@ -110,16 +108,6 @@ class TestBuildNetwork:
         network = build_network(fragmentation)
         assert len(network.sites) == len(fragmentation)
         assert network.coordinator_id == "S0"
-
-
-class TestStageTimer:
-    def test_coordinator_time_accumulates(self):
-        stage = StageStats(name="x")
-        with stage_timer(stage):
-            sum(range(1000))
-        with stage_timer(stage):
-            pass
-        assert stage.coordinator_seconds > 0.0
 
 
 class TestMessages:
