@@ -9,8 +9,6 @@ reaches its site:
 * :func:`repro.core.pax3.run_pax3`, :func:`repro.core.pax2.run_pax2` — the
   two partial-evaluation algorithms, run by the sync driver
   (:func:`repro.core.pax2.pax2_coordinator` is PaX2 itself),
-* :func:`repro.core.batch.run_pax2_batch` — the wave driver: one PaX2
-  coordinator per query, stage-1 passes fused per fragment,
 * :func:`repro.core.parbox.run_parbox` — the Boolean-query baseline of [5],
 * :func:`repro.core.naive.run_naive_centralized` — the ship-everything
   baseline,
@@ -23,7 +21,6 @@ from repro.core.engine import DistributedQueryEngine
 from repro.core.results import PartialAnswer, QueryResult
 from repro.core.pax3 import run_pax3
 from repro.core.pax2 import run_pax2
-from repro.core.batch import run_pax2_batch
 from repro.core.parbox import run_parbox
 from repro.core.naive import run_naive_centralized
 from repro.core.pruning import relevant_fragments, initial_vector_from_labels
@@ -34,7 +31,6 @@ __all__ = [
     "QueryResult",
     "run_pax3",
     "run_pax2",
-    "run_pax2_batch",
     "run_parbox",
     "run_naive_centralized",
     "relevant_fragments",

@@ -34,9 +34,8 @@ query and latency/throughput metrics — use :meth:`as_service` (or
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from repro.core.batch import run_pax2_batch
 from repro.core.common import QueryInput, ensure_plan
 from repro.core.kernel.dispatch import ENGINES
 from repro.core.naive import run_naive_centralized
@@ -86,8 +85,9 @@ class DistributedQueryEngine:
         qualifier-free queries, concrete stack initialization).
     engine:
         Per-fragment pass implementation: ``"kernel"`` (columnar arrays,
-        the default path) or ``"reference"`` (object-tree traversal);
-        ``None`` defers to the process default
+        the default path), ``"vector"`` (numpy window columns) or
+        ``"reference"`` (object-tree traversal); ``None`` defers to the
+        process default
         (:func:`repro.core.kernel.dispatch.fragment_engine`).
     """
 
@@ -140,43 +140,6 @@ class DistributedQueryEngine:
         self._sites = self._sites.refreshed(self.fragmentation, self.placement)
         network = Network(self.fragmentation, self.placement, self._sites)
         return runner(self.fragmentation, query, network=network, **kwargs)
-
-    def run_batch(
-        self,
-        queries: Sequence[QueryInput],
-        use_annotations: Optional[bool] = None,
-    ) -> List[RunStats]:
-        """Evaluate a wave of queries with one fused scan per fragment.
-
-        PaX2 only (the engine's other algorithms fall back to a plain loop of
-        :meth:`run`): stage 1 walks each relevant fragment once for the whole
-        wave, duplicate queries share a kernel slot, and every query still
-        gets the exact :class:`RunStats` its solo run would produce — see
-        :func:`repro.core.batch.run_pax2_batch`.
-        """
-        annotations = self.use_annotations if use_annotations is None else use_annotations
-        if self.algorithm != "pax2":
-            return [self.run(query, use_annotations=annotations) for query in queries]
-        self._sites = self._sites.refreshed(self.fragmentation, self.placement)
-        return run_pax2_batch(
-            self.fragmentation,
-            queries,
-            placement=self.placement,
-            use_annotations=annotations,
-            engine=self.engine,
-            sites=self._sites,
-        )
-
-    def execute_batch(
-        self,
-        queries: Sequence[QueryInput],
-        use_annotations: Optional[bool] = None,
-    ) -> List[QueryResult]:
-        """:meth:`run_batch`, with each RunStats wrapped as a QueryResult."""
-        return [
-            QueryResult(self.fragmentation.tree, stats)
-            for stats in self.run_batch(queries, use_annotations=use_annotations)
-        ]
 
     def execute_boolean(self, query: QueryInput) -> bool:
         """Evaluate a Boolean query with ParBoX and return its truth value."""

@@ -5,21 +5,16 @@ The modules in this package rewrite the three hot per-fragment passes
 arrays of :class:`repro.xmltree.flat.FlatFragment`, with per-tag dispatch
 tables precompiled from the :class:`~repro.xpath.plan.QueryPlan`
 (:mod:`repro.core.kernel.tables`).  :mod:`repro.core.kernel.dispatch`
-selects between these kernels and the object-tree reference passes.
+selects between these kernels, the numpy vector passes
+(:mod:`repro.core.vector`) and the object-tree reference passes.
 """
 
-from repro.core.kernel.batch import (
-    BatchPlanTables,
-    batch_plan_tables,
-    evaluate_fragment_combined_batch,
-)
 from repro.core.kernel.combined import evaluate_fragment_combined_flat
 from repro.core.kernel.dispatch import (
     ENGINES,
     KERNEL,
     REFERENCE,
     combined_pass,
-    combined_pass_batch,
     fragment_engine,
     qualifier_pass,
     selection_pass,
@@ -35,18 +30,14 @@ __all__ = [
     "KERNEL",
     "REFERENCE",
     "combined_pass",
-    "combined_pass_batch",
     "fragment_engine",
     "qualifier_pass",
     "selection_pass",
     "set_fragment_engine",
     "use_fragment_engine",
     "evaluate_fragment_combined_flat",
-    "evaluate_fragment_combined_batch",
     "evaluate_fragment_qualifiers_flat",
     "evaluate_fragment_selection_flat",
-    "BatchPlanTables",
-    "batch_plan_tables",
     "PlanTables",
     "plan_tables",
 ]

@@ -26,13 +26,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from repro.booleans.formula import FormulaLike
 from repro.core.combined import FragmentCombinedOutput, evaluate_fragment_combined
-from repro.core.kernel.batch import evaluate_fragment_combined_batch
 from repro.core.kernel.combined import evaluate_fragment_combined_flat
 from repro.core.kernel.qualifier import evaluate_fragment_qualifiers_flat
 from repro.core.kernel.selection import evaluate_fragment_selection_flat
 from repro.core.qualifiers import FragmentQualifierOutput, evaluate_fragment_qualifiers
 from repro.core.selection import FragmentSelectionOutput, evaluate_fragment_selection
-from repro.core.vector.batch import evaluate_fragment_combined_vector_batch
 from repro.core.vector.combined import evaluate_fragment_combined_vector
 from repro.core.vector.encode import require_numpy, vector_fragment
 from repro.core.vector.qualifier import evaluate_fragment_qualifiers_vector
@@ -53,7 +51,6 @@ __all__ = [
     "qualifier_pass",
     "selection_pass",
     "combined_pass",
-    "combined_pass_batch",
 ]
 
 KERNEL = "kernel"
@@ -239,49 +236,3 @@ def combined_pass(
     if flat is not None:
         raise ValueError("snapshot flats require a columnar engine")
     return evaluate_fragment_combined(fragment, plan, init_vector, is_root_fragment)
-
-
-def combined_pass_batch(
-    fragmentation: Fragmentation,
-    fragment_id: str,
-    plans: Sequence[QueryPlan],
-    init_vectors: Sequence[Sequence[FormulaLike]],
-    is_root_fragment: bool,
-    engine: Optional[str] = None,
-    flat=None,
-) -> list[FragmentCombinedOutput]:
-    """Combined pass for a whole query wave over one fragment.
-
-    With the kernel engine the wave shares one walk of the fragment's flat
-    arrays (:func:`repro.core.kernel.batch.evaluate_fragment_combined_batch`);
-    the vector engine stacks the wave over shared mask columns
-    (:func:`repro.core.vector.batch.evaluate_fragment_combined_vector_batch`);
-    with the reference engine each plan runs its own object-tree pass, so the
-    batch orchestrators stay engine-generic and the differential tests can
-    pin all paths to identical outputs.  ``flat`` overrides the cached
-    encoding for MVCC snapshot reads (columnar engines only).
-    """
-    fragment = fragmentation[fragment_id]
-    engine = _resolve(engine)
-    if engine == KERNEL:
-        return evaluate_fragment_combined_batch(
-            fragment,
-            flat if flat is not None else fragmentation.flat(fragment_id),
-            plans,
-            init_vectors,
-            is_root_fragment,
-        )
-    if engine == VECTOR:
-        return evaluate_fragment_combined_vector_batch(
-            fragment,
-            flat if flat is not None else fragmentation.flat(fragment_id),
-            plans,
-            init_vectors,
-            is_root_fragment,
-        )
-    if flat is not None:
-        raise ValueError("snapshot flats require a columnar engine")
-    return [
-        evaluate_fragment_combined(fragment, plan, init_vector, is_root_fragment)
-        for plan, init_vector in zip(plans, init_vectors)
-    ]

@@ -24,8 +24,8 @@ re-encodes after a write and pinned MVCC snapshots included), keyed by the
 plan's *normalized fingerprint* (:attr:`QueryPlan.fingerprint`):
 compilation is deterministic from the normalized path, so trivially
 different spellings of the same query (``//a/./b`` vs ``//a/b``) share one
-set of compiled tables.  The same fingerprint is the dedup key the batch
-kernels use to collapse duplicate queries to a single slot.  A never-seen
+set of compiled tables.  The same fingerprint is the dedup key the
+service's batcher uses to collapse duplicate passes to one.  A never-seen
 query therefore compiles once per document, not once per fragment, and at
 most :data:`_MAX_TABLES_PER_DOCUMENT` sets are alive per document however
 many fragments it has.

@@ -17,10 +17,10 @@ that can matter for the query (the pruner is conservative with respect to
 both answers and qualifier scopes), and for qualifier-free queries the
 initialization is concrete so the second visit disappears.
 
-The algorithm is written once, as :func:`pax2_coordinator`; the sync
-:func:`run_pax2`, the wave :func:`repro.core.batch.run_pax2_batch` and the
-service's :func:`repro.service.evaluator.evaluate_query_async` only drive
-its site rounds (see :mod:`repro.core.rounds`).
+The algorithm is written once, as :func:`pax2_coordinator`; its two
+drivers, the sync :func:`run_pax2` and the service's
+:func:`repro.service.evaluator.evaluate_query_async`, only drive its site
+rounds (see :mod:`repro.core.rounds`).
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def pax2_schedule(
 @dataclass(slots=True, eq=False)
 class CombinedPass:
     """A run's stage-1 pass over any of its fragments: called by a driver
-    per fragment, or read by a fused scan
-    (:func:`~repro.core.kernel.dispatch.combined_pass_batch`)."""
+    per fragment, or read through :meth:`scan` by the service's batcher."""
 
     fragmentation: Fragmentation
     plan: QueryPlan
@@ -391,8 +390,9 @@ def run_pax2(
     """Evaluate *query* over a fragmented tree with algorithm PaX2.
 
     ``engine`` selects the per-fragment pass implementation (``"kernel"``
-    columnar arrays, ``"reference"`` object-tree traversal; ``None`` uses
-    the process default — see :mod:`repro.core.kernel.dispatch`).
+    columnar arrays, ``"vector"`` numpy window columns, ``"reference"``
+    object-tree traversal; ``None`` uses the process default — see
+    :mod:`repro.core.kernel.dispatch`).
     """
     plan = ensure_plan(query)
     if network is None:

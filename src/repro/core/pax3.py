@@ -264,8 +264,9 @@ def run_pax3(
     """Evaluate *query* over a fragmented tree with algorithm PaX3.
 
     ``engine`` selects the per-fragment pass implementation (``"kernel"``
-    columnar arrays, ``"reference"`` object-tree traversal; ``None`` uses
-    the process default — see :mod:`repro.core.kernel.dispatch`).
+    columnar arrays, ``"vector"`` numpy window columns, ``"reference"``
+    object-tree traversal; ``None`` uses the process default — see
+    :mod:`repro.core.kernel.dispatch`).
     """
     plan = ensure_plan(query)
     if network is None:

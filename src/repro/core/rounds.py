@@ -4,10 +4,10 @@ Each algorithm is written once, as a *coordinator*: a generator that yields
 one :class:`Stage` of :class:`SiteRound` s at a time and is sent back, per
 round, the outputs of its per-fragment passes — or the exception that lost
 the round.  It never sends a message or visits a site; a *driver* does, and
-is the only code that knows how a round reaches its site: :func:`drive`
-here (inline, the sync engine), :func:`repro.core.batch.run_pax2_batch`
-(a lockstep wave) and :func:`repro.service.evaluator.evaluate_query_async`
-(actor tasks over an async transport).
+is the only code that knows how a round reaches its site.  There are two:
+:func:`drive` here (inline, the sync engine) and
+:func:`repro.service.evaluator.evaluate_query_async` (actor tasks over an
+async transport).
 """
 
 from __future__ import annotations

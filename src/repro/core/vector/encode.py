@@ -191,10 +191,10 @@ class VectorFragment:
         self.anc_idx = np.nonzero(anc)[0][::-1]  # decreasing = bottom-up
 
         #: per-item terminal test columns keyed by the normalized test tuple
-        #: — shared across every plan and every fused wave on this fragment
+        #: — shared across every plan on this fragment
         self._test_masks: Dict[tuple, object] = {}
-        #: compiled window programs keyed by plan fingerprint (the dedup key
-        #: the kernel tables and batch tier already use)
+        #: compiled window programs keyed by plan fingerprint (the key the
+        #: kernel tables already use)
         self._programs: Dict[str, object] = {}
 
     # -- window primitives --------------------------------------------------
@@ -224,15 +224,15 @@ class VectorFragment:
             return self.elem_idx[:0]
         return self.tag_rows[self.tag_starts[tid] : self.tag_starts[tid + 1]]
 
-    # -- terminal test columns (shared across plans and waves) --------------
+    # -- terminal test columns (shared across plans) ------------------------
 
     def test_mask(self, test: Optional[tuple]):
         """Boolean column of one EMPTY-item terminal test.
 
         ``None`` is the always-true test (the element mask); ``("text", "=",
         s)`` compares the interned text codes; ``("val", op, x)`` masks the
-        numeric column.  Columns are cached by test tuple, so every plan in
-        a wave that mentions ``text() = "goog"`` scans one shared mask.
+        numeric column.  Columns are cached by test tuple, so every plan
+        that mentions ``text() = "goog"`` scans one shared mask.
         """
         if test is None:
             return self.elem

@@ -13,10 +13,10 @@ further, to the element *rows* each step can touch:
 
 EMPTY qualifier items read their terminal test column straight from the
 fragment-shared test-mask cache (:meth:`VectorFragment.test_mask`), so
-duplicate tests across the plans of a fused wave all scan one array.
+duplicate tests across plans all scan one array.
 
 Programs are cached on the VectorFragment keyed by the plan's normalized
-fingerprint — the same dedup key the kernel tables and the batch tier use.
+fingerprint — the same key the kernel tables use.
 """
 
 from __future__ import annotations

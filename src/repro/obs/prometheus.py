@@ -12,7 +12,7 @@ exposition format (version 0.0.4) a Prometheus scraper, ``curl`` or
 * update counters by kind and document, plus node/invalidation totals;
 * prepared-query hits, misses and evictions per document;
 * result-cache counters host-wide and per document;
-* fused-scan batching counters per document;
+* stage-1 pass batching counters per document;
 * per-site actor gauges (requests, busy/queued seconds, peak concurrency);
 * when tracing is enabled: ``repro_request_latency_seconds`` /
   ``repro_update_latency_seconds`` histograms, one
@@ -298,11 +298,11 @@ def render_prometheus(host: Any) -> str:
             continue
         labels = {"document": name}
         lines.add("repro_batch_fused_scans_total", batcher.stats.fused_scans,
-                  labels=labels, help_text="Fused per-fragment scans executed.")
+                  labels=labels, help_text="Per-fragment combined passes the batcher ran.")
         lines.add("repro_batch_queries_total", batcher.stats.batched_queries,
-                  labels=labels, help_text="Per-query passes served by fused scans.")
+                  labels=labels, help_text="Per-query pass requests served by those passes.")
         lines.add("repro_batch_dedup_hits_total", batcher.stats.dedup_hits,
-                  labels=labels, help_text="Requests sharing another request's kernel slot.")
+                  labels=labels, help_text="Requests sharing another request's pass.")
 
     # -- site actors -------------------------------------------------------
     actors = getattr(host, "actors", None)

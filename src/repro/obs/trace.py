@@ -66,8 +66,8 @@ __all__ = [
 STAGES = ("queue", "cache", "compile", "window", "kernel", "wire", "reassembly")
 
 #: when concurrent spans of *different* stages cover the same instant (a
-#: request waiting in the batching window while its other fragment's fused
-#: scan runs), the instant is charged to the earliest stage listed here —
+#: request waiting in the batching window while its other fragment's pass
+#: runs), the instant is charged to the earliest stage listed here —
 #: work beats waiting, so ``window``/``queue`` absorb only otherwise-idle
 #: time; stages outside the list rank after all of these
 _STAGE_PRECEDENCE = ("kernel", "reassembly", "compile", "cache", "wire", "window", "queue")
@@ -232,7 +232,7 @@ class Span:
 
         Every wall-clock instant covered by at least one staged span is
         charged to **exactly one** stage: concurrent same-stage spans
-        (parallel site rounds, several fragments sharing one fused scan)
+        (parallel site rounds, several fragments' batched passes)
         merge, and where different stages overlap the instant goes to the
         one ranking earliest in the work-beats-waiting precedence
         (:data:`_STAGE_PRECEDENCE` — so a request parked in the batching
@@ -388,8 +388,8 @@ def add_span(
 ) -> None:
     """Attach an already-measured span to the active span.
 
-    For sections timed outside the request's own context — the fused-scan
-    batcher flushes in whatever task context first scheduled the flush
+    For sections timed outside the request's own context — the stage-1
+    pass batcher flushes in whatever task context first scheduled the flush
     callback, so its per-waiter window/kernel times are recorded by the
     waiter afterwards, with explicit timestamps.
     """

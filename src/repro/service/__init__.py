@@ -14,8 +14,10 @@ Components
     its own :class:`~repro.fragments.fragment_tree.Fragmentation` and
     placement.
 :class:`~repro.service.server.DocumentSession`
-    Per-document serving state: version tag, compiled-plan cache,
-    fused-scan batcher, the MVCC snapshot registry every read pins
+    Per-document serving state: version tag, compiled-plan cache, the
+    stage-1 pass batcher (:class:`~repro.service.actors.FragmentWaveBatcher`,
+    which runs concurrent identical passes of a fragment once), the MVCC
+    snapshot registry every read pins
     (:class:`~repro.fragments.snapshots.SnapshotManager`), and a writer
     lock serializing that document's writes only.
 :class:`~repro.service.server.ServiceHost`

@@ -12,11 +12,9 @@ counters (requests served, busy time, peak concurrency) that exist per
 Per-query accounting (visits, per-stage seconds) still lives on the
 per-query ``Site`` objects; the actor only schedules and meters.
 
-:class:`FragmentWaveBatcher` is the service's fused-scan layer: in-flight
-PaX2 queries that reach the same fragment round inside one batching window
-are coalesced into a single walk of that fragment's flat arrays
-(:func:`repro.core.kernel.batch.evaluate_fragment_combined_batch`), with
-exact-duplicate plans deduplicated to one kernel slot first.
+:class:`FragmentWaveBatcher` dedups stage-1 passes: in-flight PaX2 queries
+that ask a fragment for the same pass in one event-loop iteration share one
+ordinary :func:`repro.core.kernel.dispatch.combined_pass`.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ import asyncio
 import time
 import weakref
 from contextlib import asynccontextmanager
-from typing import AsyncIterator, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AsyncIterator, Dict, Iterable, Optional, Sequence
 
-from repro.core.kernel.dispatch import combined_pass_batch, fragment_engine
+from repro.core.kernel.dispatch import combined_pass, fragment_engine
 from repro.obs.trace import NEGLIGIBLE_WAIT_SECONDS, add_span
 from repro.service.metrics import BatchStats
 
@@ -114,23 +112,22 @@ class SiteActor:
 
 
 class FragmentWaveBatcher:
-    """Coalesce concurrent per-fragment combined passes into fused scans.
+    """Run concurrent identical stage-1 passes of a fragment once.
 
     Queries evaluating their stage-1 round submit each fragment's combined
     pass through :meth:`combined` instead of running it directly.  Requests
-    are parked per fragment; one flush callback — scheduled ``window``
-    seconds after the first pending request (or on the next event-loop
-    iteration when the window is zero) — groups each fragment's requests,
-    deduplicates identical plans (same normalized
+    are parked per fragment until the next event-loop iteration.  The flush
+    groups each fragment's requests by anchor (``is_root_fragment``) and
+    pinned encoding, dedups them to slots by normalized plan
     :attr:`~repro.xpath.plan.QueryPlan.fingerprint` and initialization
-    vector) to a single kernel slot, runs **one** fused scan per fragment
-    and resolves every waiter with its slot's output.
+    vector, runs one :func:`~repro.core.kernel.dispatch.combined_pass` per
+    slot and resolves every waiter with its slot's output — or with the
+    exception its slot's pass raised, which no other slot's waiters see.
 
-    The per-query outputs are exactly what the un-batched pass would have
-    produced (the fused kernel is differentially pinned to the single-query
-    kernel), so per-query accounting — visits, operations, traffic units —
-    is unchanged; only the physical walks are shared.  Efficiency counters
-    live in :attr:`stats` (a :class:`~repro.service.metrics.BatchStats`).
+    A slot's output is exactly what each of its waiters' own pass would have
+    produced, so per-query accounting — visits, operations, traffic units —
+    is unchanged.  Counters live in :attr:`stats` (a
+    :class:`~repro.service.metrics.BatchStats`).
 
     Parameters
     ----------
@@ -138,31 +135,18 @@ class FragmentWaveBatcher:
         The fragmented document the service serves.
     engine:
         Per-fragment pass implementation forwarded to
-        :func:`~repro.core.kernel.dispatch.combined_pass_batch` (the
-        reference engine still coalesces, it just runs the wave
-        plan-by-plan).
-    window:
-        Batching window in seconds.  ``0.0`` (the default) flushes on the
-        next event-loop iteration — coalescing whatever is simultaneously
-        pending without adding latency; small positive values trade a little
-        latency for wider waves under bursty traffic.
+        :func:`~repro.core.kernel.dispatch.combined_pass` (``None``: the
+        process default).
     """
 
-    def __init__(
-        self,
-        fragmentation,
-        engine: Optional[str] = None,
-        window: float = 0.0,
-    ):
-        if window < 0.0:
-            raise ValueError("window must be >= 0")
+    def __init__(self, fragmentation, engine: Optional[str] = None):
         self.fragmentation = fragmentation
         self.engine = engine
-        self.window = window
         self.stats = BatchStats()
-        #: fragment id -> [(plan, init key, is_root, future, queued_at)]
-        self._pending: Dict[str, List[tuple]] = {}
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        #: fragment id -> slot key -> (plan, init vector, is_root, flat,
+        #: [(future, queued_at)])
+        self._pending: Dict[str, Dict[tuple, tuple]] = {}
+        self._flush_handle: Optional[asyncio.Handle] = None
         #: weakref to the loop the pending state belongs to — a weakref, not
         #: id(), because a dead loop's address can be reused by the next one,
         #: which would make stale pending futures / a dead flush handle look
@@ -177,11 +161,12 @@ class FragmentWaveBatcher:
         is_root_fragment: bool,
         flat=None,
     ):
-        """The fragment's combined-pass output for *plan*, via a fused scan.
+        """The fragment's combined-pass output for *plan*, shared with every
+        identical request of the same flush.
 
-        ``flat`` pins the scan to a specific :class:`FlatFragment` (the MVCC
+        ``flat`` pins the pass to a specific :class:`FlatFragment` (the MVCC
         snapshot path); requests pinned to different encodings of the same
-        fragment never share a fused scan.
+        fragment never share a pass.
         """
         loop = asyncio.get_running_loop()
         if self._loop_ref is None or self._loop_ref() is not loop:
@@ -192,97 +177,58 @@ class FragmentWaveBatcher:
             self._loop_ref = weakref.ref(loop)
         future = loop.create_future()
         queued_at = time.perf_counter()
-        self._pending.setdefault(fragment_id, []).append(
-            (plan, tuple(init_vector), is_root_fragment, future, queued_at, flat)
-        )
+        init_vector = tuple(init_vector)
+        slots = self._pending.setdefault(fragment_id, {})
+        key = (is_root_fragment, id(flat), plan.fingerprint, init_vector)
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = slot = (plan, init_vector, is_root_fragment, flat, [])
+        slot[4].append((future, queued_at))
         if self._flush_handle is None:
-            if self.window > 0.0:
-                self._flush_handle = loop.call_later(self.window, self._flush)
-            else:
-                self._flush_handle = loop.call_soon(self._flush)
+            self._flush_handle = loop.call_soon(self._flush)
         # The flush callback runs in whatever task context first scheduled
         # it, so its spans would attribute to an arbitrary request; instead
-        # the scan timing rides back on the future and each waiter records
+        # the pass timing rides back on the future and each waiter records
         # its own window/kernel spans here, in its own request's context.
-        # The window span runs until this waiter's own scan starts (the
-        # breakdown's stage precedence charges any overlap with the same
-        # request's other scans to kernel, not twice).
-        output, scan_started, scan_ended = await future
-        add_span("batch:window", "window", queued_at, scan_started,
+        output, pass_started, pass_ended = await future
+        add_span("batch:window", "window", queued_at, pass_started,
                  fragment=fragment_id)
-        add_span("kernel:fused", "kernel", scan_started, scan_ended,
+        add_span("kernel:fused", "kernel", pass_started, pass_ended,
                  fragment=fragment_id, engine=self.engine or fragment_engine())
         return output
 
     def _flush(self) -> None:
-        """Run one fused scan per fragment with pending requests."""
+        """Run one combined pass per pending slot."""
         self._flush_handle = None
         pending, self._pending = self._pending, {}
         now = time.perf_counter()
-        for fragment_id, all_requests in pending.items():
-            # Waiters cancelled inside the batching window have a done
-            # (cancelled) future; drop them before grouping so a wave of
-            # cancellations neither poisons the scan's stats nor runs a
-            # fused scan nobody is waiting for.
-            requests = [request for request in all_requests if not request[3].done()]
-            if not requests:
-                continue
-            # is_root_fragment is per fused call; callers derive it from the
-            # fragment so a mixed group is essentially misuse, but partition
-            # rather than silently evaluating someone with the wrong anchor.
-            # Requests pinned to different snapshot encodings (or the live
-            # one) are likewise partitioned: versions never share a scan.
-            groups: Dict[tuple, List[tuple]] = {}
-            for request in requests:
-                groups.setdefault((request[2], id(request[5])), []).append(request)
-            for (is_root, _), group in sorted(groups.items()):
-                self._fused_scan(fragment_id, group, is_root, now)
-
-    def _fused_scan(
-        self, fragment_id: str, requests: List[tuple], is_root: bool, now: float
-    ) -> None:
-        """One fused scan over the deduplicated slots of *requests*."""
-        # Dedup to kernel slots: identical normalized plan + identical
-        # initialization means identical output, one slot serves all.
-        slot_order: List[Tuple[str, tuple]] = []
-        slots: Dict[Tuple[str, tuple], List[tuple]] = {}
-        for request in requests:
-            key = (request[0].fingerprint, request[1])
-            waiters = slots.get(key)
-            if waiters is None:
-                slots[key] = waiters = []
-                slot_order.append(key)
-            waiters.append(request)
-        scan_started = time.perf_counter()
-        try:
-            outputs = combined_pass_batch(
-                self.fragmentation,
-                fragment_id,
-                [slots[key][0][0] for key in slot_order],
-                [key[1] for key in slot_order],
-                is_root_fragment=is_root,
-                engine=self.engine,
-                flat=requests[0][5],
-            )
-        except BaseException as error:  # resolve waiters, don't hang them
-            for request in requests:
-                future = request[3]
-                if not future.done():
-                    future.set_exception(error)
-            return
-        scan_ended = time.perf_counter()
-        self.stats.record_scan(
-            requests=len(requests),
-            slots=len(slot_order),
-            window_seconds=[now - request[4] for request in requests],
-        )
-        for key, output in zip(slot_order, outputs):
-            for request in slots[key]:
-                future = request[3]
-                if not future.done():
-                    # (output, scan start, scan end): combined() unpacks the
-                    # timing for its per-request trace spans.
-                    future.set_result((output, scan_started, scan_ended))
+        for fragment_id, slots in pending.items():
+            for plan, init_vector, is_root, flat, all_waiters in slots.values():
+                # Waiters cancelled before the flush have a done (cancelled)
+                # future: they count as nothing, and a slot nobody waits for
+                # any more runs no pass.
+                waiters = [waiter for waiter in all_waiters if not waiter[0].done()]
+                if not waiters:
+                    continue
+                self.stats.record_scan(
+                    requests=len(waiters), slots=1,
+                    window_seconds=[now - queued_at for _, queued_at in waiters],
+                )
+                started = time.perf_counter()
+                try:
+                    output = combined_pass(
+                        self.fragmentation, fragment_id, plan, init_vector,
+                        is_root_fragment=is_root, engine=self.engine, flat=flat,
+                    )
+                except Exception as error:  # fail this slot's waiters only
+                    for future, _ in waiters:
+                        future.set_exception(error)
+                    continue
+                # (output, pass start, pass end): combined() unpacks the
+                # timing for its per-request trace spans.
+                result = (output, started, time.perf_counter())
+                for future, _ in waiters:
+                    future.set_result(result)
 
 
 class ActorPool:

@@ -74,8 +74,9 @@ async def evaluate_query_async(
     ``snapshot`` is the pinned version every pass and the answer accounting
     read, so the run is exact at that version regardless of concurrent
     writes.  ``engine`` selects the columnar pass (``kernel`` or
-    ``vector``).  ``batcher`` routes stage-1 passes through the fused-scan
-    batching window (outputs and accounting unchanged).  ``injector`` makes
+    ``vector``).  ``batcher`` routes stage-1 passes through the batcher,
+    which runs identical concurrent passes once (outputs and accounting
+    unchanged).  ``injector`` makes
     the wire unreliable; ``resilience`` adds the per-round
     retry/breaker/deadline machinery and degradation to partial answers —
     without either, a lost round fails the query.  ``schedule`` is the
@@ -106,7 +107,7 @@ async def evaluate_query_async(
             site_round.site_id, site_round.fragment_ids, site_round.run_pass
         )
         site = network.sites[site_id]
-        fused = batcher is not None and site_round.stage == COMBINED
+        batched = batcher is not None and site_round.stage == COMBINED
 
         async def attempt(buffer: Optional[RoundBuffer]):
             for kind, units, description in site_round.requests:
@@ -114,9 +115,9 @@ async def evaluate_query_async(
                     coordinator_id, site_id, kind, units, description, buffer=buffer
                 )
             with site.visit(site_round.stage):
-                if fused:
-                    # One batching window per site round; the batcher
-                    # records the window and fused-kernel spans itself.
+                if batched:
+                    # The batcher records each pass's window and kernel
+                    # spans itself.
                     outputs = await asyncio.gather(*(
                         batcher.combined(fid, *run_pass.scan(fid)) for fid in fragment_ids
                     ))
@@ -124,7 +125,7 @@ async def evaluate_query_async(
                     "kernel:" + site_round.stage.partition(":")[2], stage="kernel",
                     site=site_id, fragments=len(fragment_ids), engine=engine or fragment_engine(),
                 ):
-                    if not fused:
+                    if not batched:
                         outputs = [run_pass(site, fid) for fid in fragment_ids]
                     replies = site_round.collect(site, fragment_ids, outputs)
             for kind, units, description in replies:

@@ -62,13 +62,14 @@ def percentile(values: List[float], fraction: float) -> float:
 
 
 class BatchStats:
-    """Efficiency accounting of the service's fused-scan batcher.
+    """Efficiency accounting of the service's stage-1 pass batcher.
 
-    One *fused scan* walks a fragment once for every per-fragment combined
-    pass that was pending inside the batching window; requests whose plans
-    share a normalized fingerprint collapse to one kernel slot first
-    (*dedup hits*).  ``queries_per_scan`` is the batching win: how many
+    Requests pending on a fragment in one flush whose plans share a
+    normalized fingerprint and initialization collapse to one slot
+    (*dedup hits*), and each slot runs one combined pass — one *scan* of
+    the fragment.  ``queries_per_scan`` is the batching win: how many
     per-query fragment walks one physical walk replaced, on average.
+    ``perf/`` reads these field names, so a pass keeps the name *scan*.
     """
 
     #: retained batching-window wait samples (oldest dropped first) — the
@@ -76,21 +77,20 @@ class BatchStats:
     WINDOW_SAMPLES = DEFAULT_SAMPLE_WINDOW
 
     def __init__(self) -> None:
-        #: fused per-fragment scans executed
+        #: per-fragment combined passes run, one per slot
         self.fused_scans = 0
-        #: per-query combined-pass requests served by those scans
+        #: per-query combined-pass requests served by those passes
         self.batched_queries = 0
-        #: requests that shared another request's kernel slot (same
+        #: requests that shared another request's slot (same
         #: normalized plan fingerprint and initialization)
         self.dedup_hits = 0
-        #: seconds each request waited in the batching window before its
-        #: fused scan ran
+        #: seconds each request waited for the flush that ran its pass
         self.window_seconds: List[float] = []
 
     def record_scan(
         self, requests: int, slots: int, window_seconds: List[float]
     ) -> None:
-        """Record one fused scan serving *requests* requests via *slots* slots."""
+        """Record one scan serving *requests* requests via *slots* slots."""
         self.fused_scans += 1
         self.batched_queries += requests
         self.dedup_hits += requests - slots
@@ -112,9 +112,9 @@ class BatchStats:
 
     def summary(self) -> str:
         return (
-            f"batching: {self.fused_scans} fused scans,"
-            f" {self.batched_queries} batched passes"
-            f" ({self.queries_per_scan:.2f} per scan),"
+            f"batching: {self.fused_scans} passes"
+            f" for {self.batched_queries} requests"
+            f" ({self.queries_per_scan:.2f} per pass),"
             f" {self.dedup_hits} dedup hits,"
             f" window p50 {self.window_p50 * 1000:.2f} ms"
             f" p95 {self.window_p95 * 1000:.2f} ms"

@@ -8,7 +8,7 @@ fragmented document to a catalog of them.  One host owns a
 admission scheduler, one shared :class:`~repro.service.cache.QueryResultCache`
 and one :class:`~repro.service.metrics.ServiceMetrics` aggregator.  Each
 registered document gets a :class:`DocumentSession` — its prepared-query
-LRU, version tag, fused-scan batcher, MVCC snapshot registry and a writer
+LRU, version tag, stage-1 pass batcher, MVCC snapshot registry and a writer
 lock serializing that document's writes (and nothing else).
 
 A request routed by ``submit(document, query)`` first looks its raw text up
@@ -152,11 +152,8 @@ class ServiceConfig:
     cache_capacity: int = 256
     #: join identical in-flight queries instead of re-evaluating
     coalesce: bool = True
-    #: coalesce concurrent per-fragment rounds into fused scans
+    #: run concurrent identical stage-1 passes of a fragment once
     batching: bool = True
-    #: batching window in seconds: how long a fragment round waits for
-    #: companions before its fused scan runs (0 = next event-loop iteration)
-    batch_window: float = 0.0
     #: retained per-request metric records (the service-wide sample cap)
     metrics_window: int = DEFAULT_SAMPLE_WINDOW
     #: tracer receiving one root span per request and update; ``None`` uses
@@ -186,8 +183,6 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be >= 0 (0 disables caching)")
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if self.batch_window < 0.0:
-            raise ValueError("batch_window must be >= 0")
 
 
 class DocumentSession:
@@ -196,7 +191,7 @@ class DocumentSession:
     The session owns everything whose lifetime and scope is *one tenant's
     document*: the fragmentation and placement (shared with the catalog
     entry), the version tag its cached answers are keyed under, the
-    prepared-query LRU, the fused-scan batcher bound to its flat arrays,
+    prepared-query LRU, the stage-1 pass batcher over its fragments,
     the MVCC registry its readers pin and the lock serializing its writers.
     Scheduling (actors, admission, cache storage, metrics) lives on the host
     and is shared across sessions.
@@ -213,13 +208,9 @@ class DocumentSession:
         self.version = version_tag(entry.fragmentation, entry.placement)
         #: MVCC registry of pinned version snapshots for THIS document
         self.snapshots = SnapshotManager(entry.fragmentation, config.snapshots)
-        #: fused-scan batching window (None when batching is disabled)
+        #: stage-1 pass batcher (None when batching is disabled)
         self.batcher: Optional[FragmentWaveBatcher] = (
-            FragmentWaveBatcher(
-                entry.fragmentation,
-                engine=engine,
-                window=config.batch_window,
-            )
+            FragmentWaveBatcher(entry.fragmentation, engine=engine)
             if config.batching
             else None
         )

@@ -65,17 +65,15 @@ KIND_TEXT = 1
 class TagTable:
     """Append-only interning of one document's element tags.
 
-    Everything compiled against tag ids lives here too, once per document
-    instead of once per fragment: the per-query dispatch tables
-    (:func:`repro.core.kernel.tables.plan_tables`) and the fused per-wave
-    tables (:func:`repro.core.kernel.batch.batch_plan_tables`), each a
-    bounded FIFO.  Two caches, so churning wave compositions cannot evict
-    the hot single-query tables.  An entry compiled when the table held k
-    tags has k per-tag rows; the lookups recompile an entry that is shorter
-    than the table, so no row is ever indexed with an id it lacks.
+    The per-query dispatch tables compiled against tag ids
+    (:func:`repro.core.kernel.tables.plan_tables`) live here too, once per
+    document instead of once per fragment, in a bounded FIFO.  An entry
+    compiled when the table held k tags has k per-tag rows; the lookup
+    recompiles an entry that is shorter than the table, so no row is ever
+    indexed with an id it lacks.
     """
 
-    __slots__ = ("tags", "index", "plan_tables", "batch_tables")
+    __slots__ = ("tags", "index", "plan_tables")
 
     def __init__(self) -> None:
         #: tag id -> tag string (what :attr:`FlatFragment.tags` points at)
@@ -84,8 +82,6 @@ class TagTable:
         self.index: Dict[str, int] = {}
         #: plan fingerprint -> PlanTables
         self.plan_tables: Dict[str, object] = {}
-        #: canonical tuple of plan fingerprints -> BatchPlanTables
-        self.batch_tables: Dict[tuple, object] = {}
 
 
 class FlatFragment:

@@ -1,10 +1,10 @@
-"""One PaX2 coordinator, three drivers.
+"""One PaX2 coordinator, two drivers.
 
 The algorithm lives in :func:`repro.core.pax2.pax2_coordinator`; the sync
-engine, the fused wave and the service only schedule its site rounds.  So a
-query must come out of all three with the same answers and traffic, the same
-visits per site and stage, and the same coordinator spans — and the
-coordinator's degrade rules can be driven by hand, with no event loop.
+engine and the service only schedule its site rounds.  So a query must come
+out of both with the same answers and traffic, the same visits per site and
+stage, and the same coordinator spans — and the coordinator's degrade rules
+can be driven by hand, with no event loop.
 """
 
 from collections import Counter
@@ -12,9 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.batch import run_pax2_batch
 from repro.core.common import ensure_plan
-from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.naive import run_naive_centralized
 from repro.core.parbox import run_parbox
@@ -23,7 +21,7 @@ from repro.core.pax3 import run_pax3
 from repro.core.rounds import Coordinator, run_round
 from repro.core.vector import numpy_available
 from repro.distributed.faults import TransportError
-from repro.distributed.network import Network, SiteIndex
+from repro.distributed.network import Network
 from repro.distributed.site import Site
 from repro.obs.trace import Tracer
 from repro.service.server import ServiceHost
@@ -73,7 +71,7 @@ def traced(run):
 
 @pytest.mark.parametrize("use_annotations", [False, True])
 @pytest.mark.parametrize("engine", COLUMNAR)
-def test_sync_wave_and_service_drive_the_same_coordinator(ft2, visits, engine, use_annotations):
+def test_sync_and_service_drive_the_same_coordinator(ft2, visits, engine, use_annotations):
     fragmentation, placement = ft2.fragmentation, ft2.placement
     solo = {}
     for query in QUERIES:
@@ -94,16 +92,6 @@ def test_sync_wave_and_service_drive_the_same_coordinator(ft2, visits, engine, u
         stats = host.execute("doc", query).stats
         root = host.tracer.finished[-1]
         assert (fingerprint(stats), Counter(visits), coordinator_spans(root)) == solo[query]
-
-    wave = QUERIES + QUERIES[:2]
-    visits.clear()
-    batch, root = traced(lambda: run_pax2_batch(
-        fragmentation, wave, placement, use_annotations, engine=engine
-    ))
-    for query, stats in zip(wave, batch):
-        assert fingerprint(stats) == solo[query][0], query
-    assert visits == sum((solo[query][1] for query in wave), Counter())
-    assert coordinator_spans(root) == sum((solo[query][2] for query in wave), Counter())
 
 
 # -- the degrade rules, driven by hand ---------------------------------------------
@@ -227,19 +215,3 @@ def test_the_schedule_labels_the_run(ft2):
         while stage is not None:
             stage = coordinator.advance([run_round(network, r) for r in stage.rounds])
         assert coordinator.stats.use_annotations is use_annotations
-
-
-def test_a_warm_run_batch_builds_no_site_index(ft2, monkeypatch):
-    engine = DistributedQueryEngine(ft2.fragmentation, ft2.placement)
-    engine.run_batch(QUERIES)
-    built = []
-    original = SiteIndex.__init__
-
-    def counting(self, *args):
-        built.append(args)
-        original(self, *args)
-
-    monkeypatch.setattr(SiteIndex, "__init__", counting)
-    batch = engine.run_batch(QUERIES)
-    assert built == []
-    assert [stats.answer_ids for stats in batch] == [engine.run(q).answer_ids for q in QUERIES]

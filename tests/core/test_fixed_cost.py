@@ -32,7 +32,6 @@ import pytest
 from repro.booleans import formula as formula_module
 from repro.booleans.env import Environment
 from repro.booleans.formula import And, Not, Or, Var
-from repro.core.batch import run_pax2_batch
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
 from repro.core.kernel.tables import PlanTables
@@ -163,13 +162,6 @@ def test_a_never_seen_service_stream_keeps_the_intern_tables_bounded():
 RESIDUAL_QUERY = "//open_auction[bidder]/current"
 
 
-def run_pax2_wave(scenario, query, engine):
-    return run_pax2_batch(
-        scenario.fragmentation, [query, "//open_auction/current", query],
-        scenario.placement, use_annotations=True, engine=engine,
-    )[0]
-
-
 def run_service_read(scenario, query, engine):
     """One read through a host, pinned to a snapshot (columnar engines only)."""
     host = ServiceHost(engine=engine, cache_capacity=0, coalesce=False)
@@ -180,7 +172,6 @@ def run_service_read(scenario, query, engine):
 RUNNERS = {
     "pax2": lambda s, q, e: run_pax2(s.fragmentation, q, s.placement, True, engine=e),
     "pax3": lambda s, q, e: run_pax3(s.fragmentation, q, s.placement, True, engine=e),
-    "pax2_batch": run_pax2_wave,
     "service": run_service_read,
 }
 

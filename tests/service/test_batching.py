@@ -1,19 +1,22 @@
-"""The service's fused-scan batching window.
+"""The service's stage-1 pass batcher.
 
-Concurrent in-flight queries that reach the same fragment round must share
-one fused scan — with duplicate plans deduplicated to a single kernel slot —
-while every request still receives exactly the answers and accounting its
-un-batched evaluation would produce.
+Concurrent in-flight queries that ask a fragment for the same pass in one
+event-loop iteration must share one combined pass — duplicate plans
+deduplicated to a single slot — while every request still receives exactly
+the answers and accounting its un-batched evaluation would produce.
 """
 
 import asyncio
 
 import pytest
 
+from repro.core.common import ensure_plan
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL
+from repro.core.kernel.dispatch import KERNEL, combined_pass
+from repro.core.selection import concrete_root_init_vector
+from repro.service import actors
 from repro.service.actors import FragmentWaveBatcher
-from repro.service.server import ServiceConfig, ServiceEngine
+from repro.service.server import ServiceEngine
 from repro.workloads.queries import (
     PAPER_QUERIES,
     clientele_example_tree,
@@ -42,7 +45,7 @@ def make_service(ft2, **overrides):
 
 class TestBatchedAnswers:
     def test_batched_wave_matches_unbatched_answers(self, ft2, expected):
-        service = make_service(ft2, batch_window=0.002)
+        service = make_service(ft2)
         queries = [query for query in PAPER_QUERIES.values() for _ in range(6)]
         results = service.serve_batch(queries, concurrency=24)
         for query, result in zip(queries, results):
@@ -69,7 +72,7 @@ class TestBatchedAnswers:
                 for r in results
             ]
 
-        batched = fingerprints(make_service(ft2, batch_window=0.002))
+        batched = fingerprints(make_service(ft2))
         unbatched = fingerprints(make_service(ft2, batching=False))
         assert batched == unbatched
 
@@ -83,26 +86,20 @@ class TestConfiguration:
         assert "batching" not in service.host.summary()
 
     def test_summary_surfaces_batch_efficiency(self, ft2):
-        service = make_service(ft2, batch_window=0.002)
+        service = make_service(ft2)
         service.serve_batch(list(PAPER_QUERIES.values()) * 2, concurrency=8)
         summary = service.host.summary()
-        assert "fused scans" in summary
+        assert "passes for" in summary
         assert "dedup" in summary
         payload = service.session.batcher.stats.to_dict()
         assert payload["fused_scans"] > 0
         assert "queries_per_scan" in payload
         assert "window_seconds" in payload
 
-    def test_negative_window_rejected(self, ft2):
-        with pytest.raises(ValueError):
-            ServiceConfig(batch_window=-0.1)
-        with pytest.raises(ValueError):
-            FragmentWaveBatcher(ft2.fragmentation, window=-1.0)
-
     def test_batcher_survives_fresh_event_loops(self, ft2, expected):
         # The blocking facade runs each call in its own asyncio.run loop;
         # futures parked in a dead loop must not leak into the next call.
-        service = make_service(ft2, batch_window=0.001)
+        service = make_service(ft2)
         for _ in range(3):
             result = service.execute(PAPER_QUERIES["Q2"])
             assert result.stats.answer_ids == expected[PAPER_QUERIES["Q2"]]
@@ -151,8 +148,71 @@ def test_clientele_service_batching_end_to_end():
     engine = DistributedQueryEngine(fragmentation)
     query = 'client[country/text() = "us"]/name'
     expected = engine.run(query).answer_ids
-    service = engine.as_service(cache_capacity=0, coalesce=False, batch_window=0.001)
+    service = engine.as_service(cache_capacity=0, coalesce=False)
     results = service.serve_batch([query] * 8, concurrency=8)
     for result in results:
         assert result.stats.answer_ids == expected
     assert service.session.batcher.stats.dedup_hits > 0
+
+
+class TestOnePassPerSlot:
+    """The flush runs one ordinary combined pass per distinct slot."""
+
+    @pytest.fixture
+    def root_requests(self, ft2):
+        fragmentation = ft2.fragmentation
+        root_id = fragmentation.root_fragment_id
+        plan_a = ensure_plan(PAPER_QUERIES["Q1"])
+        plan_a2 = ensure_plan(PAPER_QUERIES["Q1"])  # A': same fingerprint
+        plan_b = ensure_plan(PAPER_QUERIES["Q2"])
+        assert plan_a.fingerprint == plan_a2.fingerprint != plan_b.fingerprint
+        return fragmentation, root_id, [
+            (plan, concrete_root_init_vector(plan)) for plan in (plan_a, plan_a2, plan_b)
+        ]
+
+    def test_one_flush_runs_one_pass_per_distinct_plan(self, root_requests, monkeypatch):
+        fragmentation, root_id, requests = root_requests
+        calls = []
+
+        def counting_pass(fragmentation, fragment_id, plan, *args, **kwargs):
+            calls.append(plan.fingerprint)
+            return combined_pass(fragmentation, fragment_id, plan, *args, **kwargs)
+
+        monkeypatch.setattr(actors, "combined_pass", counting_pass)
+        batcher = FragmentWaveBatcher(fragmentation, engine=KERNEL)
+
+        async def run():
+            return await asyncio.gather(*(
+                batcher.combined(root_id, plan, init, True) for plan, init in requests
+            ))
+
+        out_a, out_a2, out_b = asyncio.run(run())
+        assert calls == [requests[0][0].fingerprint, requests[2][0].fingerprint]
+        assert out_a is out_a2 and out_b is not out_a
+        assert batcher.stats.batched_queries == 3
+        assert batcher.stats.fused_scans == 2
+        assert batcher.stats.dedup_hits == 1
+
+    def test_a_failing_slot_fails_only_its_own_waiters(self, root_requests, monkeypatch):
+        fragmentation, root_id, requests = root_requests
+        (plan_a, init_a), _, (plan_b, init_b) = requests
+        solo = combined_pass(fragmentation, root_id, plan_b, init_b, True, engine=KERNEL)
+
+        def failing_pass(fragmentation, fragment_id, plan, *args, **kwargs):
+            if plan.fingerprint == plan_a.fingerprint:
+                raise RuntimeError("pass failed")
+            return combined_pass(fragmentation, fragment_id, plan, *args, **kwargs)
+
+        monkeypatch.setattr(actors, "combined_pass", failing_pass)
+        batcher = FragmentWaveBatcher(fragmentation, engine=KERNEL)
+
+        async def run():
+            return await asyncio.gather(
+                batcher.combined(root_id, plan_a, init_a, True),
+                batcher.combined(root_id, plan_b, init_b, True),
+                return_exceptions=True,
+            )
+
+        failed, output = asyncio.run(run())
+        assert isinstance(failed, RuntimeError)
+        assert output == solo

@@ -67,7 +67,7 @@ class TestBatcherCancellation:
         fragmentation, plan, fragment_id, init = fused
 
         async def scenario():
-            batcher = FragmentWaveBatcher(fragmentation, window=0.02)
+            batcher = FragmentWaveBatcher(fragmentation)
             doomed = asyncio.create_task(
                 batcher.combined(fragment_id, plan, init, False)
             )
@@ -91,7 +91,7 @@ class TestBatcherCancellation:
         fragmentation, plan, fragment_id, init = fused
 
         async def scenario():
-            batcher = FragmentWaveBatcher(fragmentation, window=0.01)
+            batcher = FragmentWaveBatcher(fragmentation)
             tasks = [
                 asyncio.create_task(batcher.combined(fragment_id, plan, init, False))
                 for _ in range(3)
@@ -111,7 +111,7 @@ class TestBatcherCancellation:
         fragmentation, plan, fragment_id, init = fused
 
         async def scenario():
-            batcher = FragmentWaveBatcher(fragmentation, window=0.0)
+            batcher = FragmentWaveBatcher(fragmentation)
             doomed = asyncio.create_task(
                 batcher.combined(fragment_id, plan, init, False)
             )

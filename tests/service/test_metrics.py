@@ -129,7 +129,7 @@ class TestRetentionCaps:
             "F7", "F8", "F9", "F10",
         ]
 
-    def test_batch_window_samples_bounded(self):
+    def test_batcher_window_samples_bounded(self):
         stats = BatchStats()
         stats.WINDOW_SAMPLES = 6  # instance override of the class cap
         for _ in range(5):

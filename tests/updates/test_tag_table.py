@@ -148,3 +148,13 @@ def test_two_documents_share_neither_tags_nor_tables():
     assert "client" in clientele_table.index and "client" not in xmark_table.index
     assert "person" in xmark_table.index and "person" not in clientele_table.index
     assert len(xmark_table.plan_tables) == len(clientele_table.plan_tables) == 1
+
+
+def test_plan_tables_shared_across_spellings():
+    """The PlanTables cache keys on the normalized fingerprint."""
+    fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+    flat = fragmentation.flat(fragmentation.root_fragment_id)
+    a = ensure_plan("//broker/./name")
+    b = ensure_plan("//broker/name")
+    assert a.fingerprint == b.fingerprint
+    assert plan_tables(flat, a) is plan_tables(flat, b)
