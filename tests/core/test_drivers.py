@@ -7,6 +7,7 @@ stage, and the same coordinator spans — and the coordinator's degrade rules
 can be driven by hand, with no event loop.
 """
 
+import asyncio
 from collections import Counter
 from contextlib import contextmanager
 
@@ -21,7 +22,7 @@ from repro.core.pax3 import run_pax3
 from repro.core.rounds import Coordinator, run_round
 from repro.core.vector import numpy_available
 from repro.distributed.faults import TransportError
-from repro.distributed.network import Network
+from repro.distributed.network import Network, SiteIndex
 from repro.distributed.site import Site
 from repro.obs.trace import Tracer
 from repro.service.server import ServiceHost
@@ -92,6 +93,32 @@ def test_sync_and_service_drive_the_same_coordinator(ft2, visits, engine, use_an
         stats = host.execute("doc", query).stats
         root = host.tracer.finished[-1]
         assert (fingerprint(stats), Counter(visits), coordinator_spans(root)) == solo[query]
+
+
+def test_a_warm_service_wave_builds_no_site_index(ft2, monkeypatch):
+    host = ServiceHost(cache_capacity=0, coalesce=False)
+    host.register("doc", ft2.fragmentation, ft2.placement)
+
+    def wave():
+        async def run():
+            return await asyncio.gather(*(host.submit("doc", q) for q in QUERIES))
+
+        return [result.stats.answer_ids for result in asyncio.run(run())]
+
+    wave()  # prepared queries and encodings built
+    built = []
+    original = SiteIndex.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(SiteIndex, "__init__", counting)
+    answers = wave()
+    assert built == []
+    assert answers == [
+        run_pax2(ft2.fragmentation, q, ft2.placement).answer_ids for q in QUERIES
+    ]
 
 
 # -- the degrade rules, driven by hand ---------------------------------------------

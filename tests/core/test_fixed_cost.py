@@ -169,10 +169,26 @@ def run_service_read(scenario, query, engine):
     return host.execute("doc", query).stats
 
 
+def run_service_wave(scenario, query, engine):
+    """Three concurrent reads of *query* through a host, sharing their
+    stage-1 passes in the batcher; the first read's stats."""
+    host = ServiceHost(engine=engine, cache_capacity=0, coalesce=False)
+    host.register("doc", scenario.fragmentation, scenario.placement)
+
+    async def wave():
+        return await asyncio.gather(*(host.submit("doc", query) for _ in range(3)))
+
+    results = asyncio.run(wave())
+    assert host.session("doc").batcher.stats.dedup_hits > 0
+    assert len({tuple(r.stats.answer_ids) for r in results}) == 1
+    return results[0].stats
+
+
 RUNNERS = {
     "pax2": lambda s, q, e: run_pax2(s.fragmentation, q, s.placement, True, engine=e),
     "pax3": lambda s, q, e: run_pax3(s.fragmentation, q, s.placement, True, engine=e),
     "service": run_service_read,
+    "service_wave": run_service_wave,
 }
 
 
@@ -213,7 +229,7 @@ def coordinator_work(monkeypatch):
     (engine, runner)
     for engine in available_engines()
     for runner in sorted(RUNNERS)
-    if not (runner == "service" and engine == REFERENCE)
+    if not (runner.startswith("service") and engine == REFERENCE)
 ])
 def test_candidates_resolve_per_distinct_formula_and_accounting_walks_no_tree(
     coordinator_work, engine, runner
