@@ -1,12 +1,12 @@
-"""Columnar per-fragment evaluation kernels.
-
-The modules in this package rewrite the three hot per-fragment passes
-(qualifier, selection, combined) as iterative walks over the flat pre-order
-arrays of :class:`repro.xmltree.flat.FlatFragment`, with per-tag dispatch
-tables precompiled from the :class:`~repro.xpath.plan.QueryPlan`
-(:mod:`repro.core.kernel.tables`).  :mod:`repro.core.kernel.dispatch`
-selects between these kernels, the numpy vector passes
-(:mod:`repro.core.vector`) and the object-tree reference passes.
+"""Columnar per-fragment evaluation kernels: two walks over the flat
+pre-order arrays of :class:`repro.xmltree.flat.FlatFragment`, driven by
+tables precompiled per plan (:mod:`~repro.core.kernel.tables`).  PaX3 runs
+the forward selection walk (:mod:`~repro.core.kernel.selection`) and the
+reverse qualifier walk (:mod:`~repro.core.kernel.qualifier`) in two site
+visits; PaX2's combined pass (:mod:`~repro.core.kernel.combined`) runs both
+in one.  :mod:`~repro.core.kernel.dispatch` selects between these kernels,
+the numpy vector passes (:mod:`repro.core.vector`) and the object-tree
+reference.
 """
 
 from repro.core.kernel.combined import evaluate_fragment_combined_flat

@@ -1,14 +1,17 @@
-"""Columnar rewrite of the qualifier pass (Stage 1 of PaX3 / ParBoX).
+"""The kernel's reverse walk: qualifier vectors, children first.
 
 Semantically identical to
 :func:`repro.core.qualifiers.evaluate_fragment_qualifiers`, but the
 traversal is a single reverse walk over the fragment's flat pre-order
 arrays: reverse pre-order visits every node after all of its descendants,
 so the bottom-up recurrence needs no frame stack at all.  Per element the
-pass folds the already-computed child HEAD/DESC rows (document order,
+walk folds the already-computed child HEAD/DESC rows (document order,
 virtual children first — the same fold order as the reference, so residual
 formulas come out structurally identical) and interprets the precompiled
-``item_prog`` instead of re-reading the plan's dataclasses.
+``item_prog`` instead of re-reading the plan's dataclasses.  PaX3's
+qualifier pass asks it for every element's selection-qualifier values;
+PaX2's combined pass (:mod:`repro.core.kernel.combined`) only for the rows
+whose placeholders its forward walk parked.
 
 All-false rows are shared tuples instead of fresh lists, so leaf-heavy
 fragments allocate almost nothing per node.
@@ -16,7 +19,7 @@ fragments allocate almost nothing per node.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
 
 from repro.booleans.formula import FormulaLike, conj, disj
 from repro.core.kernel.tables import (
@@ -26,15 +29,17 @@ from repro.core.kernel.tables import (
     ITEM_EMPTY_TRUE,
     ITEM_EMPTY_VAL,
     ITEM_SELFQUAL,
+    PlanTables,
     plan_tables,
 )
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.variables import desc_var, head_var
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
+from repro.xmltree.nodes import NodeId
 from repro.xpath.plan import QueryPlan, evaluate_qual_expr
 
-__all__ = ["evaluate_fragment_qualifiers_flat", "fold_child_rows"]
+__all__ = ["evaluate_fragment_qualifiers_flat", "qualifier_walk"]
 
 
 def fold_child_rows(
@@ -61,18 +66,19 @@ def fold_child_rows(
     return aggregate
 
 
-def evaluate_fragment_qualifiers_flat(
-    fragment: Fragment, flat: FlatFragment, plan: QueryPlan
-) -> FragmentQualifierOutput:
-    """Bottom-up qualifier pass over the columnar encoding of *fragment*."""
-    output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
+def qualifier_walk(
+    flat: FlatFragment,
+    plan: QueryPlan,
+    tables: PlanTables,
+    wanted: Container[int],
+) -> Tuple[List[FormulaLike], List[FormulaLike], Dict[NodeId, Tuple[FormulaLike, ...]]]:
+    """The root's HEAD/DESC rows, and the selection-qualifier values of the
+    *wanted* rows keyed by node id."""
     n_items = plan.n_items
+    qual_values: Dict[NodeId, Tuple[FormulaLike, ...]] = {}
     if not plan.has_qualifiers:
-        output.root_head = [False] * n_items
-        output.root_desc = [False] * n_items
-        return output
+        return [False] * n_items, [False] * n_items, qual_values
 
-    tables = plan_tables(flat, plan)
     item_prog = tables.item_prog
     sel_quals = tables.sel_quals
     head_item_ids = tables.head_item_ids
@@ -92,7 +98,6 @@ def evaluate_fragment_qualifiers_flat(
     #: per-element HEAD/DESC rows, freed once folded into the parent
     head_at: List[Optional[object]] = [None] * n
     desc_at: List[Optional[object]] = [None] * n
-    qual_values = output.qual_values
 
     for index in range(n - 1, -1, -1):
         if kind[index] != KIND_ELEMENT:
@@ -137,9 +142,10 @@ def evaluate_fragment_qualifiers_flat(
             else:  # ITEM_SELFQUAL
                 ex[instr[1]] = conj(evaluate_qual_expr(instr[2], ex), ex[instr[3]])
 
-        qual_values[node_ids[index]] = tuple(
-            evaluate_qual_expr(qual, ex) for qual in sel_quals
-        )
+        if index in wanted:
+            qual_values[node_ids[index]] = tuple(
+                evaluate_qual_expr(qual, ex) for qual in sel_quals
+            )
 
         # -- HEAD/DESC rows handed to the parent (shared tuple when all-false)
         head_row: object = false_row
@@ -170,8 +176,22 @@ def evaluate_fragment_qualifiers_flat(
 
     root_head = head_at[0]
     root_desc = desc_at[0]
-    output.root_head = list(root_head) if type(root_head) is tuple else root_head
-    output.root_desc = list(root_desc) if type(root_desc) is tuple else root_desc
-    output.operations = flat.n_elements * max(1, n_items)
-    output.root_vector_units = len(head_item_ids) + len(desc_item_ids)
+    return (
+        list(root_head) if type(root_head) is tuple else root_head,
+        list(root_desc) if type(root_desc) is tuple else root_desc,
+        qual_values,
+    )
+
+
+def evaluate_fragment_qualifiers_flat(
+    fragment: Fragment, flat: FlatFragment, plan: QueryPlan
+) -> FragmentQualifierOutput:
+    """Bottom-up qualifier pass over the columnar encoding of *fragment*."""
+    output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
+    output.root_head, output.root_desc, output.qual_values = qualifier_walk(
+        flat, plan, plan_tables(flat, plan), range(flat.n)
+    )
+    if plan.has_qualifiers:
+        output.operations = flat.n_elements * max(1, plan.n_items)
+        output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
     return output

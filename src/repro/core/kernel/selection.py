@@ -1,50 +1,51 @@
-"""Columnar rewrite of the selection pass (Stage 2 of PaX3).
+"""The kernel's forward walk: selection prefix vectors, parents first.
 
 Semantically identical to
-:func:`repro.core.selection.evaluate_fragment_selection`, but the top-down
-recurrence runs as one forward walk over the flat pre-order arrays (a
-node's parent always precedes it in pre-order, so ``vectors[parent[i]]`` is
-ready when ``i`` is reached).  Two columnar-only optimizations, both
-output-preserving:
+:func:`repro.core.selection.evaluate_fragment_selection`.  A node's parent
+precedes it in pre-order, so ``vectors[parent[i]]`` is ready when ``i`` is
+reached.  PaX3's selection pass and PaX2's combined pass
+(:mod:`repro.core.kernel.combined`) both run this walk and differ only in
+their qualifier source.  Two output-preserving optimizations:
 
 * per-tag step gates: whether a CHILD step can match is a precomputed
   boolean lookup (``sel_child_ok``) instead of a per-node tag comparison;
 * dead-subtree skip: once a node's prefix vector is concretely all-false,
-  every descendant's vector is all-false too (nothing below can re-anchor
-  the path), so the walk jumps ``subtree_size`` ahead, charging the skipped
-  elements to the operation count and emitting the same all-false vectors
-  at any virtual nodes inside the skipped range.
+  so is every descendant's (nothing below re-anchors the path or consults
+  a qualifier), and the walk jumps ``subtree_size`` ahead, emitting
+  all-false vectors at any virtual nodes it skips.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.booleans.formula import FormulaLike, conj, is_false, is_true
-from repro.core.kernel.tables import SEL_CHILD, SEL_DESC, plan_tables
+from repro.booleans.formula import FormulaLike, conj, disj, is_false, is_true
+from repro.core.kernel.tables import SEL_CHILD, SEL_DESC, PlanTables, plan_tables
 from repro.core.selection import FragmentSelectionOutput
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
 from repro.xmltree.nodes import NodeId
 from repro.xpath.plan import QueryPlan
 
-__all__ = ["evaluate_fragment_selection_flat"]
-
-#: Supplies the SELFQUAL qualifier values of an element, by global node id.
-QualProviderById = Callable[[NodeId], Sequence[FormulaLike]]
+__all__ = ["evaluate_fragment_selection_flat", "selection_walk"]
 
 
-def evaluate_fragment_selection_flat(
-    fragment: Fragment,
+def selection_walk(
     flat: FlatFragment,
     plan: QueryPlan,
-    qual_provider: Optional[QualProviderById],
+    tables: PlanTables,
+    qual_source: Optional[Callable[[int], Sequence[FormulaLike]]],
     init_vector: Sequence[FormulaLike],
     is_root_fragment: bool,
-) -> FragmentSelectionOutput:
-    """Top-down selection pass over the columnar encoding of *fragment*."""
-    output = FragmentSelectionOutput(fragment_id=fragment.fragment_id)
-    tables = plan_tables(flat, plan)
+    virtual_parent_vectors: Dict[str, List[FormulaLike]],
+) -> List[Tuple[NodeId, FormulaLike]]:
+    """Every element's prefix vector; the finals that are not concretely false.
+
+    ``qual_source(row)`` gives a row's SELFQUAL values; it is asked once per
+    element the walk computes, not for skipped dead subtrees.  Each virtual
+    node's parent vector goes into *virtual_parent_vectors*; the
+    ``(node id, final)`` pairs come back in document order.
+    """
     sel_prog = tables.sel_prog
     sel_child_ok = tables.sel_child_ok
 
@@ -60,13 +61,9 @@ def evaluate_fragment_selection_flat(
     has_virtuals = bool(virtual_at)
 
     anchor_at_root = is_root_fragment and not plan.absolute
-    answers = output.answers
-    candidates = output.candidates
-    virtual_parent_vectors = output.virtual_parent_vectors
-
+    finals: List[Tuple[NodeId, FormulaLike]] = []
     vectors: List[Optional[List[FormulaLike]]] = [None] * n
     init_list = list(init_vector)
-    elements_processed = 0
     no_quals: Sequence[FormulaLike] = ()
 
     index = 0
@@ -74,13 +71,9 @@ def evaluate_fragment_selection_flat(
         if kind[index] != KIND_ELEMENT:
             index += 1
             continue
-        elements_processed += 1
         parent_index = parent[index]
         parent_vector = init_list if parent_index < 0 else vectors[parent_index]
-        if qual_provider is not None:
-            qual_values = qual_provider(node_ids[index])
-        else:
-            qual_values = no_quals
+        qual_values = no_quals if qual_source is None else qual_source(index)
 
         vector: List[FormulaLike] = [False] * vec_len
         is_ctx = anchor_at_root and parent_index < 0
@@ -102,7 +95,7 @@ def evaluate_fragment_selection_flat(
                 if value is False:
                     value = below
                 elif below is not False:
-                    value = value | below
+                    value = disj(value, below)
                 if value is not False:
                     vector[position] = value
                     all_false = False
@@ -117,10 +110,8 @@ def evaluate_fragment_selection_flat(
         vectors[index] = vector
 
         final = vector[n_steps]
-        if is_true(final):
-            answers.append(node_ids[index])
-        elif not is_false(final):
-            candidates[node_ids[index]] = final
+        if final is not False and not is_false(final):
+            finals.append((node_ids[index], final))
 
         if has_virtuals:
             virtuals = virtual_at.get(index)
@@ -131,7 +122,6 @@ def evaluate_fragment_selection_flat(
         if all_false:
             # Dead subtree: every descendant's vector is all-false too.
             end = index + subtree_size[index]
-            elements_processed += flat.elements_in(index + 1, end)
             if has_virtuals:
                 for at in flat.virtuals_in(index + 1, end):
                     for child_fragment_id in virtual_at[at]:
@@ -139,6 +129,29 @@ def evaluate_fragment_selection_flat(
             index = end
         else:
             index += 1
+    return finals
 
-    output.operations = elements_processed * vec_len
+
+def evaluate_fragment_selection_flat(
+    fragment: Fragment,
+    flat: FlatFragment,
+    plan: QueryPlan,
+    qual_provider: Optional[Callable[[NodeId], Sequence[FormulaLike]]],
+    init_vector: Sequence[FormulaLike],
+    is_root_fragment: bool,
+) -> FragmentSelectionOutput:
+    """Top-down selection pass over the columnar encoding of *fragment*."""
+    output = FragmentSelectionOutput(fragment_id=fragment.fragment_id)
+    node_ids = flat.node_ids
+    qual_source = None if qual_provider is None else (lambda row: qual_provider(node_ids[row]))
+    finals = selection_walk(
+        flat, plan, plan_tables(flat, plan), qual_source, init_vector,
+        is_root_fragment, output.virtual_parent_vectors,
+    )
+    for node_id, final in finals:
+        if is_true(final):
+            output.answers.append(node_id)
+        else:
+            output.candidates[node_id] = final
+    output.operations = flat.n_elements * (plan.n_steps + 1)
     return output

@@ -182,6 +182,12 @@ class WeightedFairAdmission:
                 return f"queue-time p95 {p95:.4f}s > budget {budget:.4f}s"
         return None
 
+    def drop_waits(self, document: str) -> None:
+        """Forget *document*'s recent queue waits (its overload p95 window).
+
+        Its in-flight slots stay: a read still running releases its own."""
+        self._recent_waits.pop(document, None)
+
     # -- acquire / release --------------------------------------------------
 
     async def acquire(self, document: str, timeout: Optional[float] = None) -> None:

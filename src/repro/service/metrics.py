@@ -156,8 +156,6 @@ class QueryRecord:
     #: the answer was a :class:`~repro.core.results.PartialAnswer` (some
     #: site unreachable past the request's budget)
     degraded: bool = False
-    #: the run's accounting; shared between records when the cache answered
-    stats: Optional[RunStats] = field(default=None, repr=False)
 
 
 @dataclass
@@ -301,7 +299,6 @@ class ServiceMetrics:
             communication_units=stats.communication_units if stats is not None else 0,
             document=document,
             degraded=degraded,
-            stats=stats,
         )
         self.records.append(entry)
         if len(self.records) > self.window:

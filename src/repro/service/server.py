@@ -83,7 +83,7 @@ from repro.service.cache import (
     version_tag,
 )
 from repro.service.evaluator import evaluate_query_async
-from repro.service.metrics import DEFAULT_SAMPLE_WINDOW, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.prepared import PreparedQueries, PreparedQuery
 from repro.service.resilience import (
     Deadline,
@@ -154,8 +154,6 @@ class ServiceConfig:
     coalesce: bool = True
     #: run concurrent identical stage-1 passes of a fragment once
     batching: bool = True
-    #: retained per-request metric records (the service-wide sample cap)
-    metrics_window: int = DEFAULT_SAMPLE_WINDOW
     #: tracer receiving one root span per request and update; ``None`` uses
     #: the shared no-op tracer (tracing off, nothing allocated per request —
     #: see :mod:`repro.obs.trace`)
@@ -302,7 +300,7 @@ class ServiceHost:
             if self.config.cache_capacity > 0
             else None
         )
-        self.metrics = ServiceMetrics(self.config.metrics_window)
+        self.metrics = ServiceMetrics()
         #: span collector for the whole host (the no-op tracer by default)
         self.tracer = self.config.tracer if self.config.tracer is not None else NULL_TRACER
         #: retry/breaker/degradation state (None until the resilience layer
@@ -355,8 +353,9 @@ class ServiceHost:
         """Remove *document* from the catalog and purge its cached answers.
 
         Only that tenant's state goes: its session, its coalescing futures,
-        its cache entries, its per-document cache/metrics slices, and any
-        site actors no remaining document's placement references (so a
+        its cache entries, its per-document cache/metrics slices and
+        queue-wait samples (a name registered again starts with none), and
+        any site actors no remaining document's placement references (so a
         long-lived host with tenant churn does not accumulate residue).
         Every other document's cached answers, version tags and in-flight
         work are untouched.  Returns how many cache entries were purged.
@@ -374,6 +373,8 @@ class ServiceHost:
             for site_id in set(session.placement.values()) - live_sites:
                 self.actors.discard(site_id)
         self.metrics.documents.pop(document, None)
+        self.metrics.queue_waits.pop(document, None)
+        self._admission.drop_waits(document)
         if self.cache is None:
             return 0
         purged = self.cache.purge_document(document)

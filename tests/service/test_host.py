@@ -184,6 +184,25 @@ class TestDropDocument:
         assert twin_host.execute("alpha", "client/name").answer_ids
         assert session.version
 
+    def test_reregistered_name_inherits_no_queue_waits(self):
+        # The overload budget reads a rolling queue-wait p95 per document
+        # name; a tenant registered under a dropped name starts with none.
+        host = ServiceHost(max_in_flight=1, cache_capacity=0, coalesce=False)
+        host.register("alpha", clientele_fragmentation())
+
+        async def burst():
+            await asyncio.gather(*(host.submit("alpha", "client/name") for _ in range(4)))
+
+        asyncio.run(burst())
+        assert host._admission.recent_wait_p95("alpha") > 0
+        assert host.metrics.queue_wait_quantiles("alpha")["p95"] > 0
+        host.drop_document("alpha")
+        host.register("alpha", clientele_fragmentation())
+        assert host._admission.recent_wait_p95("alpha") == 0.0
+        assert "alpha" not in host.metrics.queue_waits
+        host.execute("alpha", "client/name")
+        assert len(host.metrics.queue_waits["alpha"]) == 1
+
     def test_drop_during_inflight_evaluation_leaves_no_residue(self, twin_host):
         # Regression: an evaluation in flight when its document is dropped
         # must not re-insert its answer into the shared LRU after the purge.

@@ -9,6 +9,8 @@ from repro.service.metrics import (
     ServiceMetrics,
     percentile,
 )
+from repro.service.server import ServiceHost
+from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 
 
 class TestPercentile:
@@ -117,6 +119,19 @@ class TestRetentionCaps:
     def test_default_window_is_the_shared_cap(self):
         assert ServiceMetrics().window == DEFAULT_SAMPLE_WINDOW
         assert BatchStats.WINDOW_SAMPLES == DEFAULT_SAMPLE_WINDOW
+
+    def test_host_metrics_retain_no_run_stats(self):
+        # A record keeps the counts it reports, not the RunStats they came
+        # from, so a full window does not pin a window of answer lists.
+        host = ServiceHost()
+        host.register("doc", clientele_paper_fragmentation(clientele_example_tree()))
+        host.execute("doc", "client/name")  # evaluated
+        host.execute("doc", "client/name")  # a cache hit
+        assert host.metrics.window == DEFAULT_SAMPLE_WINDOW
+        assert [record.cache_hit for record in host.metrics.records] == [False, True]
+        for record in host.metrics.records:
+            assert record.answer_count > 0
+            assert not any(isinstance(value, RunStats) for value in vars(record).values())
 
     def test_update_records_bounded_like_query_records(self):
         metrics = ServiceMetrics(window=4)
