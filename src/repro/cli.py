@@ -61,7 +61,7 @@ import traceback
 from typing import Optional, Sequence
 
 from repro.core.engine import ALGORITHMS, DistributedQueryEngine
-from repro.core.kernel.dispatch import ENGINES, KERNEL, VECTOR
+from repro.core.kernel.dispatch import ENGINES, EngineUnavailableError
 from repro.distributed.placement import one_site_per_fragment, round_robin_placement
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_by_size, cut_matching
@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sites", type=int, default=None, metavar="K",
                        help="distribute fragments over K sites round-robin")
     serve.add_argument(
-        "--engine", choices=[KERNEL, VECTOR], default=None,
+        "--engine", choices=[name for name, tier in ENGINES.items() if tier.columnar],
+        default=None,
         help="columnar per-fragment pass every read runs on (default: kernel)",
     )
     serve.add_argument("--concurrency", type=int, default=16,
@@ -410,9 +411,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_in_flight=max(args.concurrency, 1),
             tracer=tracer,
         )
-    except ValueError as error:
+    except (ValueError, EngineUnavailableError) as error:
         # without --engine the process default applies, and a reference
-        # default (REPRO_FRAGMENT_ENGINE) cannot serve snapshot reads
+        # default (REPRO_FRAGMENT_ENGINE) cannot serve snapshot reads; nor
+        # can an engine this process cannot run
         if tracer is not None:
             tracer.close()
         print(f"repro: {error}", file=sys.stderr)
@@ -539,8 +541,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_stats(args)
         if args.command == "lint":
             return _cmd_lint(args)
-    except XPathError as error:
-        # the message carries the query and a caret under the offending column
+    except (XPathError, EngineUnavailableError) as error:
+        # an XPathError carries the query and a caret under the offending
+        # column; an unavailable engine says what to install or pick instead
         print(f"repro: {error}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

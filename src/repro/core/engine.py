@@ -20,7 +20,8 @@ Example
     print(result.summary())
 
 The engine evaluates one query at a time through the synchronous simulated
-network, with any of the four algorithms and three engines.  For many
+network, with any of the four algorithms on any tier of the engine table
+(:mod:`repro.core.kernel.dispatch`).  For many
 concurrent PaX2 queries over the same fragmentation — with per-site
 concurrency limits, admission control, result caching on the normalized
 query and latency/throughput metrics — use :meth:`as_service` (or
@@ -37,7 +38,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.core.common import QueryInput, ensure_plan
-from repro.core.kernel.dispatch import ENGINES
+from repro.core.kernel.dispatch import resolve_engine
 from repro.core.naive import run_naive_centralized
 from repro.core.parbox import run_parbox
 from repro.core.pax2 import run_pax2
@@ -84,11 +85,9 @@ class DistributedQueryEngine:
         Enable the XPath-annotation optimization (fragment pruning and, for
         qualifier-free queries, concrete stack initialization).
     engine:
-        Per-fragment pass implementation: ``"kernel"`` (columnar arrays,
-        the default path), ``"vector"`` (numpy window columns) or
-        ``"reference"`` (object-tree traversal); ``None`` defers to the
-        process default
-        (:func:`repro.core.kernel.dispatch.fragment_engine`).
+        The name of the per-fragment passes' tier in the engine table of
+        :mod:`repro.core.kernel.dispatch`; ``None`` defers to the process
+        default at each run.
     """
 
     def __init__(
@@ -101,8 +100,8 @@ class DistributedQueryEngine:
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
-        if engine is not None and engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        if engine is not None:
+            resolve_engine(engine)  # an unknown name fails here, not at the first run
         self.fragmentation = fragmentation
         self.placement = dict(placement) if placement else one_site_per_fragment(fragmentation)
         self.algorithm = algorithm
@@ -167,9 +166,9 @@ class DistributedQueryEngine:
         """A concurrent :class:`repro.service.ServiceEngine` over this engine's
         fragmentation, placement and defaults (see :mod:`repro.service`).
 
-        The service runs PaX2 only, on a columnar engine (``kernel`` or
-        ``vector``) against pinned snapshots, so an engine configured with
-        another algorithm — or with the ``reference`` engine — raises
+        The service runs PaX2 only, on a columnar tier against pinned
+        snapshots, so an engine configured with another algorithm — or with
+        a tier that walks the live tree, ``reference`` — raises
         ``ValueError``: those stay on this ``DistributedQueryEngine``.  The
         engine's annotations and engine defaults apply only when the caller
         passes neither an explicit ``config`` nor their own values.  The

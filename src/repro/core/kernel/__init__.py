@@ -4,9 +4,10 @@ tables precompiled per plan (:mod:`~repro.core.kernel.tables`).  PaX3 runs
 the forward selection walk (:mod:`~repro.core.kernel.selection`) and the
 reverse qualifier walk (:mod:`~repro.core.kernel.qualifier`) in two site
 visits; PaX2's combined pass (:mod:`~repro.core.kernel.combined`) runs both
-in one.  :mod:`~repro.core.kernel.dispatch` selects between these kernels,
-the numpy vector passes (:mod:`repro.core.vector`) and the object-tree
-reference.
+in one.  These passes are the ``kernel`` record of the engine table in
+:mod:`~repro.core.kernel.dispatch`, next to the numpy ``vector`` tier
+(:mod:`repro.core.vector`) and the object-tree ``reference``; every
+orchestrator reaches them through that table.
 """
 
 from repro.core.kernel.combined import evaluate_fragment_combined_flat

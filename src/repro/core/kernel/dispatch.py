@@ -1,72 +1,79 @@
-"""Engine selection: columnar kernel, numpy vector, or object-tree reference.
-
-Every per-fragment pass in the orchestrators (PaX3, PaX2, ParBoX, the async
-service evaluator) goes through the dispatchers below.  The default engine
-is the columnar kernel; the ``vector`` tier re-runs the same passes as
-whole-column numpy window operations (:mod:`repro.core.vector`, requires
-numpy); the object-tree implementations remain as the executable
-specification — the differential tests assert all paths produce
-bit-identical answers and traffic accounting, and ``perf/`` prices each
-tier (``core.pass_ns_per_node``).
-
-Selection, most specific wins:
-
-1. an explicit ``engine=`` argument on the dispatcher / runner /
-   ``DistributedQueryEngine`` / ``ServiceConfig``;
-2. the process-wide default, settable via :func:`set_fragment_engine` or the
-   ``REPRO_FRAGMENT_ENGINE`` environment variable.
-"""
-
-from __future__ import annotations
+"""The engine table: each tier of the per-fragment step is one :class:`FragmentEngine` in
+:data:`ENGINES` (``kernel``, the default: columnar walks; ``vector``: numpy columns;
+``reference``: object-tree walks, the executable specification), so retiring a tier is
+deleting its entry.  A run resolves its engine once, at its entry, and hands it on."""
 
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator
 
-from repro.booleans.formula import FormulaLike
-from repro.core.combined import FragmentCombinedOutput, evaluate_fragment_combined
+from repro.core.combined import evaluate_fragment_combined
 from repro.core.kernel.combined import evaluate_fragment_combined_flat
 from repro.core.kernel.qualifier import evaluate_fragment_qualifiers_flat
 from repro.core.kernel.selection import evaluate_fragment_selection_flat
-from repro.core.qualifiers import FragmentQualifierOutput, evaluate_fragment_qualifiers
-from repro.core.selection import FragmentSelectionOutput, evaluate_fragment_selection
+from repro.core.qualifiers import evaluate_fragment_qualifiers
+from repro.core.selection import evaluate_fragment_selection
 from repro.core.vector.combined import evaluate_fragment_combined_vector
-from repro.core.vector.encode import require_numpy, vector_fragment
+from repro.core.vector.encode import MISSING_NUMPY_HINT, numpy_available, vector_fragment
 from repro.core.vector.qualifier import evaluate_fragment_qualifiers_vector
 from repro.core.vector.selection import evaluate_fragment_selection_vector
-from repro.fragments.fragment_tree import Fragmentation
-from repro.xmltree.nodes import NodeId
-from repro.xpath.plan import QueryPlan
 
-__all__ = [
-    "ENGINES",
-    "KERNEL",
-    "REFERENCE",
-    "VECTOR",
-    "fragment_engine",
-    "set_fragment_engine",
-    "use_fragment_engine",
-    "prewarm_fragments",
-    "qualifier_pass",
-    "selection_pass",
-    "combined_pass",
-]
+__all__ = ["ENGINES", "KERNEL", "REFERENCE", "VECTOR", "EngineUnavailableError", "FragmentEngine",
+           "resolve_engine", "fragment_engine", "set_fragment_engine", "use_fragment_engine",
+           "prewarm_fragments", "qualifier_pass", "selection_pass", "combined_pass"]
 
-KERNEL = "kernel"
-REFERENCE = "reference"
-VECTOR = "vector"
-ENGINES = (KERNEL, REFERENCE, VECTOR)
+KERNEL, REFERENCE, VECTOR = "kernel", "reference", "vector"
+
+
+class EngineUnavailableError(RuntimeError):
+    """The selected engine cannot run in this process; the message says what to do."""
+
+
+@dataclass(frozen=True)
+class FragmentEngine:
+    """One tier.  Its passes take ``(fragment, flat, plan, …)``, ``flat`` being the live or
+    pinned encoding (``None`` for a tree walk).  A ``columnar`` tier reads only flats, so a
+    pinned snapshot's can serve it.  ``prewarm(flat)`` builds what its passes read beyond the
+    flat; ``unavailable`` says what to do when ``available()`` is false."""
+
+    name: str
+    columnar: bool
+    qualifiers: Callable
+    selection: Callable
+    combined: Callable
+    prewarm: Callable = lambda flat: None
+    available: Callable[[], bool] = lambda: True
+    unavailable: str = ""
+
+
+def _on_tree(evaluate):
+    """A reference pass in the record's signature; it walks the live tree."""
+    def run(fragment, flat, plan, *rest):
+        if flat is not None:
+            raise ValueError("snapshot flats require a columnar engine")
+        return evaluate(fragment, plan, *rest)
+    return run
+
+
+ENGINES: Dict[str, FragmentEngine] = {engine.name: engine for engine in (
+    FragmentEngine(KERNEL, True, evaluate_fragment_qualifiers_flat,
+                   evaluate_fragment_selection_flat, evaluate_fragment_combined_flat),
+    FragmentEngine(REFERENCE, False, _on_tree(evaluate_fragment_qualifiers),
+                   _on_tree(evaluate_fragment_selection), _on_tree(evaluate_fragment_combined)),
+    FragmentEngine(VECTOR, True, evaluate_fragment_qualifiers_vector,
+                   evaluate_fragment_selection_vector, evaluate_fragment_combined_vector,
+                   prewarm=vector_fragment, available=numpy_available,
+                   unavailable=MISSING_NUMPY_HINT),
+)}
 
 
 def _engine_from_environ() -> str:
     value = os.environ.get("REPRO_FRAGMENT_ENGINE", KERNEL)
     if value not in ENGINES:
-        warnings.warn(
-            f"ignoring REPRO_FRAGMENT_ENGINE={value!r}: choose from {ENGINES};"
-            f" using {KERNEL!r}",
-            stacklevel=2,
-        )
+        warnings.warn(f"ignoring REPRO_FRAGMENT_ENGINE={value!r}: choose from"
+                      f" {tuple(ENGINES)}; using {KERNEL!r}", stacklevel=2)
         return KERNEL
     return value
 
@@ -74,165 +81,70 @@ def _engine_from_environ() -> str:
 _default_engine = _engine_from_environ()
 
 
-def _validated(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown fragment engine {engine!r}; choose from {ENGINES}")
-    return engine
+def resolve_engine(engine=None, runnable: bool = False) -> FragmentEngine:
+    """The record a name, ``None`` (the default) or a record stands for; ``runnable``
+    refuses a tier this process cannot run."""
+    name = _default_engine if engine is None else engine
+    record = name if isinstance(name, FragmentEngine) else ENGINES.get(name)
+    if record is None:
+        raise ValueError(f"unknown fragment engine {name!r}; choose from {tuple(ENGINES)}")
+    if runnable and not record.available():
+        raise EngineUnavailableError(record.unavailable)
+    return record
 
 
 def fragment_engine() -> str:
-    """The process-wide default engine (``"kernel"`` unless overridden)."""
+    """The process-wide default engine's name (``"kernel"`` unless overridden)."""
     return _default_engine
 
 
 def set_fragment_engine(engine: str) -> None:
     """Set the process-wide default engine."""
     global _default_engine
-    _default_engine = _validated(engine)
+    _default_engine = resolve_engine(engine).name
 
 
 @contextmanager
 def use_fragment_engine(engine: str) -> Iterator[str]:
     """Temporarily switch the process-wide default engine."""
-    global _default_engine
     previous = _default_engine
-    _default_engine = _validated(engine)
+    set_fragment_engine(engine)
     try:
         yield _default_engine
     finally:
-        _default_engine = previous
+        set_fragment_engine(previous)
 
 
-def _resolve(engine: Optional[str]) -> str:
-    return _default_engine if engine is None else _validated(engine)
+def prewarm_fragments(fragmentation, fragment_ids=None, engine=None) -> None:
+    """Build what *engine*'s passes read, outside any timer and before any site visit."""
+    engine = resolve_engine(engine, runnable=True)
+    if engine.columnar:
+        for fragment_id in fragmentation.fragment_ids() if fragment_ids is None else fragment_ids:
+            engine.prewarm(fragmentation.flat(fragment_id))
 
 
-def prewarm_fragments(
-    fragmentation: Fragmentation,
-    fragment_ids: Optional[Sequence[str]] = None,
-    engine: Optional[str] = None,
-) -> None:
-    """Build the flat encodings the kernel path will need, outside any timer.
-
-    The encodings are one-time indexing work per fragmentation, not per
-    query; the orchestrators call this before their timed per-site visits so
-    the paper's evaluation-time measurements see steady-state passes.  A
-    no-op for the reference engine, and a cache lookup once built.  The
-    vector engine additionally builds the numpy window columns (and is where
-    a missing numpy surfaces as an actionable error instead of mid-query).
-    """
-    engine = _resolve(engine)
-    if engine == REFERENCE:
-        return
-    if engine == VECTOR:
-        require_numpy()
-    for fragment_id in (fragment_ids if fragment_ids is not None
-                        else fragmentation.fragment_ids()):
+def _run(stage, engine, fragmentation, fragment_id, flat, *args):
+    """*engine*'s *stage* pass over one fragment; a columnar tier reads *flat* or the live one."""
+    engine = resolve_engine(engine)
+    if flat is None and engine.columnar:
         flat = fragmentation.flat(fragment_id)
-        if engine == VECTOR:
-            vector_fragment(flat)
+    return getattr(engine, stage)(fragmentation[fragment_id], flat, *args)
 
 
-def qualifier_pass(
-    fragmentation: Fragmentation,
-    fragment_id: str,
-    plan: QueryPlan,
-    engine: Optional[str] = None,
-) -> FragmentQualifierOutput:
-    """Bottom-up qualifier pass over one fragment (Stage 1 / ParBoX)."""
-    fragment = fragmentation[fragment_id]
-    engine = _resolve(engine)
-    if engine == KERNEL:
-        return evaluate_fragment_qualifiers_flat(
-            fragment, fragmentation.flat(fragment_id), plan
-        )
-    if engine == VECTOR:
-        return evaluate_fragment_qualifiers_vector(
-            fragment, fragmentation.flat(fragment_id), plan
-        )
-    return evaluate_fragment_qualifiers(fragment, plan)
+def qualifier_pass(fragmentation, fragment_id, plan, engine=None):
+    """Bottom-up qualifier pass over one fragment (PaX3 stage 1, ParBoX)."""
+    return _run("qualifiers", engine, fragmentation, fragment_id, None, plan)
 
 
-def selection_pass(
-    fragmentation: Fragmentation,
-    fragment_id: str,
-    plan: QueryPlan,
-    qual_provider: Optional[Callable[[NodeId], Sequence[FormulaLike]]],
-    init_vector: Sequence[FormulaLike],
-    is_root_fragment: bool,
-    engine: Optional[str] = None,
-) -> FragmentSelectionOutput:
-    """Top-down selection pass over one fragment (Stage 2 of PaX3).
-
-    ``qual_provider`` maps a global node id to the node's resolved SELFQUAL
-    values (``None`` for qualifier-free plans); both engines consume the
-    id-based form.
-    """
-    fragment = fragmentation[fragment_id]
-    engine = _resolve(engine)
-    if engine == KERNEL:
-        return evaluate_fragment_selection_flat(
-            fragment,
-            fragmentation.flat(fragment_id),
-            plan,
-            qual_provider,
-            init_vector,
-            is_root_fragment,
-        )
-    if engine == VECTOR:
-        return evaluate_fragment_selection_vector(
-            fragment,
-            fragmentation.flat(fragment_id),
-            plan,
-            qual_provider,
-            init_vector,
-            is_root_fragment,
-        )
-    node_provider = None
-    if qual_provider is not None:
-        def node_provider(node, _by_id=qual_provider):
-            return _by_id(node.node_id)
-    return evaluate_fragment_selection(
-        fragment, plan, node_provider, init_vector, is_root_fragment
-    )
+def selection_pass(fragmentation, fragment_id, plan, qual_provider, init_vector,
+                   is_root_fragment, engine=None):
+    """Top-down selection pass (PaX3 stage 2); ``qual_provider``: node id -> SELFQUAL values."""
+    return _run("selection", engine, fragmentation, fragment_id, None, plan, qual_provider,
+                init_vector, is_root_fragment)
 
 
-def combined_pass(
-    fragmentation: Fragmentation,
-    fragment_id: str,
-    plan: QueryPlan,
-    init_vector: Sequence[FormulaLike],
-    is_root_fragment: bool,
-    engine: Optional[str] = None,
-    flat=None,
-) -> FragmentCombinedOutput:
-    """Combined pre/post-order pass over one fragment (PaX2 Stage 1).
-
-    ``flat`` overrides the fragmentation's cached encoding — the MVCC
-    snapshot path passes a pinned :class:`FlatFragment` so the scan reads a
-    frozen version while the live cache moves on.  Columnar engines only
-    (kernel and vector — the vector columns hang off the pinned flat, so a
-    snapshot pins them too): the reference engine walks the live object
-    tree and cannot honour it.
-    """
-    fragment = fragmentation[fragment_id]
-    engine = _resolve(engine)
-    if engine == KERNEL:
-        return evaluate_fragment_combined_flat(
-            fragment,
-            flat if flat is not None else fragmentation.flat(fragment_id),
-            plan,
-            init_vector,
-            is_root_fragment,
-        )
-    if engine == VECTOR:
-        return evaluate_fragment_combined_vector(
-            fragment,
-            flat if flat is not None else fragmentation.flat(fragment_id),
-            plan,
-            init_vector,
-            is_root_fragment,
-        )
-    if flat is not None:
-        raise ValueError("snapshot flats require a columnar engine")
-    return evaluate_fragment_combined(fragment, plan, init_vector, is_root_fragment)
+def combined_pass(fragmentation, fragment_id, plan, init_vector, is_root_fragment,
+                  engine=None, flat=None):
+    """PaX2's combined pass over one fragment; ``flat`` pins an MVCC snapshot's encoding."""
+    return _run("combined", engine, fragmentation, fragment_id, flat, plan, init_vector,
+                is_root_fragment)

@@ -18,7 +18,7 @@ from typing import Any, Generator, List, Mapping, Optional
 
 from repro.booleans.env import Environment
 from repro.core.common import QueryInput, build_network, ensure_plan
-from repro.core.kernel.dispatch import prewarm_fragments
+from repro.core.kernel.dispatch import FragmentEngine, prewarm_fragments, resolve_engine
 from repro.core.pax3 import qualifier_stage, unify_qualifier_stage
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.rounds import Stage, outputs_by_fragment, run_inline
@@ -44,14 +44,14 @@ def parbox_coordinator(
     fragmentation: Fragmentation,
     plan: QueryPlan,
     sites: SiteIndex,
-    engine: Optional[str] = None,
+    engine: Optional[FragmentEngine] = None,
 ) -> Generator[Stage, List[Any], RunStats]:
     """ParBoX's coordinator: one qualifier stage, then one bottom-up
     unification decides the Boolean query at the root."""
     stats = RunStats(algorithm="ParBoX", query=plan.source)
     stats.fragments_evaluated = fragmentation.fragment_ids()
     stage = qualifier_stage(
-        fragmentation, plan, sites, engine, "parbox:qualifiers", "ParBoX",
+        fragmentation, plan, sites, resolve_engine(engine), "parbox:qualifiers", "ParBoX",
         lambda output: output.root_vector_units,
     )
     results = yield stage
@@ -78,12 +78,15 @@ def run_parbox(
     qualifiers applied at the root (``.[q]``).  The Boolean result is exposed
     as ``stats.answer_ids``, which contains the document root's node id when
     the query is true and is empty otherwise, plus ``stats.notes``.
+    ``engine`` names the qualifier pass's tier (see
+    :mod:`repro.core.kernel.dispatch`; ``None``: the process default).
     """
     plan = ensure_plan(query)
     if any(step.kind != SELFQUAL for step in plan.selection):
         raise XPathError(
             "ParBoX evaluates Boolean queries only; use PaX3/PaX2 for data-selecting queries"
         )
+    engine = resolve_engine(engine)
     if network is None:
         network = build_network(fragmentation, placement)
     prewarm_fragments(fragmentation, engine=engine)

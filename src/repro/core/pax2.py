@@ -4,10 +4,10 @@ PaX2 folds the qualifier stage and the selection stage of PaX3 into one
 combined pre/post-order pass per fragment, so every participating site is
 visited at most twice:
 
-1. **Combined pass** — every site runs the pre/post-order traversal of
-   :func:`repro.core.combined.evaluate_fragment_combined` over each of its
-   fragments; the coordinator unifies qualifier vectors bottom-up and
-   selection vectors top-down over the fragment tree.
+1. **Combined pass** — every site runs the pre/post-order pass
+   (:func:`repro.core.kernel.dispatch.combined_pass`, on the run's engine
+   tier) over each of its fragments; the coordinator unifies qualifier
+   vectors bottom-up and selection vectors top-down over the fragment tree.
 2. **Answer retrieval** — sites holding candidates receive the resolved
    bindings (their own initialization variables plus the qualifier values of
    their sub-fragments), decide the candidates and ship the answers.
@@ -32,7 +32,9 @@ from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequ
 from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, formula_size
 from repro.core.combined import FragmentCombinedOutput
-from repro.core.kernel.dispatch import combined_pass, prewarm_fragments
+from repro.core.kernel.dispatch import (
+    FragmentEngine, combined_pass, prewarm_fragments, resolve_engine,
+)
 from repro.core.common import QueryInput, account_answers, build_network, ensure_plan, plan_units
 from repro.core.pruning import relevant_fragments, stage1_init_vector
 from repro.core.rounds import Envelope, SiteRound, Stage, outputs_by_fragment, run_inline
@@ -130,7 +132,7 @@ class CombinedPass:
     fragmentation: Fragmentation
     plan: QueryPlan
     init_vectors: Mapping[str, Tuple[FormulaLike, ...]]
-    engine: Optional[str]
+    engine: FragmentEngine
     #: fragment id -> the pinned encoding the pass reads (``None``: the live ones)
     flat_of: Optional[Callable[[str], FlatFragment]]
 
@@ -275,7 +277,7 @@ def pax2_coordinator(
     plan: QueryPlan,
     schedule: Pax2Schedule,
     flat_of: Optional[Callable[[str], FlatFragment]] = None,
-    engine: Optional[str] = None,
+    engine: Optional[FragmentEngine] = None,
 ) -> Generator[Stage, List[Any], RunStats]:
     """PaX2's coordinator over *schedule*: yields the combined stage, then
     the answers stage when some fragment kept candidates; returns the run's
@@ -283,7 +285,8 @@ def pax2_coordinator(
 
     ``flat_of`` maps a fragment id to the encoding the passes read and the
     answers are accounted on — a pinned snapshot's; ``None`` reads the live
-    encodings.  ``engine`` selects the per-fragment pass.
+    encodings.  ``engine`` is the per-fragment pass's tier (``None``: the
+    process default; see :mod:`repro.core.kernel.dispatch`).
 
     A round result that is an exception marks its site lost, and the run
     degrades to a sound partial answer instead of failing.  Lost in stage
@@ -316,7 +319,9 @@ def pax2_coordinator(
             replies.append((MessageKind.ANSWERS, answers, "stage 1: definite answers"))
         return replies
 
-    run_pass = CombinedPass(fragmentation, plan, schedule.init_vectors, engine, flat_of)
+    run_pass = CombinedPass(
+        fragmentation, plan, schedule.init_vectors, resolve_engine(engine), flat_of
+    )
     rounds = [
         SiteRound(
             COMBINED, site_id, fragment_ids,
@@ -389,14 +394,13 @@ def run_pax2(
 ) -> RunStats:
     """Evaluate *query* over a fragmented tree with algorithm PaX2.
 
-    ``engine`` selects the per-fragment pass implementation (``"kernel"``
-    columnar arrays, ``"vector"`` numpy window columns, ``"reference"``
-    object-tree traversal; ``None`` uses the process default — see
-    :mod:`repro.core.kernel.dispatch`).
+    ``engine`` names the per-fragment pass's tier in the engine table of
+    :mod:`repro.core.kernel.dispatch` (``None``: the process default).
     """
     plan = ensure_plan(query)
+    engine = resolve_engine(engine)
     if network is None:
         network = build_network(fragmentation, placement)
     schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
-    prewarm_fragments(fragmentation, schedule.evaluated, engine=engine)
+    prewarm_fragments(fragmentation, schedule.evaluated, engine)
     return run_inline(pax2_coordinator(fragmentation, plan, schedule, engine=engine), network)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence
 
 from repro.booleans.env import Environment
-from repro.booleans.formula import FormulaLike
 from repro.core.common import (
     QueryInput,
     account_answers,
@@ -36,12 +35,13 @@ from repro.core.common import (
     plan_units,
     vector_units,
 )
-from repro.core.kernel.dispatch import prewarm_fragments, qualifier_pass, selection_pass
+from repro.core.kernel.dispatch import (
+    FragmentEngine, prewarm_fragments, qualifier_pass, resolve_engine, selection_pass,
+)
 from repro.core.pax2 import _answer_rounds, _gather
-from repro.core.pruning import annotation_init_vector, relevant_fragments
+from repro.core.pruning import relevant_fragments, stage1_init_vector
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.rounds import Envelope, SiteRound, Stage, outputs_by_fragment, run_inline
-from repro.core.selection import concrete_root_init_vector, variable_init_vector
 from repro.core.unify import (
     resolved_child_qualifier_bindings,
     resolved_init_bindings,
@@ -62,7 +62,7 @@ def qualifier_stage(
     fragmentation: Fragmentation,
     plan: QueryPlan,
     sites: SiteIndex,
-    engine: Optional[str],
+    engine: FragmentEngine,
     stage: str,
     label: str,
     units_of: Callable[[FragmentQualifierOutput], int],
@@ -120,11 +120,12 @@ def pax3_coordinator(
     plan: QueryPlan,
     sites: SiteIndex,
     use_annotations: bool,
-    engine: Optional[str] = None,
+    engine: Optional[FragmentEngine] = None,
 ) -> Generator[Stage, List[Any], RunStats]:
     """PaX3's coordinator: yields the qualifier stage (when the query has
     qualifiers), the selection stage and — when some fragment kept
     candidates — the answers stage; see :mod:`repro.core.rounds`."""
+    engine = resolve_engine(engine)
     stats = RunStats(algorithm="PaX3", query=plan.source, use_annotations=use_annotations)
     # Annotation-based pruning applies to the selection stages only; the
     # qualifier stage must see every fragment (a qualifier may look anywhere
@@ -169,14 +170,9 @@ def pax3_coordinator(
             def provider(node_id):
                 return [fragment_env.resolve(value) for value in stored.get(node_id, ())]
 
-        if fragment_id == root_fragment_id:
-            init_vector: Sequence[FormulaLike] = concrete_root_init_vector(plan)
-        elif use_annotations and not plan.has_qualifiers:
-            init_vector = annotation_init_vector(fragmentation, plan, fragment_id)
-        else:
-            init_vector = variable_init_vector(plan, fragment_id)
         return selection_pass(
-            fragmentation, fragment_id, plan, provider, init_vector,
+            fragmentation, fragment_id, plan, provider,
+            stage1_init_vector(fragmentation, plan, fragment_id, use_annotations),
             is_root_fragment=(fragment_id == root_fragment_id), engine=engine,
         )
 
@@ -263,12 +259,11 @@ def run_pax3(
 ) -> RunStats:
     """Evaluate *query* over a fragmented tree with algorithm PaX3.
 
-    ``engine`` selects the per-fragment pass implementation (``"kernel"``
-    columnar arrays, ``"vector"`` numpy window columns, ``"reference"``
-    object-tree traversal; ``None`` uses the process default — see
-    :mod:`repro.core.kernel.dispatch`).
+    ``engine`` names the per-fragment passes' tier in the engine table of
+    :mod:`repro.core.kernel.dispatch` (``None``: the process default).
     """
     plan = ensure_plan(query)
+    engine = resolve_engine(engine)
     if network is None:
         network = build_network(fragmentation, placement)
     prewarm_fragments(fragmentation, engine=engine)

@@ -32,8 +32,8 @@ __all__ = [
     "variable_init_vector",
 ]
 
-#: Callable giving, for an element node, the values of its SELFQUAL qualifiers.
-QualProvider = Callable[[XMLNode], Sequence[FormulaLike]]
+#: Callable giving, for an element node's id, the values of its SELFQUAL qualifiers.
+QualProvider = Callable[[NodeId], Sequence[FormulaLike]]
 
 _NO_QUALS: Tuple[FormulaLike, ...] = tuple()
 
@@ -78,7 +78,7 @@ def evaluate_fragment_selection(
     """Top-down partial evaluation of the selection path over *fragment*.
 
     ``qual_provider`` supplies the (already resolved) qualifier values per
-    node; pass ``None`` for qualifier-free plans.  ``init_vector`` is the
+    node id, as for the columnar tiers; pass ``None`` for qualifier-free plans.  ``init_vector`` is the
     vector of the fragment root's parent — concrete for the root fragment or
     under XPath-annotations, variables otherwise.
     """
@@ -91,7 +91,7 @@ def evaluate_fragment_selection(
         node, parent_vector = stack.pop()
         elements_processed += 1
         if qual_provider is not None:
-            qual_values = qual_provider(node)
+            qual_values = qual_provider(node.node_id)
         else:
             qual_values = _NO_QUALS
         vector = selection_vector(

@@ -48,13 +48,15 @@ except ImportError:  # pragma: no cover - container images ship numpy
     _np = None
 
 __all__ = [
+    "MISSING_NUMPY_HINT",
     "VectorFragment",
     "numpy_available",
     "require_numpy",
     "vector_fragment",
 ]
 
-_MISSING_NUMPY_HINT = (
+#: what a refusal of the vector tier says when numpy cannot be imported
+MISSING_NUMPY_HINT = (
     "the 'vector' engine needs numpy, which is not importable in this"
     " environment. Install it (`pip install numpy`, or `pip install .` which"
     " declares it) or pick another engine: pass engine='kernel' /"
@@ -88,7 +90,7 @@ def numpy_available() -> bool:
 def require_numpy():
     """The numpy module, or an actionable error naming the alternatives."""
     if _np is None:
-        raise RuntimeError(_MISSING_NUMPY_HINT)
+        raise RuntimeError(MISSING_NUMPY_HINT)
     return _np
 
 

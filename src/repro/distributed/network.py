@@ -35,10 +35,10 @@ class SiteIndex:
         self.held: Dict[str, Tuple[str, ...]] = {
             site_id: tuple(fragment_ids) for site_id, fragment_ids in held.items()
         }
-        root_fragment_id = fragmentation.root_fragment_id
-        if root_fragment_id not in self.placement:
-            raise ValueError("placement does not cover the root fragment")
-        self.coordinator_id: str = self.placement[root_fragment_id]
+        uncovered = [fid for fid in fragmentation.fragment_ids() if fid not in self.placement]
+        if uncovered:
+            raise ValueError(f"placement does not cover fragment(s) {', '.join(uncovered)}")
+        self.coordinator_id: str = self.placement[fragmentation.root_fragment_id]
         ordered: Dict[str, List[str]] = {site_id: [] for site_id in held}
         for fragment_id in fragmentation.fragment_ids():
             ordered[self.placement[fragment_id]].append(fragment_id)

@@ -25,7 +25,7 @@ import weakref
 from contextlib import asynccontextmanager
 from typing import AsyncIterator, Dict, Iterable, Optional, Sequence
 
-from repro.core.kernel.dispatch import combined_pass, fragment_engine
+from repro.core.kernel.dispatch import FragmentEngine, combined_pass, resolve_engine
 from repro.obs.trace import NEGLIGIBLE_WAIT_SECONDS, add_span
 from repro.service.metrics import BatchStats
 
@@ -134,14 +134,13 @@ class FragmentWaveBatcher:
     fragmentation:
         The fragmented document the service serves.
     engine:
-        Per-fragment pass implementation forwarded to
-        :func:`~repro.core.kernel.dispatch.combined_pass` (``None``: the
-        process default).
+        The tier every pass runs on (``None``: the process default, resolved
+        here once).
     """
 
-    def __init__(self, fragmentation, engine: Optional[str] = None):
+    def __init__(self, fragmentation, engine: Optional[FragmentEngine] = None):
         self.fragmentation = fragmentation
-        self.engine = engine
+        self.engine = resolve_engine(engine)
         self.stats = BatchStats()
         #: fragment id -> slot key -> (plan, init vector, is_root, flat,
         #: [(future, queued_at)])
@@ -194,7 +193,7 @@ class FragmentWaveBatcher:
         add_span("batch:window", "window", queued_at, pass_started,
                  fragment=fragment_id)
         add_span("kernel:fused", "kernel", pass_started, pass_ended,
-                 fragment=fragment_id, engine=self.engine or fragment_engine())
+                 fragment=fragment_id, engine=self.engine.name)
         return output
 
     def _flush(self) -> None:

@@ -38,7 +38,7 @@ import asyncio
 import time
 from typing import Mapping, Optional
 
-from repro.core.kernel.dispatch import fragment_engine
+from repro.core.kernel.dispatch import FragmentEngine, resolve_engine
 from repro.core.pax2 import COMBINED, Pax2Schedule, pax2_coordinator, pax2_schedule
 from repro.core.rounds import Coordinator, SiteRound, record_site_times
 from repro.distributed.async_transport import AsyncTransport, LatencyModel, RoundBuffer
@@ -63,7 +63,7 @@ async def evaluate_query_async(
     snapshot: VersionSnapshot,
     use_annotations: bool = True,
     latency: Optional[LatencyModel] = None,
-    engine: Optional[str] = None,
+    engine: Optional[FragmentEngine] = None,
     batcher: Optional[FragmentWaveBatcher] = None,
     injector: Optional[FaultInjector] = None,
     resilience: Optional[ResilienceContext] = None,
@@ -73,8 +73,8 @@ async def evaluate_query_async(
 
     ``snapshot`` is the pinned version every pass and the answer accounting
     read, so the run is exact at that version regardless of concurrent
-    writes.  ``engine`` selects the columnar pass (``kernel`` or
-    ``vector``).  ``batcher`` routes stage-1 passes through the batcher,
+    writes.  ``engine`` is the passes' columnar tier (``None``: the process
+    default).  ``batcher`` routes stage-1 passes through the batcher,
     which runs identical concurrent passes once (outputs and accounting
     unchanged).  ``injector`` makes
     the wire unreliable; ``resilience`` adds the per-round
@@ -84,6 +84,7 @@ async def evaluate_query_async(
     it for this fragment tree; without one it is built here with
     ``use_annotations`` (the schedule's own setting labels the stats).
     """
+    engine = resolve_engine(engine)
     with trace_span("network:setup", stage="compile"):
         network = Network(
             fragmentation, placement, schedule.sites if schedule is not None else None
@@ -123,7 +124,7 @@ async def evaluate_query_async(
                     ))
                 with trace_span(
                     "kernel:" + site_round.stage.partition(":")[2], stage="kernel",
-                    site=site_id, fragments=len(fragment_ids), engine=engine or fragment_engine(),
+                    site=site_id, fragments=len(fragment_ids), engine=engine.name,
                 ):
                     if not batched:
                         outputs = [run_pass(site, fid) for fid in fragment_ids]

@@ -32,15 +32,16 @@ then passes three layers:
    microseconds until evicted or invalidated; the namespace guarantees no
    cross-tenant hits.
 
-Every read is natively asynchronous PaX2 on a columnar engine (``kernel``
-or ``vector``) against a pinned MVCC version snapshot
+Every read is natively asynchronous PaX2 on a columnar tier of the engine
+table (:mod:`repro.core.kernel.dispatch`) against a pinned MVCC version snapshot
 (:mod:`repro.fragments.snapshots`): the read captures the current version's
 flat encodings at admission and keeps scanning them while a write lands, so
 a write never waits for a reader and a reader never waits for a write.
 Writes routed by ``apply_update(document, mutation)`` serialize only with
 other writes to the same document; readers and writers of *other* documents
-proceed untouched.  PaX3, ParBoX, the naive baseline and the ``reference``
-engine stay in the synchronous :class:`~repro.core.engine.DistributedQueryEngine`.
+proceed untouched.  PaX3, ParBoX, the naive baseline and the tier walking
+the live tree (``reference``) stay in the synchronous
+:class:`~repro.core.engine.DistributedQueryEngine`.
 
 :class:`ServiceEngine` is the single-document facade: a host with one
 document registered under :data:`~repro.service.store.DEFAULT_DOCUMENT`,
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.common import QueryInput
-from repro.core.kernel.dispatch import ENGINES, KERNEL, VECTOR, fragment_engine
+from repro.core.kernel.dispatch import ENGINES, FragmentEngine, resolve_engine
 from repro.core.results import PartialAnswer, QueryResult
 from repro.distributed.async_transport import LatencyModel
 from repro.distributed.faults import FaultInjector
@@ -110,10 +111,6 @@ __all__ = [
     "ServiceHost",
 ]
 
-#: the engines whose reads evaluate purely from pinned flat encodings
-SNAPSHOT_ENGINES = (KERNEL, VECTOR)
-
-
 class AdmissionError(RuntimeError):
     """Raised when the service rejects a query because its queue is full."""
 
@@ -135,8 +132,8 @@ class ServiceConfig:
 
     #: default XPath-annotation setting (overridable per query)
     use_annotations: bool = True
-    #: per-fragment pass implementation, ``kernel`` or ``vector`` (``None`` =
-    #: process default, resolved once when the host is built; see
+    #: name of the per-fragment passes' columnar tier (``None`` = process
+    #: default, resolved once when the host is built; see
     #: :mod:`repro.core.kernel.dispatch`)
     engine: Optional[str] = None
     #: concurrent evaluations admitted at once, across all documents
@@ -179,8 +176,8 @@ class ServiceConfig:
             raise ValueError("site_parallelism must be >= 1")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0 (0 disables caching)")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        if self.engine is not None:
+            resolve_engine(self.engine)  # an unknown name fails here
 
 
 class DocumentSession:
@@ -198,7 +195,7 @@ class DocumentSession:
     #: raw query texts whose prepared entries a session retains (LRU)
     MAX_PLANS = 4096
 
-    def __init__(self, entry: DocumentEntry, config: ServiceConfig, engine: str):
+    def __init__(self, entry: DocumentEntry, config: ServiceConfig, engine: FragmentEngine):
         self.name = entry.name
         self.entry = entry
         self.config = config
@@ -268,9 +265,12 @@ class ServiceHost:
         defaults to a fresh empty catalog.  Grow it through
         :meth:`register`, shrink it through :meth:`drop_document`.
 
-    Raises ``ValueError`` when the engine (the configured one, or else the
-    process default) is ``reference``: it walks the live object tree, so
-    its reads cannot be snapshot-isolated from concurrent writes.
+    The engine (the configured one, or else the process default) is
+    refused here: with ``ValueError`` when it is not columnar (it walks the
+    live object tree, so its reads cannot be snapshot-isolated from
+    concurrent writes), with
+    :class:`~repro.core.kernel.dispatch.EngineUnavailableError` when this
+    process cannot run it.
     """
 
     def __init__(
@@ -281,14 +281,15 @@ class ServiceHost:
     ):
         base = config or ServiceConfig()
         self.config = replace(base, **overrides) if overrides else base
-        engine = self.config.engine or fragment_engine()
-        if engine not in SNAPSHOT_ENGINES:
+        engine = resolve_engine(self.config.engine, runnable=True)
+        if not engine.columnar:
+            columnar = " or ".join(name for name, tier in ENGINES.items() if tier.columnar)
             raise ValueError(
-                f"the service reads pinned snapshots on a columnar engine"
-                f" ({' or '.join(SNAPSHOT_ENGINES)}); engine {engine!r} walks the"
-                f" live object tree — evaluate it with DistributedQueryEngine"
+                f"the service reads pinned snapshots on a columnar engine ({columnar});"
+                f" engine {engine.name!r} walks the live object tree — evaluate it with"
+                f" DistributedQueryEngine"
             )
-        #: the columnar engine every read of this host runs on
+        #: the columnar engine record every read of this host runs on
         self.engine = engine
         self.store = store or DocumentStore()
         self.sessions: Dict[str, DocumentSession] = {}
@@ -327,9 +328,15 @@ class ServiceHost:
         fragmentation: Fragmentation,
         placement: Optional[Mapping[str, str]] = None,
     ) -> DocumentSession:
-        """Register a document and open its serving session."""
+        """Register a document and open its serving session; a document the
+        session refuses (say, a placement missing a fragment) leaves the
+        catalog as it was."""
         entry = self.store.register(name, fragmentation, placement)
-        return self._open_session(entry)
+        try:
+            return self._open_session(entry)
+        except BaseException:
+            self.store.drop(name)
+            raise
 
     def _open_session(self, entry: DocumentEntry) -> DocumentSession:
         session = DocumentSession(entry, self.config, self.engine)
@@ -869,7 +876,7 @@ class ServiceHost:
         document_names = self.documents()
         lines = [
             f"service host     : {len(document_names)} document(s) on"
-            f" {len(self.actors)} sites, engine={self.engine},"
+            f" {len(self.actors)} sites, engine={self.engine.name},"
             f" annotations={self.config.use_annotations}",
         ]
         for name in document_names:
@@ -908,7 +915,7 @@ class ServiceHost:
 
     def __repr__(self) -> str:
         return (
-            f"<ServiceHost documents={len(self.sessions)} engine={self.engine!r}"
+            f"<ServiceHost documents={len(self.sessions)} engine={self.engine.name!r}"
             f" served={self.metrics.total_requests}>"
         )
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.common import account_answers, answer_subtree_nodes
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
-from repro.core.vector import numpy_available
+from repro.core.kernel.dispatch import ENGINES
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_random
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
@@ -101,10 +100,8 @@ def assert_accounting_matches_tree(fragmentation):
 
 
 def available_engines():
-    """All engine tiers runnable in this process (vector needs numpy)."""
-    if numpy_available():
-        return (REFERENCE, KERNEL, VECTOR)
-    return (REFERENCE, KERNEL)
+    """The names of the engine tiers this process can run, read from the table."""
+    return tuple(name for name, engine in ENGINES.items() if engine.available())
 
 
 def fingerprint(stats):

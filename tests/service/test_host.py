@@ -468,7 +468,7 @@ class TestColumnarEnginesOnly:
         with use_fragment_engine("reference"):
             # a later process default does not reach the built host
             assert host.execute("alpha", "client/name").answer_ids
-        assert host.engine == KERNEL
+        assert host.engine.name == KERNEL
         assert "engine=kernel" in host.summary()
 
 

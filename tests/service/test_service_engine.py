@@ -256,7 +256,7 @@ class TestConfiguration:
         )
         service = engine.as_service()
         assert service.host.config.use_annotations is False
-        assert service.host.engine == engine.engine
+        assert service.host.engine.name == engine.engine
         assert service.session.placement == engine.placement
 
     def test_as_service_explicit_config_wins_over_engine_defaults(self, clientele):
