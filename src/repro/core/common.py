@@ -99,10 +99,12 @@ def account_answers(
     span plus the whole span, sub-fragments included, of every fragment
     hanging below it.  Per fragment, the span totals below its virtual rows
     are summed once into prefix sums over ``virtual_indices``; an answer's
-    share is then the difference of two prefix entries found by bisection,
-    and all answers of a fragment are counted with C-level ``map`` calls, no
-    per-answer Python loop.  No object-tree node is touched, so the count
-    is exact at the version the flats encode.
+    share is then the difference of two prefix entries found by bisection.
+    Answer ids are found in the span by bisection too, over its runs of
+    consecutive ids (:meth:`~repro.xmltree.flat.FlatFragment.rows_of`), and
+    all answers of a fragment are counted with C-level
+    ``map`` calls, no per-answer Python loop.  No object-tree node is
+    touched, so the count is exact at the version the flats encode.
     """
     span_totals: Dict[str, int] = {}
     below_prefix: Dict[str, List[int]] = {}
@@ -131,12 +133,12 @@ def account_answers(
         if not node_ids:
             continue
         flat = flat_of(fragment_id)
-        rows = list(map(flat.id_index().get, node_ids))
-        if None in rows:
-            missing = node_ids[rows.index(None)]
+        try:
+            rows = flat.rows_of(node_ids)
+        except KeyError as missing:
             raise AnswerAccountingError(
-                f"answer {missing} is not a node of fragment {fragment_id}"
-            )
+                f"answer {missing.args[0]} is not a node of fragment {fragment_id}"
+            ) from None
         sizes = list(map(flat.subtree_size.__getitem__, rows))
         total += sum(sizes)
         indices = flat.virtual_indices

@@ -142,10 +142,7 @@ class DistributedQueryEngine:
 
     def execute_boolean(self, query: QueryInput) -> bool:
         """Evaluate a Boolean query with ParBoX and return its truth value."""
-        stats = run_parbox(
-            self.fragmentation, query, placement=self.placement, engine=self.engine
-        )
-        return bool(stats.answer_ids)
+        return bool(self.run(query, algorithm="parbox").answer_ids)
 
     def evaluate_centralized(self, query: QueryInput):
         """Evaluate against the original (un-fragmented) tree — ground truth."""

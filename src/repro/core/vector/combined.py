@@ -28,7 +28,6 @@ from repro.core.combined import FragmentCombinedOutput
 from repro.core.kernel.tables import plan_tables
 from repro.core.vector.algebra import CodeSpace
 from repro.core.vector.encode import vector_fragment
-from repro.core.vector.program import vector_program
 from repro.core.vector.quals import qualifier_analysis
 from repro.core.vector.walk import (
     emit_finals,
@@ -54,7 +53,6 @@ def evaluate_fragment_combined_vector(
     vf = vector_fragment(flat)
     np = vf.np
     tables = plan_tables(flat, plan)
-    program = vector_program(vf, plan, tables)
     n_items = plan.n_items
     n_steps = plan.n_steps
     space = CodeSpace(np)
@@ -62,7 +60,7 @@ def evaluate_fragment_combined_vector(
     qual_cols = []
     qual_patches = None
     if plan.has_qualifiers:
-        analysis = qualifier_analysis(vf, flat, plan, tables, program)
+        analysis = qualifier_analysis(vf, flat, plan, tables)
         # The walk gathers the concrete masks at the rows a SELFQUAL step
         # reads; symbolic rows get their exact values interned, as patches.
         qual_cols = analysis.sel_qual_cols
@@ -83,8 +81,8 @@ def evaluate_fragment_combined_vector(
     cols = selection_code_columns(
         vf,
         space,
+        plan,
         tables,
-        program,
         init_vector,
         is_root_fragment and not plan.absolute,
         qual_cols,

@@ -18,6 +18,15 @@ An XPath-accelerator encoding of one fragment span, derived once from the
     is a ``searchsorted`` slice instead of a scan.  Tag ids are
     document-wide (:class:`~repro.xmltree.flat.TagTable`), so ``tag_starts``
     has one entry per tag of the *document* as of the encode.
+    :meth:`VectorFragment.rows_with_tag` hands out one group as a zero-copy
+    slice, which is every row set a pass reads: a CHILD step's or a CHILD
+    qualifier item's candidates, the same rows in the same pre-order.
+
+These columns are all an instance holds.  Nothing derived from a query is
+kept on it: a pass computes its terminal-test masks and item columns,
+reads its row sets as views, and drops all of it when it returns, so the
+resident bytes of a fragment do not grow with the number of distinct
+queries it has served.
 
 Instances hang off ``FlatFragment._vector``: the flat encodings are cached
 on :class:`~repro.fragments.fragment_tree.Fragmentation` under the content
@@ -76,12 +85,6 @@ _COLUMN_OPS = {
     ">=": operator.ge,
 }
 
-#: caps on the per-fragment caches of plan-derived columns; like the kernel
-#: dispatch tables, an unbounded query stream must not grow them forever
-_MAX_TEST_MASKS = 512
-_MAX_PROGRAMS = 256
-
-
 def numpy_available() -> bool:
     """Whether the vector engine can run in this process."""
     return _np is not None
@@ -101,7 +104,6 @@ class VectorFragment:
         "np",
         "flat",
         "n",
-        "size",
         "post",
         "tag_id",
         "elem",
@@ -117,8 +119,6 @@ class VectorFragment:
         "tag_rows",
         "anc_idx",
         "anc_mask",
-        "_test_masks",
-        "_programs",
     )
 
     def __init__(self, flat: FlatFragment):
@@ -127,9 +127,7 @@ class VectorFragment:
         self.flat = flat
         n = flat.n
         self.n = n
-        size = np.asarray(flat.subtree_size, dtype=np.int64)
-        self.size = size
-        self.post = np.arange(n, dtype=np.int64) + size
+        self.post = np.arange(n, dtype=np.int64) + np.asarray(flat.subtree_size, dtype=np.int64)
         self.parent = np.asarray(flat.parent, dtype=np.int64)
         self.parent_ge0 = self.parent >= 0
         self.tag_id = np.asarray(flat.tag_id, dtype=np.int64)
@@ -152,8 +150,9 @@ class VectorFragment:
 
         # Numeric column with NaN filling the non-numeric rows; has_numeric
         # is the kernel's `value is not None` check as a mask, ANDed into
-        # every val() test.  It cannot be read back off the column: text
-        # like "nan" is numeric (float("nan")), and `nan != 5` must hold.
+        # every val() != test (NaN fails the other comparisons by itself).
+        # It cannot be read back off the column: text like "nan" is numeric
+        # (float("nan")), and `nan != 5` must hold.
         numeric = np.full(n, np.nan, dtype=np.float64)
         has_numeric = np.zeros(n, dtype=bool)
         for index, value in enumerate(flat.numeric):
@@ -192,13 +191,6 @@ class VectorFragment:
         self.anc_mask = anc
         self.anc_idx = np.nonzero(anc)[0][::-1]  # decreasing = bottom-up
 
-        #: per-item terminal test columns keyed by the normalized test tuple
-        #: — shared across every plan on this fragment
-        self._test_masks: Dict[tuple, object] = {}
-        #: compiled window programs keyed by plan fingerprint (the key the
-        #: kernel tables already use)
-        self._programs: Dict[str, object] = {}
-
     # -- window primitives --------------------------------------------------
 
     def window_any_incl(self, col):
@@ -226,31 +218,26 @@ class VectorFragment:
             return self.elem_idx[:0]
         return self.tag_rows[self.tag_starts[tid] : self.tag_starts[tid + 1]]
 
-    # -- terminal test columns (shared across plans) ------------------------
+    # -- terminal tests -----------------------------------------------------
 
-    def test_mask(self, test: Optional[tuple]):
-        """Boolean column of one EMPTY-item terminal test.
+    def test_mask(self, test: Optional[tuple], rows=None):
+        """One EMPTY-item terminal test at *rows* (every row if None).
 
         ``None`` is the always-true test (the element mask); ``("text", "=",
         s)`` compares the interned text codes; ``("val", op, x)`` masks the
-        numeric column.  Columns are cached by test tuple, so every plan
-        that mentions ``text() = "goog"`` scans one shared mask.
+        numeric column.  The result is the caller's: a pass computes a test
+        where it reads it and drops it with the pass.
         """
+        if rows is None:
+            rows = slice(None)
         if test is None:
-            return self.elem
-        col = self._test_masks.get(test)
-        if col is None:
-            np = self.np
-            if test[0] == "text":
-                code = self.text_intern.get(test[2], -2)
-                col = self.text_code == code
-            else:  # "val"
-                col = self.has_numeric & _COLUMN_OPS[test[1]](self.numeric, test[2])
-            cache = self._test_masks
-            while len(cache) >= _MAX_TEST_MASKS:
-                cache.pop(next(iter(cache)))
-            cache[test] = col
-        return col
+            return self.elem[rows]
+        if test[0] == "text":
+            return self.text_code[rows] == self.text_intern.get(test[2], -2)
+        # "val": a NaN row fails every comparison but "!=" by itself
+        op = test[1]
+        col = _COLUMN_OPS[op](self.numeric[rows], test[2])
+        return col & self.has_numeric[rows] if op == "!=" else col
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.core.kernel.tables import plan_tables
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.vector.encode import vector_fragment
-from repro.core.vector.program import vector_program
 from repro.core.vector.quals import qualifier_analysis
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import FlatFragment
@@ -38,8 +37,7 @@ def evaluate_fragment_qualifiers_vector(
 
     vf = vector_fragment(flat)
     tables = plan_tables(flat, plan)
-    program = vector_program(vf, plan, tables)
-    analysis = qualifier_analysis(vf, flat, plan, tables, program)
+    analysis = qualifier_analysis(vf, flat, plan, tables)
 
     output.root_head = analysis.root_head
     output.root_desc = analysis.root_desc

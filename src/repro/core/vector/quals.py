@@ -6,9 +6,11 @@ interned in topological order (suffix and nested-qualifier items always
 have smaller ids — see :class:`repro.xpath.plan.QualItem`), so the same
 recurrence runs column at a time with no tree walk at all:
 
-* EMPTY — the terminal test column (shared mask from the fragment);
-* CHILD — scatter: candidate rows from the per-tag index whose suffix
-  column holds mark their parents;
+* EMPTY — the terminal test column, computed only when something reads
+  it whole: a test that only CHILD items read is evaluated at their
+  candidate rows and nowhere else;
+* CHILD — scatter: candidate rows from the per-tag index (a view of the
+  fragment's ``tag_rows``) whose suffix holds mark their parents;
 * DESC — the descendant-or-self window aggregation: one prefix sum over
   the suffix column, differenced at ``(pre, post)``;
 * SELFQUAL — boolean mask algebra over the already-computed item columns,
@@ -37,9 +39,8 @@ from repro.core.kernel.tables import (
 )
 from repro.core.variables import desc_var, head_var
 from repro.core.vector.encode import VectorFragment
-from repro.core.vector.program import VectorProgram
 from repro.xmltree.flat import FlatFragment
-from repro.xpath.plan import CHILD, DESC, EMPTY, QueryPlan, evaluate_qual_expr
+from repro.xpath.plan import CHILD, DESC, SELFQUAL, QueryPlan, evaluate_qual_expr
 
 __all__ = ["QualAnalysis", "qualifier_analysis"]
 
@@ -48,16 +49,13 @@ class QualAnalysis:
     """One fragment's qualifier state, columnar where concrete."""
 
     __slots__ = (
-        "ex_cols",
         "sel_qual_cols",
         "sym_qual_values",
         "root_head",
         "root_desc",
     )
 
-    def __init__(self, ex_cols, sel_qual_cols, sym_qual_values, root_head, root_desc):
-        #: per item, the boolean EX column (garbage at symbolic rows)
-        self.ex_cols = ex_cols
+    def __init__(self, sel_qual_cols, sym_qual_values, root_head, root_desc):
         #: per selection qualifier, the boolean value column (idem)
         self.sel_qual_cols = sel_qual_cols
         #: flat index -> exact qualifier-value tuple at the symbolic rows
@@ -66,22 +64,22 @@ class QualAnalysis:
         self.root_desc = root_desc
 
 
-def _qual_mask(np, expr, ex_cols, n):
+def _qual_mask(np, expr, column, n):
     """A qualifier expression as boolean mask algebra over item columns."""
     kind = expr[0]
     if kind == "item":
-        return ex_cols[expr[1]]
+        return column(expr[1])
     if kind == "not":
-        return ~_qual_mask(np, expr[1], ex_cols, n)
+        return ~_qual_mask(np, expr[1], column, n)
     out = None
     if kind == "and":
         for part in expr[1]:
-            mask = _qual_mask(np, part, ex_cols, n)
+            mask = _qual_mask(np, part, column, n)
             out = mask if out is None else out & mask
         return np.ones(n, dtype=bool) if out is None else out
     # "or" — evaluate_qual_expr raises on anything else, mirror its shapes
     for part in expr[1]:
-        mask = _qual_mask(np, part, ex_cols, n)
+        mask = _qual_mask(np, part, column, n)
         out = mask if out is None else out | mask
     return np.zeros(n, dtype=bool) if out is None else out
 
@@ -91,39 +89,53 @@ def qualifier_analysis(
     flat: FlatFragment,
     plan: QueryPlan,
     tables: PlanTables,
-    program: VectorProgram,
 ) -> QualAnalysis:
     """Evaluate every qualifier item of *plan* over *vf*, column at a time."""
     np = vf.np
     n = vf.n
+    items = plan.items
     n_items = plan.n_items
 
     # ---------------------------------------------------- concrete columns
+    # An EMPTY item's column stays None until something reads it whole;
+    # a CHILD item reads its suffix at its candidate rows only (ex_at).
     ex_cols: List[object] = [None] * n_items
-    for item in plan.items:
-        item_id = item.item_id
+
+    def column(item_id: int):
+        col = ex_cols[item_id]
+        if col is None:
+            col = ex_cols[item_id] = vf.test_mask(items[item_id].test)
+        return col
+
+    def ex_at(item_id: int, rows):
+        col = ex_cols[item_id]
+        if col is None:
+            return vf.test_mask(items[item_id].test, rows)
+        return col[rows]
+
+    for item in items:
         kind = item.kind
-        if kind == EMPTY:
-            col = vf.test_mask(item.test)
-        elif kind == CHILD:
+        if kind == CHILD:
             # Scatter: candidate rows (per-tag index) whose suffix holds
             # mark their parents.  Duplicate parents collapse via fancy
             # assignment — exactly the agg_head disjunction, concretely.
-            rows = program.child_rows[item_id]
+            rows = vf.rows_with_tag(item.tag)
             col = np.zeros(n, dtype=bool)
             if rows.size:
-                holds = ex_cols[item.rest][rows] & vf.parent_ge0[rows]
+                holds = ex_at(item.rest, rows) & vf.parent_ge0[rows]
                 col[vf.parent[rows[holds]]] = True
         elif kind == DESC:
             # EX = suffix holds on a descendant-or-self: the (pre, post)
             # window aggregation over the suffix column.
-            col = vf.window_any_incl(ex_cols[item.rest])
-        else:  # SELFQUAL
-            col = _qual_mask(np, item.qual, ex_cols, n) & ex_cols[item.rest]
-        ex_cols[item_id] = col
+            col = vf.window_any_incl(column(item.rest))
+        elif kind == SELFQUAL:
+            col = _qual_mask(np, item.qual, column, n) & column(item.rest)
+        else:  # EMPTY, deferred
+            continue
+        ex_cols[item.item_id] = col
 
     sel_qual_cols = [
-        _qual_mask(np, qual, ex_cols, n) for qual in tables.sel_quals
+        _qual_mask(np, qual, column, n) for qual in tables.sel_quals
     ]
 
     # ------------------------------------------------------- symbolic rows
@@ -152,7 +164,7 @@ def qualifier_analysis(
         def window_holds(item_id: int, lo: int, hi: int) -> bool:
             hits = nonzero_cache.get(item_id)
             if hits is None:
-                hits = nonzero_cache[item_id] = np.nonzero(ex_cols[item_id])[0]
+                hits = nonzero_cache[item_id] = np.nonzero(column(item_id))[0]
             return np.searchsorted(hits, lo) < np.searchsorted(hits, hi)
 
         for index in vf.anc_idx.tolist():
@@ -177,7 +189,7 @@ def qualifier_analysis(
                         parts.append(child_desc[item_id])
                 else:
                     for item_id in head_by_tag[tag_ids[child]]:
-                        if ex_cols[head_rest[item_id]][child]:
+                        if column(head_rest[item_id])[child]:
                             head_parts[item_id].append(True)
                     child_end = child + subtree_size[child]
                     for item_id, parts in desc_parts.items():
@@ -233,12 +245,12 @@ def qualifier_analysis(
         root_head = [False] * n_items
         if n_items:
             for item_id in tables.head_by_tag[flat.tag_id[0]]:
-                if ex_cols[tables.head_rest[item_id]][0]:
+                if ex_at(tables.head_rest[item_id], 0):
                     root_head[item_id] = True
         root_desc = [False] * n_items
         for item_id in tables.desc_item_ids:
             # disj(EX at the root, any EX below) = any hit in [0, n)
-            if ex_cols[item_id].any():
+            if column(item_id).any():
                 root_desc[item_id] = True
 
-    return QualAnalysis(ex_cols, sel_qual_cols, sym_qual_values, root_head, root_desc)
+    return QualAnalysis(sel_qual_cols, sym_qual_values, root_head, root_desc)

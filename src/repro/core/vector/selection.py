@@ -18,7 +18,6 @@ from repro.core.kernel.tables import plan_tables
 from repro.core.selection import FragmentSelectionOutput
 from repro.core.vector.algebra import CodeSpace
 from repro.core.vector.encode import vector_fragment
-from repro.core.vector.program import vector_program
 from repro.core.vector.walk import (
     emit_finals,
     emit_virtual_vectors,
@@ -45,7 +44,6 @@ def evaluate_fragment_selection_vector(
     vf = vector_fragment(flat)
     np = vf.np
     tables = plan_tables(flat, plan)
-    program = vector_program(vf, plan, tables)
     n_steps = plan.n_steps
     space = CodeSpace(np)
 
@@ -63,8 +61,8 @@ def evaluate_fragment_selection_vector(
     cols = selection_code_columns(
         vf,
         space,
+        plan,
         tables,
-        program,
         init_vector,
         is_root_fragment and not plan.absolute,
         qual_cols,

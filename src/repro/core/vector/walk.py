@@ -13,9 +13,10 @@ the fragment's n rows; each is a :data:`Column` in one of two shapes:
 
 Each step reads the previous column and works on the rows it can select:
 
-* CHILD — the rows whose tag the step admits (``program.ok_rows``) probe
-  the previous column at their parent, one ``searchsorted``; the fragment
-  root, whose parent lies outside the span, reads the init code;
+* CHILD — the rows whose tag the step admits (``vf.rows_with_tag``, a
+  view of the per-tag index) probe the previous column at their parent,
+  one ``searchsorted``; the fragment root, whose parent lies outside the
+  span, reads the init code;
 * DESC — the previous column's rows are the *marks*.  When init and marks
   are concrete 0/1, the runs are the subtree intervals of the top-level
   marks (a mark is top-level when it lies past the running max of the
@@ -41,8 +42,8 @@ from repro.booleans.formula import FormulaLike
 from repro.core.kernel.tables import SEL_CHILD, SEL_DESC, PlanTables
 from repro.core.vector.algebra import CodeSpace
 from repro.core.vector.encode import VectorFragment
-from repro.core.vector.program import VectorProgram
 from repro.xmltree.flat import FlatFragment
+from repro.xpath.plan import QueryPlan
 
 __all__ = [
     "Column",
@@ -59,8 +60,8 @@ Column = Tuple[object, object, bool]
 def selection_code_columns(
     vf: VectorFragment,
     space: CodeSpace,
+    plan: QueryPlan,
     tables: PlanTables,
-    program: VectorProgram,
     init_vector: Sequence[FormulaLike],
     anchor_at_root: bool,
     qual_cols: Sequence[object],
@@ -88,7 +89,7 @@ def selection_code_columns(
         position = instr[1]
         previous = cols[position - 1]
         if code == SEL_CHILD:
-            ok = program.ok_rows[position]
+            ok = vf.rows_with_tag(plan.selection[position - 1].tag)
             codes = _probe(np, previous, parent[ok])
             if ok.size and ok[0] == 0:
                 codes[0] = init_codes[position - 1]  # the root's parent is outside

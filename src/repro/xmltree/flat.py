@@ -30,7 +30,10 @@ sub-fragments excluded):
     so ``i + subtree_size[i]`` is the next sibling / unrelated node —
     pre-order plus subtree sizes is the whole tree structure.
 ``node_ids[i]``
-    The node's stable global :data:`~repro.xmltree.nodes.NodeId`.
+    The node's stable global :data:`~repro.xmltree.nodes.NodeId`.  Parsing
+    numbers nodes in pre-order, so the column is a few runs of consecutive
+    ids; :meth:`FlatFragment.rows_of` maps ids back to rows through those
+    runs, with no per-node dictionary.
 ``text_norm[i]`` / ``numeric[i]``
     For elements: the direct-text content normalized for ``text() = s``
     tests (stripped, lower-cased) and parsed for ``val() op n`` tests
@@ -52,7 +55,10 @@ and after a write (or pinned by a snapshot) agree on every id they share.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_right
+from itertools import compress, islice, repeat
+from operator import add, ne
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmltree.nodes import TEXT, NodeId, parse_numeric
 
@@ -101,9 +107,8 @@ class FlatFragment:
         "numeric",
         "virtual_at",
         "virtual_indices",
-        "element_prefix",
         "n_elements",
-        "_id_index",
+        "_id_runs",
         "_vector",
     )
 
@@ -134,20 +139,10 @@ class FlatFragment:
         self.numeric = numeric
         self.virtual_at = virtual_at
         self.virtual_indices = sorted(virtual_at)
-        # element_prefix[i] = number of elements among flat indices < i;
-        # one extra entry so prefix[end] - prefix[start] counts a range.
-        prefix = [0] * (self.n + 1)
-        running = 0
-        for index, k in enumerate(kind):
-            prefix[index] = running
-            if k == KIND_ELEMENT:
-                running += 1
-        prefix[self.n] = running
-        self.element_prefix = prefix
-        self.n_elements = running
-        #: node_id -> flat index, built lazily on first id_index() — only
-        #: answer accounting needs it, per-query scans never do
-        self._id_index: Optional[Dict[NodeId, int]] = None
+        self.n_elements = kind.count(KIND_ELEMENT)
+        #: (first id of each run of consecutive ids, ascending; row - id
+        #: offsets), found on the first rows_of(); only answer accounting asks
+        self._id_runs: Optional[Tuple[List[NodeId], List[int]]] = None
         #: numpy accelerator encoding (pre/post columns + per-tag
         #: index), built lazily by repro.core.vector.encode.vector_fragment;
         #: riding on the FlatFragment means the content-fingerprint cache,
@@ -167,10 +162,6 @@ class FlatFragment:
                 yield child
             child += size[child]
 
-    def elements_in(self, start: int, end: int) -> int:
-        """Number of elements among flat indices ``[start, end)``."""
-        return self.element_prefix[end] - self.element_prefix[start]
-
     def virtuals_in(self, start: int, end: int) -> List[int]:
         """Flat indices in ``[start, end)`` that carry virtual children."""
         indices = self.virtual_indices
@@ -178,12 +169,43 @@ class FlatFragment:
         hi = bisect.bisect_left(indices, end)
         return indices[lo:hi]
 
-    def id_index(self) -> Dict[NodeId, int]:
-        """``node_id -> flat index`` over this span, built on first use."""
-        index = self._id_index
-        if index is None:
-            index = self._id_index = dict(zip(self.node_ids, range(self.n)))
-        return index
+    def rows_of(self, ids: Sequence[NodeId]) -> List[int]:
+        """The flat index of each of *ids*; ``KeyError`` names one not here.
+
+        Parsing numbers nodes in pre-order, so a span's ids are a few runs
+        of consecutive integers: one per stretch between sub-fragment cuts,
+        and a run or two more per write that inserted or deleted nodes.  An
+        id's row is its offset into the run that may hold it, found by
+        bisection over the runs' first ids, and every row is checked
+        against ``node_ids``.
+        """
+        runs = self._id_runs
+        if runs is None:
+            node_ids = self.node_ids
+            starts = compress(
+                range(1, self.n),
+                map(ne, islice(node_ids, 1, None), map(add, node_ids, repeat(1))),
+            )
+            first = sorted((node_ids[row], row - node_ids[row]) for row in (0, *starts))
+            # offsets[k] is row - id in the k-th run by first id; offsets[0]
+            # serves ids below every run, which the check below rejects
+            runs = self._id_runs = ([i for i, _ in first], [0] + [o for _, o in first])
+        firsts, offsets = runs
+        if len(firsts) == 1:
+            rows = list(map(add, ids, repeat(offsets[1])))
+        else:
+            rows = list(map(add, ids, map(offsets.__getitem__, map(bisect_right, repeat(firsts), ids))))
+        node_ids = self.node_ids
+        try:
+            if list(map(node_ids.__getitem__, rows)) == list(ids):
+                return rows
+        except IndexError:  # an id past the last run
+            pass
+        n = self.n
+        raise KeyError(next(
+            node_id for node_id, row in zip(ids, rows)
+            if not -n <= row < n or node_ids[row] != node_id
+        ))
 
     def preorder_node_ids(self) -> List[NodeId]:
         """The span's node ids in document order (for round-trip checks)."""

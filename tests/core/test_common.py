@@ -1,5 +1,7 @@
 """Unit tests for the shared orchestration helpers and message accounting."""
 
+import asyncio
+
 import pytest
 
 from repro.booleans.formula import Var, conj
@@ -13,15 +15,42 @@ from repro.core.common import (
     plan_units,
     vector_units,
 )
+from repro.core.engine import DistributedQueryEngine
+from repro.core.kernel.dispatch import ENGINES
 from repro.distributed.messages import Message, MessageKind
 from repro.fragments.fragment_tree import build_fragmentation
+from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
+from repro.service.server import ServiceHost
+from repro.updates import InsertSubtree, apply_mutation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xmltree.builder import element, text
 from repro.xmltree.nodes import XMLTree
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
 
-from tests.conftest import assert_accounting_matches_tree
+from tests.conftest import assert_accounting_matches_tree, available_engines
+
+
+def insert_before_every_span(fragmentation):
+    """Insert a fresh <client> as the first child of every fragment root.
+
+    Fresh ids are larger than every parsed one, so afterwards each span's
+    ``node_ids`` column is no longer ascending."""
+    for fragment_id in fragmentation.fragment_ids():
+        root = fragmentation[fragment_id].root
+        subtree = element("client", element("name", text("inserted")))
+        apply_mutation(fragmentation, InsertSubtree(root.node_id, subtree, position=0))
+    return fragmentation
+
+
+def out_of_order_fragmentation():
+    fragmentation = insert_before_every_span(
+        clientele_paper_fragmentation(clientele_example_tree())
+    )
+    for fragment_id in fragmentation.fragment_ids():
+        node_ids = fragmentation.flat(fragment_id).node_ids
+        assert node_ids != sorted(node_ids), fragment_id
+    return fragmentation
 
 
 class TestEnsurePlan:
@@ -100,6 +129,80 @@ class TestAccountAnswers:
         elsewhere = fragmentation.flat(fragmentation.children("F0")[0]).node_ids[0]
         with pytest.raises(AnswerAccountingError):
             account_answers([("F0", [elsewhere])], fragmentation.flat)
+
+
+    def test_a_span_maps_ids_through_runs_not_per_node(self):
+        # parsed spans: one run per stretch between sub-fragment cuts
+        fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+        assert_accounting_matches_tree(fragmentation)
+        held = {}
+        for fragment_id in fragmentation.fragment_ids():
+            flat = fragmentation.flat(fragment_id)
+            cuts = sum(map(len, flat.virtual_at.values()))
+            assert len(flat._id_runs[0]) <= 1 + cuts, fragment_id
+            held[fragment_id] = cuts
+        # after inserts the ids are out of order, and each insert adds at
+        # most two runs (its own nodes, and the rest of the run it split)
+        insert_before_every_span(fragmentation)
+        assert_accounting_matches_tree(fragmentation)
+        for fragment_id, cuts in held.items():
+            flat = fragmentation.flat(fragment_id)
+            assert flat.node_ids != sorted(flat.node_ids)
+            assert flat.rows_of(flat.node_ids) == list(range(flat.n))
+            assert len(flat._id_runs[0]) <= 1 + cuts + 2, fragment_id
+
+    def test_a_pinned_snapshot_flat_out_of_order(self):
+        fragmentation = out_of_order_fragmentation()
+
+        async def pin():  # a manager binds to the running loop
+            manager = SnapshotManager(fragmentation, SnapshotPolicy())
+            return manager.pin(fragmentation.content_version())
+
+        snapshot = asyncio.run(pin())
+        tree = fragmentation.tree
+        owned = [(fid, snapshot.flat(fid).node_ids) for fid in fragmentation.fragment_ids()]
+        expected = {
+            node_id: answer_subtree_nodes(tree, [node_id])
+            for _, node_ids in owned for node_id in node_ids
+        }
+        insert_before_every_span(fragmentation)  # the live spans move on
+        root_id = tree.root.node_id
+        assert answer_subtree_nodes(tree, [root_id]) != expected[root_id]
+        for fragment_id, node_ids in owned:
+            for node_id in node_ids:
+                assert account_answers(
+                    [(fragment_id, [node_id])], snapshot.flat
+                ) == expected[node_id], (fragment_id, node_id)
+        assert account_answers(owned, snapshot.flat) == sum(expected.values())
+
+    def test_a_missing_answer_in_an_out_of_order_span_is_a_typed_error(self):
+        fragmentation = out_of_order_fragmentation()
+        node_ids = fragmentation.flat("F0").node_ids
+        past_every_id = max(node_ids) + 1000
+        elsewhere = fragmentation.flat(fragmentation.children("F0")[0]).node_ids[0]
+        below_every_id = min(node_ids) - 1
+        for missing in (past_every_id, elsewhere, below_every_id):
+            with pytest.raises(AnswerAccountingError, match=f"answer {missing} .* F0"):
+                account_answers([("F0", [node_ids[0], missing, node_ids[-1]])], fragmentation.flat)
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_every_engine_accounts_out_of_order_spans(self, engine):
+        fragmentation = out_of_order_fragmentation()
+        tree = fragmentation.tree
+        served = DistributedQueryEngine(fragmentation, engine=engine)
+        host = None
+        if ENGINES[engine].columnar:  # a service read pins a snapshot
+            host = ServiceHost(engine=engine, cache_capacity=0)
+            host.register("doc", fragmentation)
+        for query in ("//client", "//client/name", "//broker[market]/name"):
+            runs = [served.run(query, algorithm=name) for name in ("pax2", "pax3")]
+            if host is not None:
+                runs.append(host.execute("doc", query).stats)
+            for stats in runs:
+                assert stats.answer_ids, (query, stats.algorithm)
+                assert stats.answer_nodes_shipped == answer_subtree_nodes(
+                    tree, stats.answer_ids
+                ), (query, stats.algorithm)
 
 
 class TestBuildNetwork:

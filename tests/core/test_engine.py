@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import ALGORITHMS, DistributedQueryEngine
+from repro.distributed.network import SiteIndex
 from repro.xpath.centralized import evaluate_centralized
 from repro.workloads.queries import (
     CLIENTELE_QUERIES,
@@ -57,6 +58,21 @@ class TestEngine:
     def test_execute_boolean(self, engine):
         assert engine.execute_boolean(CLIENTELE_QUERIES["boolean_goog"]) is True
         assert engine.execute_boolean('.[//stock/code/text() = "msft"]') is False
+
+    def test_execute_boolean_reuses_the_site_index(self, tree, monkeypatch):
+        engine = DistributedQueryEngine(clientele_paper_fragmentation(tree))
+        built = []
+        original = SiteIndex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SiteIndex, "__init__", counting)
+        for _ in range(5):
+            assert engine.execute_boolean(CLIENTELE_QUERIES["boolean_goog"]) is True
+        # the index built with the engine serves every call, as it does run()'s
+        assert len(built) == 0
 
     def test_evaluate_centralized_ground_truth(self, engine):
         query = CLIENTELE_QUERIES["us_nasdaq_brokers"]

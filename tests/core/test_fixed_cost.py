@@ -15,10 +15,11 @@ the object tree — on every engine and runner.
 
 On the vector engine a selection step's work follows the rows it can
 select: a ``//`` step under a symbolic init folds once per mark, not one
-whole-column connective per tree level, a compiled program holds row
-sets rather than dense per-row columns, and the walk's columns are sparse:
-at their peak, all of a fragment's take less memory than two dense int64
-columns of its rows (tracemalloc sees numpy's buffers).
+whole-column connective per tree level, every row set it reads is a view
+of the fragment's tag index, and the walk's columns are sparse: at their
+peak, all of a fragment's take less memory than two dense int64 columns
+of its rows (tracemalloc sees numpy's buffers).  A never-seen stream
+leaves nothing behind on the encodings.
 """
 
 import asyncio
@@ -33,13 +34,16 @@ from repro.booleans import formula as formula_module
 from repro.booleans.env import Environment
 from repro.booleans.formula import And, Not, Or, Var
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
+from repro.core.common import ensure_plan
+from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR, combined_pass
 from repro.core.kernel.tables import PlanTables
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
+from repro.core.pruning import stage1_init_vector
 from repro.core.vector import combined as vector_combined
 from repro.core.vector import numpy_available, vector_fragment
 from repro.core.vector.algebra import CodeSpace
+from repro.core.vector.encode import VectorFragment
 from repro.distributed.site import Site
 from repro.service.server import ServiceHost
 from repro.workloads.scenarios import build_ft1, build_ft2
@@ -134,6 +138,37 @@ def test_a_never_seen_stream_holds_bounded_tables_and_no_formulas(engine, reques
     gc.collect()
     assert intern_table_sizes() == interned_before
     assert len(fragmentation) == 64  # the document (and its caches) is still here
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the vector engine needs numpy")
+def test_a_never_seen_stream_retains_nothing_per_query_on_the_vector_tier():
+    # PaX2's stage-1 passes alone, on the smallest FT1 sites: what the
+    # coordinator keeps is pinned by the stream tests above
+    fragmentation = build_ft1(64, 64 * 300, seed=5).fragmentation
+    root_id = fragmentation.root_fragment.fragment_id
+
+    def passes(request):
+        plan = ensure_plan(QUERY.format(request + 0.25))
+        for fragment_id in fragmentation.fragment_ids():
+            init = stage1_init_vector(fragmentation, plan, fragment_id, True)
+            combined_pass(
+                fragmentation, fragment_id, plan, init, fragment_id == root_id, engine=VECTOR
+            )
+
+    for request in range(300):  # past the plan-table cap
+        passes(request)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for request in range(300, 1000):
+            passes(request)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a per-fragment cache of plan-derived columns grows by ~30 KB a query here
+    assert retained < 1_000_000, retained
 
 
 def test_a_never_seen_service_stream_keeps_the_intern_tables_bounded():
@@ -284,15 +319,25 @@ def test_vector_selection_steps_touch_the_rows_they_can_select(monkeypatch):
     assert calls.pop("disj_code") > 0
     assert sum(calls.values()) == 0, calls
 
-    # a program holds row sets, never a dense per-row column
-    fragmentation = scenario.fragmentation
-    for fragment_id in fragmentation.fragment_ids():
-        vf = vector_fragment(fragmentation.flat(fragment_id))
-        assert vf._programs
-        for program in vf._programs.values():
-            for name in program.__slots__:
-                for rows in getattr(program, name).values():
-                    assert rows.size < vf.n, (fragment_id, name, rows.size, vf.n)
+    # every row set a pass reads, a CHILD step's or a CHILD item's, is a
+    # view of the fragment's tag index: nothing is gathered or kept per query
+    read = []
+
+    def recording(self, tag):
+        rows = rows_with_tag(self, tag)
+        read.append((self, tag, rows))
+        return rows
+
+    rows_with_tag = VectorFragment.rows_with_tag
+    monkeypatch.setattr(VectorFragment, "rows_with_tag", recording)
+    served.execute(SYMBOLIC_DESC)
+    served.execute("//open_auction[bidder/increase > 12.5]/current")
+    assert {tag for _, tag, rows in read if rows.size} >= {"open_auction", "increase"}
+    np = read[0][0].np
+    for vf, tag, rows in read:
+        assert rows.size == 0 or any(
+            np.shares_memory(rows, column) for column in (vf.tag_rows, vf.elem_idx)
+        ), (tag, rows.size)
 
 
 #: a CHILD chain under a qualifier, symbolic // steps, and an absolute path
