@@ -65,8 +65,8 @@ def evaluate_fragment_combined_flat(
 
     # Eliminate qz: placeholders from everything that leaves the site.
     local_env = Environment()
-    for lazy in consulted.values():
-        row_values = values[lazy.node_id]
+    for row, lazy in consulted.items():
+        row_values = values[row]
         for slot, variable in lazy.created.items():
             local_env.bind(variable.name, row_values[slot])
     for node_id, final in finals:

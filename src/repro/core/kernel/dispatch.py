@@ -136,11 +136,11 @@ def qualifier_pass(fragmentation, fragment_id, plan, engine=None):
     return _run("qualifiers", engine, fragmentation, fragment_id, None, plan)
 
 
-def selection_pass(fragmentation, fragment_id, plan, qual_provider, init_vector,
+def selection_pass(fragmentation, fragment_id, plan, qualifiers, bindings, init_vector,
                    is_root_fragment, engine=None):
-    """Top-down selection pass (PaX3 stage 2); ``qual_provider``: node id -> SELFQUAL values."""
-    return _run("selection", engine, fragmentation, fragment_id, None, plan, qual_provider,
-                init_vector, is_root_fragment)
+    """Top-down selection pass (PaX3 stage 2) over *engine*'s qualifier ``state`` and *bindings*."""
+    return _run("selection", engine, fragmentation, fragment_id, None, plan, qualifiers,
+                bindings, init_vector, is_root_fragment)
 
 
 def combined_pass(fragmentation, fragment_id, plan, init_vector, is_root_fragment,

@@ -9,9 +9,9 @@ walk folds the already-computed child HEAD/DESC rows (document order,
 virtual children first — the same fold order as the reference, so residual
 formulas come out structurally identical) and interprets the precompiled
 ``item_prog`` instead of re-reading the plan's dataclasses.  PaX3's
-qualifier pass asks it for every element's selection-qualifier values;
-PaX2's combined pass (:mod:`repro.core.kernel.combined`) only for the rows
-whose placeholders its forward walk parked.
+qualifier pass asks it for every element's selection-qualifier values (its
+state, by row); PaX2's combined pass (:mod:`repro.core.kernel.combined`)
+only for the rows whose placeholders its forward walk parked.
 
 All-false rows are shared tuples instead of fresh lists, so leaf-heavy
 fragments allocate almost nothing per node.
@@ -36,7 +36,6 @@ from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.variables import desc_var, head_var
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
-from repro.xmltree.nodes import NodeId
 from repro.xpath.plan import QueryPlan, evaluate_qual_expr
 
 __all__ = ["evaluate_fragment_qualifiers_flat", "qualifier_walk"]
@@ -71,11 +70,11 @@ def qualifier_walk(
     plan: QueryPlan,
     tables: PlanTables,
     wanted: Container[int],
-) -> Tuple[List[FormulaLike], List[FormulaLike], Dict[NodeId, Tuple[FormulaLike, ...]]]:
+) -> Tuple[List[FormulaLike], List[FormulaLike], Dict[int, Tuple[FormulaLike, ...]]]:
     """The root's HEAD/DESC rows, and the selection-qualifier values of the
-    *wanted* rows keyed by node id."""
+    *wanted* rows keyed by row."""
     n_items = plan.n_items
-    qual_values: Dict[NodeId, Tuple[FormulaLike, ...]] = {}
+    qual_values: Dict[int, Tuple[FormulaLike, ...]] = {}
     if not plan.has_qualifiers:
         return [False] * n_items, [False] * n_items, qual_values
 
@@ -90,7 +89,6 @@ def qualifier_walk(
     n = flat.n
     kind = flat.kind
     tag_ids = flat.tag_id
-    node_ids = flat.node_ids
     text_norm = flat.text_norm
     numeric = flat.numeric
     virtual_at = flat.virtual_at
@@ -143,7 +141,7 @@ def qualifier_walk(
                 ex[instr[1]] = conj(evaluate_qual_expr(instr[2], ex), ex[instr[3]])
 
         if index in wanted:
-            qual_values[node_ids[index]] = tuple(
+            qual_values[index] = tuple(
                 evaluate_qual_expr(qual, ex) for qual in sel_quals
             )
 
@@ -188,10 +186,12 @@ def evaluate_fragment_qualifiers_flat(
 ) -> FragmentQualifierOutput:
     """Bottom-up qualifier pass over the columnar encoding of *fragment*."""
     output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
-    output.root_head, output.root_desc, output.qual_values = qualifier_walk(
+    output.root_head, output.root_desc, values = qualifier_walk(
         flat, plan, plan_tables(flat, plan), range(flat.n)
     )
     if plan.has_qualifiers:
+        output.root_values = values[0]
+        output.state = values
         output.operations = flat.n_elements * max(1, plan.n_items)
         output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
     return output

@@ -5,7 +5,8 @@ Semantically identical to
 precedes it in pre-order, so ``vectors[parent[i]]`` is ready when ``i`` is
 reached.  PaX3's selection pass and PaX2's combined pass
 (:mod:`repro.core.kernel.combined`) both run this walk and differ only in
-their qualifier source.  Two output-preserving optimizations:
+their qualifier source: PaX3's reads the row-indexed values the qualifier
+pass left at the site.  Two output-preserving optimizations:
 
 * per-tag step gates: whether a CHILD step can match is a precomputed
   boolean lookup (``sel_child_ok``) instead of a per-node tag comparison;
@@ -17,11 +18,12 @@ their qualifier source.  Two output-preserving optimizations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.booleans.env import Environment
 from repro.booleans.formula import FormulaLike, conj, disj, is_false, is_true
 from repro.core.kernel.tables import SEL_CHILD, SEL_DESC, PlanTables, plan_tables
-from repro.core.selection import FragmentSelectionOutput
+from repro.core.selection import FragmentSelectionOutput, resolved_qualifier_values
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import KIND_ELEMENT, FlatFragment
 from repro.xmltree.nodes import NodeId
@@ -132,18 +134,39 @@ def selection_walk(
     return finals
 
 
+def symbolic_rows(flat: FlatFragment) -> Set[int]:
+    """Ancestors-or-self of the rows that carry virtual children: the only
+    rows whose qualifier values can mention a sub-fragment variable."""
+    rows: Set[int] = set()
+    parent = flat.parent
+    for row in flat.virtual_indices:
+        while row >= 0 and row not in rows:
+            rows.add(row)
+            row = parent[row]
+    return rows
+
+
 def evaluate_fragment_selection_flat(
     fragment: Fragment,
     flat: FlatFragment,
     plan: QueryPlan,
-    qual_provider: Optional[Callable[[NodeId], Sequence[FormulaLike]]],
+    qualifiers: Optional[Dict[int, Tuple[FormulaLike, ...]]],
+    bindings: Optional[Mapping[str, bool]],
     init_vector: Sequence[FormulaLike],
     is_root_fragment: bool,
 ) -> FragmentSelectionOutput:
-    """Top-down selection pass over the columnar encoding of *fragment*."""
+    """Top-down selection pass over the columnar encoding of *fragment*;
+    *bindings* resolve the qualifier state's values at the symbolic rows."""
     output = FragmentSelectionOutput(fragment_id=fragment.fragment_id)
-    node_ids = flat.node_ids
-    qual_source = None if qual_provider is None else (lambda row: qual_provider(node_ids[row]))
+    qual_source = None
+    if qualifiers is not None:
+        if bindings:
+            environment = Environment(bindings)
+            qualifiers = {**qualifiers, **{
+                row: resolved_qualifier_values(qualifiers[row], environment)
+                for row in symbolic_rows(flat)
+            }}
+        qual_source = qualifiers.__getitem__
     finals = selection_walk(
         flat, plan, plan_tables(flat, plan), qual_source, init_vector,
         is_root_fragment, output.virtual_parent_vectors,

@@ -5,7 +5,8 @@ is a qualifier evaluated at the document root, written here as ``.[q]``.
 ParBoX corresponds exactly to Stage 1 of PaX3: every site performs the
 bottom-up qualifier pass over its fragments (one visit per site), ships the
 root vectors to the coordinator, and a single bottom-up unification over the
-fragment tree yields the answer.
+fragment tree yields the answer from the root fragment's root values; the
+sites keep nothing per element.
 
 The implementation is provided both because the paper uses it as the
 baseline its guarantees are measured against and because PaX3 literally
@@ -52,7 +53,7 @@ def parbox_coordinator(
     stats.fragments_evaluated = fragmentation.fragment_ids()
     stage = qualifier_stage(
         fragmentation, plan, sites, resolve_engine(engine), "parbox:qualifiers", "ParBoX",
-        lambda output: output.root_vector_units,
+        lambda output: output.root_vector_units, keep_state=False,
     )
     results = yield stage
     environment = unify_qualifier_stage(fragmentation, plan, stage, results)
@@ -99,8 +100,7 @@ def _boolean_result_at_root(
     environment: Environment,
 ) -> bool:
     """Resolve the qualifier expression of ``.[q]`` at the document root."""
-    root_output = outputs[fragmentation.root_fragment_id]
-    values = root_output.qual_values.get(fragmentation.tree.root.node_id, ())
+    values = outputs[fragmentation.root_fragment_id].root_values
     result = True
     for value in values:
         resolved = require_concrete(environment.resolve(value), "Boolean query at the root")

@@ -8,10 +8,11 @@ Three stages, each visiting a participating site at most once:
    (``evalFT``).  Skipped entirely when the query has no qualifiers.
 2. **Selection-path evaluation** — the coordinator ships the resolved
    qualifier values of each sub-fragment back to the owning site; every site
-   partially evaluates the selection path top-down; definite answers are
-   shipped immediately, undecided nodes become candidates kept at the site,
-   and the vectors computed at virtual nodes return to the coordinator,
-   which resolves the initialization variables top-down.
+   partially evaluates the selection path top-down over the qualifier state
+   it kept from stage 1; definite answers are shipped immediately, undecided
+   nodes become candidates kept at the site, and the vectors computed at
+   virtual nodes return to the coordinator, which resolves the
+   initialization variables top-down.
 3. **Answer retrieval** — only sites holding candidates are visited again:
    they receive the resolved initialization values, decide their candidates
    and ship the remaining answers.
@@ -66,11 +67,12 @@ def qualifier_stage(
     stage: str,
     label: str,
     units_of: Callable[[FragmentQualifierOutput], int],
+    keep_state: bool,
 ) -> Stage:
     """The bottom-up qualifier pass at every site (PaX3 stage 1, ParBoX).
 
-    Each site keeps its nodes' qualifier values for a later selection pass
-    and ships its root vectors, *units_of* traffic units per fragment.
+    Each site ships its root vectors, *units_of* traffic units per fragment,
+    and with *keep_state* keeps the pass's state for a selection stage.
     """
     units = plan_units(plan)
 
@@ -79,7 +81,8 @@ def qualifier_stage(
 
     def collect(site: Site, fragment_ids: Sequence[str], outputs) -> List[Envelope]:
         for fragment_id, output in zip(fragment_ids, outputs):
-            site.storage[fragment_id]["qual_values"] = output.qual_values
+            if keep_state:
+                site.storage[fragment_id]["qualifiers"] = output.state
             site.add_operations(output.operations)
         return [(
             MessageKind.QUALIFIER_VECTORS, sum(map(units_of, outputs)),
@@ -152,6 +155,7 @@ def pax3_coordinator(
                 map(output.root_head.__getitem__, plan.head_item_ids),
                 map(output.root_desc.__getitem__, plan.desc_item_ids),
             )),
+            keep_state=True,
         )
         results = yield stage
         qual_env = unify_qualifier_stage(fragmentation, plan, stage, results)
@@ -162,16 +166,9 @@ def pax3_coordinator(
     bindings: Dict[str, Dict[str, bool]] = {}
 
     def select(site: Site, fragment_id: str):
-        provider = None
-        if plan.has_qualifiers:
-            stored = site.storage[fragment_id].get("qual_values", {})
-            fragment_env = Environment(bindings.get(fragment_id, {}))
-
-            def provider(node_id):
-                return [fragment_env.resolve(value) for value in stored.get(node_id, ())]
-
         return selection_pass(
-            fragmentation, fragment_id, plan, provider,
+            fragmentation, fragment_id, plan, site.storage[fragment_id].get("qualifiers"),
+            bindings.get(fragment_id),
             stage1_init_vector(fragmentation, plan, fragment_id, use_annotations),
             is_root_fragment=(fragment_id == root_fragment_id), engine=engine,
         )

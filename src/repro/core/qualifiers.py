@@ -9,15 +9,16 @@ residual formulas rather than constants.
 The output of the pass is
 
 * the HEAD/DESC vectors of the fragment's root — these are what the
-  coordinator unifies bottom-up over the fragment tree (``evalFT``), and
-* for every element node, the values of the qualifier expressions attached
-  to the selection steps — this is the state Stage 2 consumes at the site.
+  coordinator unifies bottom-up over the fragment tree (``evalFT``),
+* the selection-step qualifier values at the root — all ParBoX reads, and
+* the tier's own per-element state, which the same tier's selection pass
+  reads at the site in Stage 2: here node id -> those values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.booleans.formula import FormulaLike
 from repro.core.variables import desc_var, head_var
@@ -42,8 +43,10 @@ class FragmentQualifierOutput:
     root_head: List[FormulaLike] = field(default_factory=list)
     #: DESC vector of the fragment root (indexed by item id)
     root_desc: List[FormulaLike] = field(default_factory=list)
-    #: per element node: values of the SELFQUAL selection-step qualifiers
-    qual_values: Dict[NodeId, Tuple[FormulaLike, ...]] = field(default_factory=dict)
+    #: values of the SELFQUAL selection-step qualifiers at the fragment root
+    root_values: Tuple[FormulaLike, ...] = ()
+    #: per-element state for the same tier's selection pass; ``None`` without qualifiers
+    state: Optional[object] = None
     #: coarse operation count (elements processed x plan width)
     operations: int = 0
     #: number of traffic units if the root vectors were sent as-is
@@ -90,6 +93,7 @@ def evaluate_fragment_qualifiers(
         return aggregate
 
     root = fragment.root
+    values: Dict[NodeId, Tuple[FormulaLike, ...]] = {}
     elements_processed = 0
     stack: list[tuple[XMLNode, object, QualAggregate]] = [
         (root, iter(fragment.real_element_children(root)), new_aggregate(root))
@@ -109,7 +113,7 @@ def evaluate_fragment_qualifiers(
             continue
         stack.pop()
         ex, head, desc = compute_qualifier_vectors(plan, node, aggregate)
-        output.qual_values[node.node_id] = qualifier_values_for_selection(plan, ex)
+        values[node.node_id] = qualifier_values_for_selection(plan, ex)
         elements_processed += 1
         if stack:
             stack[-1][2].add_child(plan, head, desc)
@@ -118,6 +122,8 @@ def evaluate_fragment_qualifiers(
 
     assert root_vectors is not None
     output.root_head, output.root_desc = root_vectors
+    output.root_values = values[root.node_id]
+    output.state = values
     output.operations = elements_processed * max(1, plan.n_items)
     output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
     return output

@@ -7,6 +7,11 @@ traversal stack is initialized with fresh ``sv:`` variables (or, when
 XPath-annotations are available and the query has no qualifiers, with the
 concrete vector derived from the annotation path).
 
+Each tier's selection pass reads the state its own qualifier pass left at
+the site in Stage 1 (here a node id -> values dict) and resolves only the
+values that mention a sub-fragment variable, against the bindings the
+coordinator ships back (:func:`resolved_qualifier_values`).
+
 The pass classifies nodes into definite answers (final entry ``True``),
 candidate answers (final entry is a residual formula) and non-answers, and
 records — for every virtual node — the vector of its parent, which is what
@@ -17,9 +22,10 @@ sub-fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.booleans.formula import FormulaLike, is_false, is_true
+from repro.booleans.env import Environment
+from repro.booleans.formula import FormulaLike, is_concrete, is_false, is_true
 from repro.core.variables import selection_var
 from repro.fragments.fragment import Fragment
 from repro.xmltree.nodes import NodeId, XMLNode
@@ -29,14 +35,9 @@ from repro.xpath.runtime import root_context_init_vector, selection_vector
 __all__ = [
     "FragmentSelectionOutput",
     "evaluate_fragment_selection",
+    "resolved_qualifier_values",
     "variable_init_vector",
 ]
-
-#: Callable giving, for an element node's id, the values of its SELFQUAL qualifiers.
-QualProvider = Callable[[NodeId], Sequence[FormulaLike]]
-
-_NO_QUALS: Tuple[FormulaLike, ...] = tuple()
-
 
 @dataclass
 class FragmentSelectionOutput:
@@ -68,32 +69,46 @@ def concrete_root_init_vector(plan: QueryPlan) -> List[FormulaLike]:
     return root_context_init_vector(plan)
 
 
+def resolved_qualifier_values(
+    values: Tuple[FormulaLike, ...], environment: Optional[Environment]
+) -> Tuple[FormulaLike, ...]:
+    """*values* with *environment* substituted into each one that mentions a
+    variable (only values at the ancestors of virtual nodes can)."""
+    if environment is None or all(map(is_concrete, values)):
+        return values
+    return tuple(
+        value if is_concrete(value) else environment.resolve(value) for value in values
+    )
+
+
 def evaluate_fragment_selection(
     fragment: Fragment,
     plan: QueryPlan,
-    qual_provider: Optional[QualProvider],
+    qualifiers: Optional[Dict[NodeId, Tuple[FormulaLike, ...]]],
+    bindings: Optional[Mapping[str, bool]],
     init_vector: Sequence[FormulaLike],
     is_root_fragment: bool,
 ) -> FragmentSelectionOutput:
     """Top-down partial evaluation of the selection path over *fragment*.
 
-    ``qual_provider`` supplies the (already resolved) qualifier values per
-    node id, as for the columnar tiers; pass ``None`` for qualifier-free plans.  ``init_vector`` is the
-    vector of the fragment root's parent — concrete for the root fragment or
-    under XPath-annotations, variables otherwise.
+    ``qualifiers`` is this tier's qualifier state for the fragment (node id
+    -> SELFQUAL values), ``None`` for a qualifier-free plan; ``bindings``
+    are the resolved values of its sub-fragments' qualifier variables.
+    ``init_vector`` is the vector of the fragment root's parent — concrete
+    for the root fragment or under XPath-annotations, variables otherwise.
     """
     output = FragmentSelectionOutput(fragment_id=fragment.fragment_id)
     n_steps = plan.n_steps
+    environment = Environment(bindings) if bindings else None
     elements_processed = 0
 
     stack: list[tuple[XMLNode, Sequence[FormulaLike]]] = [(fragment.root, list(init_vector))]
     while stack:
         node, parent_vector = stack.pop()
         elements_processed += 1
-        if qual_provider is not None:
-            qual_values = qual_provider(node.node_id)
-        else:
-            qual_values = _NO_QUALS
+        qual_values = () if qualifiers is None else resolved_qualifier_values(
+            qualifiers[node.node_id], environment
+        )
         vector = selection_vector(
             plan,
             node,

@@ -1,22 +1,16 @@
-"""Vectorized combined pass (PaX2 Stage 1).
+"""Vectorized combined pass (PaX2 Stage 1): the vector tier's two passes, composed.
 
 The kernel's combined pass runs the selection half first and parks ``qz:``
 placeholders wherever a qualifier value is consulted, binding and resolving
-them after its reverse walk.  The vector pass flips the order: the
-qualifier analysis runs first (column at a time), so the sparse selection
-walk (:mod:`repro.core.vector.walk`) conjoins the *actual* qualifier
-values directly and no placeholder environment is needed.  It reads them
-only at the rows a qualifier step can select: the concrete boolean masks
-are gathered there, and the exact values of the symbolic rows (ancestors
-of virtual cut points) are patched in by one probe.
-
-Both schemes produce structurally identical formulas: the bindings are
-placeholder-free, so resolution is a single substitution, and the
-hash-consed connectives flatten n-ary combinations the same way
-regardless of fold staging (see
-:mod:`repro.booleans.formula`).  Answers, candidates, the root HEAD/DESC
-vectors, the virtual parent vectors and the operation accounting all come
-out bit-identical to both other engines.
+them after its reverse walk.  The vector pass flips the order: it is the
+qualifier pass (:mod:`repro.core.vector.qualifier`, column at a time)
+followed by the selection pass (:mod:`repro.core.vector.selection`) over
+its state with no bindings, so the sparse selection walk conjoins the
+*actual* qualifier values directly and no placeholder environment is
+needed.  Both schemes produce structurally identical formulas (the
+hash-consed connectives of :mod:`repro.booleans.formula` flatten n-ary
+combinations the same way regardless of fold staging), and the two passes'
+operations add up to the kernel's ``n_elements * (n_items + n_steps + 1)``.
 """
 
 from __future__ import annotations
@@ -25,15 +19,8 @@ from typing import Sequence
 
 from repro.booleans.formula import FormulaLike
 from repro.core.combined import FragmentCombinedOutput
-from repro.core.kernel.tables import plan_tables
-from repro.core.vector.algebra import CodeSpace
-from repro.core.vector.encode import vector_fragment
-from repro.core.vector.quals import qualifier_analysis
-from repro.core.vector.walk import (
-    emit_finals,
-    emit_virtual_vectors,
-    selection_code_columns,
-)
+from repro.core.vector.qualifier import evaluate_fragment_qualifiers_vector
+from repro.core.vector.selection import evaluate_fragment_selection_vector
 from repro.fragments.fragment import Fragment
 from repro.xmltree.flat import FlatFragment
 from repro.xpath.plan import QueryPlan
@@ -49,49 +36,17 @@ def evaluate_fragment_combined_vector(
     is_root_fragment: bool,
 ) -> FragmentCombinedOutput:
     """Combined qualifier+selection pass over the window encoding."""
-    output = FragmentCombinedOutput(fragment_id=fragment.fragment_id)
-    vf = vector_fragment(flat)
-    np = vf.np
-    tables = plan_tables(flat, plan)
-    n_items = plan.n_items
-    n_steps = plan.n_steps
-    space = CodeSpace(np)
-
-    qual_cols = []
-    qual_patches = None
-    if plan.has_qualifiers:
-        analysis = qualifier_analysis(vf, flat, plan, tables)
-        # The walk gathers the concrete masks at the rows a SELFQUAL step
-        # reads; symbolic rows get their exact values interned, as patches.
-        qual_cols = analysis.sel_qual_cols
-        sym_values = analysis.sym_qual_values
-        if sym_values and qual_cols:
-            sym_rows = vf.anc_idx[::-1]  # the symbolic rows, ascending
-            qual_patches = (sym_rows, np.array(
-                [[space.encode(sym_values[row][slot]) for row in sym_rows.tolist()]
-                 for slot in range(len(qual_cols))],
-                dtype=np.int64,
-            ))
-        output.root_head = analysis.root_head
-        output.root_desc = analysis.root_desc
-    else:
-        output.root_head = [False] * n_items
-        output.root_desc = [False] * n_items
-
-    cols = selection_code_columns(
-        vf,
-        space,
-        plan,
-        tables,
-        init_vector,
-        is_root_fragment and not plan.absolute,
-        qual_cols,
-        qual_patches,
+    qualifiers = evaluate_fragment_qualifiers_vector(fragment, flat, plan)
+    selection = evaluate_fragment_selection_vector(
+        fragment, flat, plan, qualifiers.state, None, init_vector, is_root_fragment
     )
-
-    emit_finals(vf, space, cols[n_steps], flat.node_ids, output.answers, output.candidates)
-    emit_virtual_vectors(space, cols, flat, output.virtual_parent_vectors)
-
-    output.operations = flat.n_elements * max(1, n_items + n_steps + 1)
-    output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
-    return output
+    return FragmentCombinedOutput(
+        fragment_id=fragment.fragment_id,
+        root_head=qualifiers.root_head,
+        root_desc=qualifiers.root_desc,
+        answers=selection.answers,
+        candidates=selection.candidates,
+        virtual_parent_vectors=selection.virtual_parent_vectors,
+        operations=qualifiers.operations + selection.operations,
+        root_vector_units=qualifiers.root_vector_units,
+    )

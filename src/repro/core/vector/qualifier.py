@@ -2,11 +2,12 @@
 
 Semantically identical to the kernel and reference passes: the column
 analysis (:mod:`repro.core.vector.quals`) computes every item's EX column
-in topological item order, the per-element qualifier-value tuples are read
-off the selection-qualifier columns (symbolic rows from the exact scalar
-replay), and the root HEAD/DESC vectors are the root's rows.  The
-qualifier-value map is built in reverse pre-order, the same insertion
-order the kernel produces.
+in topological item order, and the root HEAD/DESC vectors and qualifier
+values are the root's rows.  The per-element state it leaves at the site is
+that :class:`~repro.core.vector.quals.QualAnalysis` itself — the boolean
+selection-qualifier columns plus the exact values at the symbolic rows —
+which the vector selection pass (:mod:`repro.core.vector.selection`) feeds
+straight into its walk; nothing is decoded per element.
 """
 
 from __future__ import annotations
@@ -37,24 +38,13 @@ def evaluate_fragment_qualifiers_vector(
 
     vf = vector_fragment(flat)
     tables = plan_tables(flat, plan)
-    analysis = qualifier_analysis(vf, flat, plan, tables)
-
+    analysis = output.state = qualifier_analysis(vf, flat, plan, tables)
     output.root_head = analysis.root_head
     output.root_desc = analysis.root_desc
-
-    # Per-element qualifier values, inserted in reverse pre-order exactly
-    # like the kernel's reverse walk.  tolist() materializes Python bools
-    # (numpy bool_ must never leave the columns).
-    qual_values = output.qual_values
-    node_ids = flat.node_ids
-    value_cols = [col.tolist() for col in analysis.sel_qual_cols]
-    sym_values = analysis.sym_qual_values
-    for index in vf.elem_idx[::-1].tolist():
-        values = sym_values.get(index)
-        if values is None:
-            values = tuple(col[index] for col in value_cols)
-        qual_values[node_ids[index]] = values
-
+    # bool() materializes Python bools (numpy bool_ must never leave the columns)
+    output.root_values = analysis.sym_qual_values.get(0) or tuple(
+        bool(col[0]) for col in analysis.sel_qual_cols
+    )
     output.operations = flat.n_elements * max(1, n_items)
     output.root_vector_units = len(tables.head_item_ids) + len(tables.desc_item_ids)
     return output

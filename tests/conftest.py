@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core.common import account_answers, answer_subtree_nodes
 from repro.core.engine import DistributedQueryEngine
-from repro.core.kernel.dispatch import ENGINES
+from repro.core.kernel.dispatch import ENGINES, REFERENCE, qualifier_pass
+from repro.core.unify import resolved_child_qualifier_bindings, unify_qualifier_vectors
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.fragmenters import cut_random
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
@@ -72,6 +73,32 @@ def fragmented_documents(draw, max_nodes: int = 40):
     tree = XMLTree(root)
     cuts = draw(st.sets(st.sampled_from(elements[1:]), max_size=6)) if len(elements) > 1 else set()
     return build_fragmentation(tree, [node.node_id for node in cuts])
+
+
+def stage2_bindings(fragmentation, plan, withhold: bool = False):
+    """Per fragment, the resolved sub-fragment qualifier values PaX3 ships in
+    stage 2, from a real ``evalFT`` over the reference qualifier pass (each
+    ``None`` for a qualifier-free plan).  With *withhold*, every other binding of a
+    fragment (by name, the first included) is left out, so residual formulas
+    reach the selection pass's qualifier steps."""
+    fragment_ids = fragmentation.fragment_ids()
+    if not plan.has_qualifiers:
+        return dict.fromkeys(fragment_ids)
+    outputs = {
+        fid: qualifier_pass(fragmentation, fid, plan, engine=REFERENCE) for fid in fragment_ids
+    }
+    environment = unify_qualifier_vectors(
+        fragmentation, plan, {fid: (out.root_head, out.root_desc) for fid, out in outputs.items()}
+    )
+    bindings = {
+        fid: resolved_child_qualifier_bindings(fragmentation, plan, fid, environment)
+        for fid in fragment_ids
+    }
+    if withhold:
+        bindings = {
+            fid: dict(sorted(values.items())[1::2]) for fid, values in bindings.items()
+        }
+    return bindings
 
 
 def flat_depths(flat):

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.common import build_network
 from repro.core.parbox import as_boolean_query, run_parbox
+from repro.core.pax3 import run_pax3
 from repro.xpath.centralized import evaluate_boolean_centralized
 from repro.xpath.errors import XPathError
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
+
+from tests.conftest import available_engines
 
 BOOLEAN_QUERIES = [
     ('.[//stock/code/text() = "goog"]', True),
@@ -56,6 +60,22 @@ class TestGuarantees:
     def test_single_stage(self, fragmentation):
         stats = run_parbox(fragmentation, BOOLEAN_QUERIES[0][0])
         assert [stage.name for stage in stats.stages] == ["qualifiers"]
+
+
+class TestSiteState:
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_no_qualifier_state_is_left_at_any_site(self, fragmentation, engine):
+        # no selection stage follows ParBoX's qualifier stage, so a site
+        # keeps nothing per element; PaX3's stage 2 reads what its kept
+        network = build_network(fragmentation)
+        for query, expected in BOOLEAN_QUERIES:
+            stats = run_parbox(fragmentation, query, network=network, engine=engine)
+            assert bool(stats.answer_ids) is expected, (engine, query)
+            assert all(
+                not stored for site in network.sites.values() for stored in site.storage.values()
+            ), (engine, query)
+        run_pax3(fragmentation, "client[broker]/name", network=network, engine=engine)
+        assert any(stored for site in network.sites.values() for stored in site.storage.values())
 
 
 class TestHelpers:

@@ -34,7 +34,7 @@ class TestQualifierPass:
     def test_no_qualifiers_short_circuits(self, fragmentation):
         plan = plan_for("client/name")
         output = evaluate_fragment_qualifiers(fragmentation["F0"], plan)
-        assert output.qual_values == {}
+        assert output.state is None and output.root_values == ()
         assert output.operations == 0
 
     def test_leaf_fragment_vectors_are_concrete(self, fragmentation):
@@ -43,14 +43,14 @@ class TestQualifierPass:
             output = evaluate_fragment_qualifiers(fragmentation[fragment_id], plan)
             assert all(is_concrete(value) for value in output.root_head)
             assert all(is_concrete(value) for value in output.root_desc)
-            for values in output.qual_values.values():
+            for values in output.state.values():
                 assert all(is_concrete(value) for value in values)
 
     def test_fragment_with_virtual_nodes_produces_residual_formulas(self, fragmentation):
         plan = plan_for(CLIENTELE_QUERIES["brokers_goog"])
         output = evaluate_fragment_qualifiers(fragmentation.root_fragment, plan)
         free = set()
-        for values in output.qual_values.values():
+        for values in output.state.values():
             for value in values:
                 free |= variables_of(value)
         # The root fragment depends on its three direct sub-fragments.
@@ -90,7 +90,8 @@ class TestQualifierPass:
                 env.bind(head_var_name(fragment_id, item_id), env.resolve(output.root_head[item_id]))
             for item_id in plan.desc_item_ids:
                 env.bind(desc_var_name(fragment_id, item_id), env.resolve(output.root_desc[item_id]))
-        root_values = outputs["F0"].qual_values[tree.root.node_id]
+        root_values = outputs["F0"].root_values
+        assert root_values == outputs["F0"].state[tree.root.node_id]
         resolved = [env.resolve(value) for value in root_values]
         assert resolved == [True]  # GOOG is traded somewhere in the tree
 
@@ -135,5 +136,5 @@ class TestNestedFragmentation:
                 env.bind(head_var_name(fid, item_id), env.resolve(output.root_head[item_id]))
             for item_id in plan.desc_item_ids:
                 env.bind(desc_var_name(fid, item_id), env.resolve(output.root_desc[item_id]))
-        root_values = outputs["F0"].qual_values[tree.root.node_id]
+        root_values = outputs["F0"].root_values
         assert [env.resolve(v) for v in root_values] == [True]

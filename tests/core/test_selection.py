@@ -3,6 +3,7 @@
 import pytest
 
 from repro.booleans.formula import variables_of
+from repro.core.qualifiers import evaluate_fragment_qualifiers
 from repro.core.selection import (
     concrete_root_init_vector,
     evaluate_fragment_selection,
@@ -54,7 +55,7 @@ class TestRootFragmentSelection:
     def test_definite_answers_found_without_candidates(self, fragmentation):
         plan = plan_for("client/name")
         output = evaluate_fragment_selection(
-            fragmentation.root_fragment, plan, None,
+            fragmentation.root_fragment, plan, None, None,
             concrete_root_init_vector(plan), is_root_fragment=True,
         )
         assert len(output.answers) == 3  # Anna, Kim, Lisa names are all in F0
@@ -63,7 +64,7 @@ class TestRootFragmentSelection:
     def test_virtual_parent_vectors_emitted_for_each_child(self, fragmentation):
         plan = plan_for("client/broker/name")
         output = evaluate_fragment_selection(
-            fragmentation.root_fragment, plan, None,
+            fragmentation.root_fragment, plan, None, None,
             concrete_root_init_vector(plan), is_root_fragment=True,
         )
         assert set(output.virtual_parent_vectors) == set(fragmentation.children("F0"))
@@ -82,7 +83,7 @@ class TestNonRootFragmentSelection:
         )
         fragment = fragmentation[broker_fragment_id]
         output = evaluate_fragment_selection(
-            fragment, plan, None,
+            fragment, plan, None, None,
             variable_init_vector(plan, broker_fragment_id), is_root_fragment=False,
         )
         assert output.candidates, "the broker's name node must be undecided locally"
@@ -101,35 +102,40 @@ class TestNonRootFragmentSelection:
         # Simulate the XPath-annotation initialization: the fragment root's
         # parent is known to match the prefix "client".
         init = [False, True, False, False]
-        output = evaluate_fragment_selection(fragment, plan, None, init, is_root_fragment=False)
+        output = evaluate_fragment_selection(
+            fragment, plan, None, None, init, is_root_fragment=False
+        )
         assert not output.candidates
         assert len(output.answers) == 1
 
     def test_operations_counted(self, fragmentation):
         plan = plan_for("client/broker/name")
         output = evaluate_fragment_selection(
-            fragmentation.root_fragment, plan, None,
+            fragmentation.root_fragment, plan, None, None,
             concrete_root_init_vector(plan), is_root_fragment=True,
         )
         assert output.operations >= fragmentation.root_fragment.element_count()
 
 
-class TestQualifierProvider:
-    def test_provider_values_gate_answers(self, fragmentation):
-        plan = plan_for("client[country]/name")
+class TestQualifierBindings:
+    def test_sub_fragment_bindings_gate_answers(self, fragmentation):
+        # two of the three clients' brokers are sub-fragments, so their
+        # qualifier values in F0 are those brokers' variables until stage 2
+        # binds them; the third broker lies in F0
+        plan = plan_for("client[broker]/name")
         root_fragment = fragmentation.root_fragment
+        state = evaluate_fragment_qualifiers(root_fragment, plan).state
+        names = {name for values in state.values() for value in values for name in variables_of(value)}
+        assert names
 
-        def all_false(node):
-            return (False,)
+        def select(bindings):
+            return evaluate_fragment_selection(
+                root_fragment, plan, state, bindings, concrete_root_init_vector(plan), True
+            )
 
-        def all_true(node):
-            return (True,)
-
-        blocked = evaluate_fragment_selection(
-            root_fragment, plan, all_false, concrete_root_init_vector(plan), True
-        )
-        allowed = evaluate_fragment_selection(
-            root_fragment, plan, all_true, concrete_root_init_vector(plan), True
-        )
-        assert not blocked.answers
-        assert len(allowed.answers) == 3
+        blocked = select(dict.fromkeys(names, False))
+        allowed = select(dict.fromkeys(names, True))
+        unbound = select(None)
+        assert len(blocked.answers) == 1 and not blocked.candidates
+        assert len(allowed.answers) == 3 and not allowed.candidates
+        assert unbound.answers == blocked.answers and len(unbound.candidates) == 2

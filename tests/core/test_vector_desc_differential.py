@@ -5,7 +5,9 @@ Under a symbolic init vector (every non-root fragment) a ``//`` step folds
 previous column is nonzero — in one stack walk.  These tests drive it
 where marks carry residual formulas at nested depths: queries with two or
 three ``//`` steps and qualifiers, over drawn nested fragmentations, plus
-a symbolic qualifier provider for the PaX3 selection pass.  Per fragment,
+the PaX3 selection pass over each tier's own qualifier state with every
+other sub-fragment binding withheld, so qualifier marks carry residual
+formulas too.  Per fragment,
 answers, candidates' residual formulas, root HEAD/DESC vectors and virtual
 parent vectors must be identical on every engine; end to end, so must the
 traffic accounting.
@@ -20,8 +22,7 @@ from hypothesis import given, settings
 
 pytest.importorskip("numpy")
 
-from repro.booleans.formula import Var
-from repro.core.kernel.dispatch import REFERENCE, combined_pass, selection_pass
+from repro.core.kernel.dispatch import REFERENCE, combined_pass, qualifier_pass, selection_pass
 from repro.core.pax2 import run_pax2
 from repro.core.pax3 import run_pax3
 from repro.core.pruning import stage1_init_vector
@@ -32,7 +33,9 @@ from repro.xmltree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import CHILD, DESC, SELFQUAL, compile_plan
 
-from tests.conftest import available_engines, fingerprint, fragmented_documents
+from tests.conftest import (
+    available_engines, fingerprint, fragmented_documents, stage2_bindings,
+)
 
 QUERIES = [
     "//a//b",
@@ -46,36 +49,23 @@ QUERIES = [
     "//a/b//c[d]",
 ]
 
-#: per-node qualifier values for the selection pass: concrete and symbolic
-#: mixed, so SELFQUAL marks carry residual formulas at any depth
-QUAL_VALUES = (True, False, Var("qa"), Var("qb"), Var("qc"))
-
-
 def plan_for(query):
     return compile_plan(parse_xpath(query), source=query)
-
-
-def symbolic_quals(plan):
-    slots = sum(step.kind == SELFQUAL for step in plan.selection)
-    if not slots:
-        return None
-    return lambda node_id: tuple(
-        QUAL_VALUES[(node_id * 7 + slot) % len(QUAL_VALUES)] for slot in range(slots)
-    )
 
 
 def fragment_outputs(fragmentation, query, engine, use_annotations=False):
     """Every fragment's combined and selection pass outputs on *engine*."""
     plan = plan_for(query)
-    provider = symbolic_quals(plan)
+    bindings = stage2_bindings(fragmentation, plan, withhold=True)
     outputs = {}
     root_id = fragmentation.root_fragment.fragment_id
     for fid in fragmentation.fragment_ids():
         is_root = fid == root_id
         init = stage1_init_vector(fragmentation, plan, fid, use_annotations)
         combined = combined_pass(fragmentation, fid, plan, init, is_root, engine=engine)
+        qualifiers = qualifier_pass(fragmentation, fid, plan, engine=engine).state
         selection = selection_pass(
-            fragmentation, fid, plan, provider, init, is_root, engine=engine
+            fragmentation, fid, plan, qualifiers, bindings[fid], init, is_root, engine=engine
         )
         outputs[fid] = (
             combined.answers, combined.candidates, combined.virtual_parent_vectors,
