@@ -94,7 +94,7 @@ async def overload_shedding() -> None:
     )
     host.register("victim", fragmentation())
     host.register("antagonist", fragmentation())
-    admission = host._bound_admission()
+    admission = host._admission
     await admission.acquire("antagonist")  # wedge the flooder's one slot
     backlog = [
         asyncio.create_task(host.submit("antagonist", QUERY)) for _ in range(2)
@@ -118,7 +118,9 @@ async def overload_shedding() -> None:
           f" victim={host.metrics.document('victim').shed}")
 
 
-def main() -> None:
+async def main() -> None:
+    # A host serves from the one event loop that first runs it, so the
+    # three scenarios share this coroutine's loop.
     host = ServiceHost(
         max_in_flight=4,
         cache_capacity=0,
@@ -132,14 +134,14 @@ def main() -> None:
     host.register("antagonist", fragmentation())
 
     print("1. MVCC snapshot reads: the write never waits for the reader")
-    asyncio.run(snapshot_reads(host))
+    await snapshot_reads(host)
     print("2. Weighted-fair admission under a flood")
-    asyncio.run(fair_shares(host))
+    await fair_shares(host)
     print("3. Overload shedding is per-tenant")
-    asyncio.run(overload_shedding())
+    await overload_shedding()
     print()
     print(host.summary())
 
 
 if __name__ == "__main__":
-    main()
+    asyncio.run(main())

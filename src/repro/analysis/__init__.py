@@ -1,9 +1,8 @@
 """repro lint: AST-based concurrency & invariant analysis for the service stack.
 
-Six checkers grounded in this repo's own past bugs — permit leaks across
-await points, blocking calls in coroutines, loop-bound primitives built
-under the wrong loop, unbalanced counter staging, unlabeled sheds, and
-off-taxonomy tracer spans.  See ``repro lint --list-rules`` and the
+Five checkers grounded in this repo's own past bugs — permit leaks across
+await points, blocking calls in coroutines, unbalanced counter staging,
+unlabeled sheds, and off-taxonomy tracer spans.  See ``repro lint --list-rules`` and the
 "Static analysis" section of the README.
 
 Public API::

@@ -3,7 +3,7 @@
 Every checker gets a :class:`ModuleContext` — the parsed tree plus the raw
 source lines — and builds findings through :meth:`ModuleContext.finding`,
 which fills in the location and the flagged source line.  The helpers here
-are the vocabulary the six rules are written in:
+are the vocabulary the five rules are written in:
 
 * :func:`dotted` — the ``a.b.c`` text of a Name/Attribute chain (or ``None``
   for anything dynamic), used to match receivers like ``session.snapshots``.

@@ -1,4 +1,4 @@
-"""The six project-specific checkers.  Importing this package registers them.
+"""The five project-specific checkers.  Importing this package registers them.
 
 Each module holds one rule; the module docstring (shared with the rule
 class) documents the invariant with a real in-repo example and is what
@@ -6,7 +6,6 @@ class) documents the invariant with a real in-repo example and is what
 """
 
 from repro.analysis.rules import blocking_in_async  # noqa: F401
-from repro.analysis.rules import loop_affinity  # noqa: F401
 from repro.analysis.rules import permit_leak  # noqa: F401
 from repro.analysis.rules import shed_discipline  # noqa: F401
 from repro.analysis.rules import span_discipline  # noqa: F401

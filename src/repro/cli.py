@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the AST-based concurrency & invariant checkers",
         description="Static analysis over the service stack: permit leaks,"
-                    " blocking calls in coroutines, loop-affinity bugs,"
-                    " unbalanced counter staging, unlabeled sheds, and"
+                    " blocking calls in coroutines, unbalanced counter"
+                    " staging, unlabeled sheds, and"
                     " off-taxonomy tracer spans.  Exit 0 = clean, 1 ="
                     " unsuppressed findings, 2 = analyzer crash.",
     )

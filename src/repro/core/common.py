@@ -109,24 +109,37 @@ def account_answers(
     span_totals: Dict[str, int] = {}
     below_prefix: Dict[str, List[int]] = {}
 
+    def hanging_below(flat: FlatFragment) -> List[str]:
+        return [fid for fids in flat.virtual_at.values() for fid in fids]
+
+    def settle_below(flat: FlatFragment) -> None:
+        """The span totals of every fragment below *flat*, children first, on
+        an explicit stack: a chain of fragments may be thousands deep."""
+        stack = [(fid, False) for fid in hanging_below(flat)]
+        while stack:
+            fragment_id, children_settled = stack.pop()
+            if fragment_id in span_totals:
+                continue
+            below_flat = flat_of(fragment_id)
+            below = hanging_below(below_flat)
+            if children_settled:
+                span_totals[fragment_id] = below_flat.n + sum(map(span_totals.__getitem__, below))
+            else:
+                stack.append((fragment_id, True))
+                stack.extend((fid, False) for fid in below)
+
     def prefix_below(fragment_id: str, flat: FlatFragment) -> List[int]:
         """``prefix[k]``: span totals hanging below the first *k* virtual rows."""
         prefix = below_prefix.get(fragment_id)
         if prefix is None:
+            settle_below(flat)
             prefix = [0]
             for index in flat.virtual_indices:
                 prefix.append(
-                    prefix[-1] + sum(map(span_total, flat.virtual_at[index]))
+                    prefix[-1] + sum(map(span_totals.__getitem__, flat.virtual_at[index]))
                 )
             below_prefix[fragment_id] = prefix
         return prefix
-
-    def span_total(fragment_id: str) -> int:
-        total = span_totals.get(fragment_id)
-        if total is None:
-            flat = flat_of(fragment_id)
-            total = span_totals[fragment_id] = flat.n + prefix_below(fragment_id, flat)[-1]
-        return total
 
     total = 0
     for fragment_id, node_ids in answered:

@@ -131,9 +131,10 @@ def _run(stage, engine, fragmentation, fragment_id, flat, *args):
     return getattr(engine, stage)(fragmentation[fragment_id], flat, *args)
 
 
-def qualifier_pass(fragmentation, fragment_id, plan, engine=None):
-    """Bottom-up qualifier pass over one fragment (PaX3 stage 1, ParBoX)."""
-    return _run("qualifiers", engine, fragmentation, fragment_id, None, plan)
+def qualifier_pass(fragmentation, fragment_id, plan, engine=None, keep_state=True):
+    """Bottom-up qualifier pass over one fragment (PaX3 stage 1, ParBoX); *keep_state*
+    when a selection pass over its ``state`` follows."""
+    return _run("qualifiers", engine, fragmentation, fragment_id, None, plan, keep_state)
 
 
 def selection_pass(fragmentation, fragment_id, plan, qualifiers, bindings, init_vector,

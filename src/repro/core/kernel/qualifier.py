@@ -10,8 +10,9 @@ virtual children first — the same fold order as the reference, so residual
 formulas come out structurally identical) and interprets the precompiled
 ``item_prog`` instead of re-reading the plan's dataclasses.  PaX3's
 qualifier pass asks it for every element's selection-qualifier values (its
-state, by row); PaX2's combined pass (:mod:`repro.core.kernel.combined`)
-only for the rows whose placeholders its forward walk parked.
+state, by row), ParBoX's for the root row's alone, and PaX2's combined pass
+(:mod:`repro.core.kernel.combined`) only for the rows whose placeholders its
+forward walk parked.
 
 All-false rows are shared tuples instead of fresh lists, so leaf-heavy
 fragments allocate almost nothing per node.
@@ -182,16 +183,19 @@ def qualifier_walk(
 
 
 def evaluate_fragment_qualifiers_flat(
-    fragment: Fragment, flat: FlatFragment, plan: QueryPlan
+    fragment: Fragment, flat: FlatFragment, plan: QueryPlan, keep_state: bool = True
 ) -> FragmentQualifierOutput:
-    """Bottom-up qualifier pass over the columnar encoding of *fragment*."""
+    """Bottom-up qualifier pass over the columnar encoding of *fragment*;
+    without *keep_state* only the root row's selection-qualifier values are
+    evaluated."""
     output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
     output.root_head, output.root_desc, values = qualifier_walk(
-        flat, plan, plan_tables(flat, plan), range(flat.n)
+        flat, plan, plan_tables(flat, plan), range(flat.n) if keep_state else (0,)
     )
     if plan.has_qualifiers:
         output.root_values = values[0]
-        output.state = values
+        if keep_state:
+            output.state = values
         output.operations = flat.n_elements * max(1, plan.n_items)
         output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
     return output

@@ -72,12 +72,15 @@ def qualifier_stage(
     """The bottom-up qualifier pass at every site (PaX3 stage 1, ParBoX).
 
     Each site ships its root vectors, *units_of* traffic units per fragment,
-    and with *keep_state* keeps the pass's state for a selection stage.
+    and with *keep_state* keeps the pass's state for a selection stage
+    (without it, the pass computes no state).
     """
     units = plan_units(plan)
 
     def qualifiers(site: Site, fragment_id: str) -> FragmentQualifierOutput:
-        return qualifier_pass(fragmentation, fragment_id, plan, engine=engine)
+        return qualifier_pass(
+            fragmentation, fragment_id, plan, engine=engine, keep_state=keep_state
+        )
 
     def collect(site: Site, fragment_ids: Sequence[str], outputs) -> List[Envelope]:
         for fragment_id, output in zip(fragment_ids, outputs):

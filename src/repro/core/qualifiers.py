@@ -45,7 +45,8 @@ class FragmentQualifierOutput:
     root_desc: List[FormulaLike] = field(default_factory=list)
     #: values of the SELFQUAL selection-step qualifiers at the fragment root
     root_values: Tuple[FormulaLike, ...] = ()
-    #: per-element state for the same tier's selection pass; ``None`` without qualifiers
+    #: per-element state for the same tier's selection pass; ``None`` without
+    #: qualifiers or when no selection pass follows (``keep_state=False``)
     state: Optional[object] = None
     #: coarse operation count (elements processed x plan width)
     operations: int = 0
@@ -71,12 +72,14 @@ def virtual_qualifier_vectors(
 
 
 def evaluate_fragment_qualifiers(
-    fragment: Fragment, plan: QueryPlan
+    fragment: Fragment, plan: QueryPlan, keep_state: bool = True
 ) -> FragmentQualifierOutput:
     """Bottom-up partial evaluation of the qualifiers over *fragment*.
 
     The traversal is iterative (explicit stack) and visits every element of
     the fragment span exactly once, performing ``O(|Q|)`` work per node.
+    Without *keep_state* only the root's selection-qualifier values are
+    evaluated.
     """
     output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
     if not plan.has_qualifiers:
@@ -113,7 +116,8 @@ def evaluate_fragment_qualifiers(
             continue
         stack.pop()
         ex, head, desc = compute_qualifier_vectors(plan, node, aggregate)
-        values[node.node_id] = qualifier_values_for_selection(plan, ex)
+        if keep_state or not stack:
+            values[node.node_id] = qualifier_values_for_selection(plan, ex)
         elements_processed += 1
         if stack:
             stack[-1][2].add_child(plan, head, desc)
@@ -123,7 +127,7 @@ def evaluate_fragment_qualifiers(
     assert root_vectors is not None
     output.root_head, output.root_desc = root_vectors
     output.root_values = values[root.node_id]
-    output.state = values
+    output.state = values if keep_state else None
     output.operations = elements_processed * max(1, plan.n_items)
     output.root_vector_units = len(plan.head_item_ids) + len(plan.desc_item_ids)
     return output

@@ -24,9 +24,10 @@ __all__ = ["evaluate_fragment_qualifiers_vector"]
 
 
 def evaluate_fragment_qualifiers_vector(
-    fragment: Fragment, flat: FlatFragment, plan: QueryPlan
+    fragment: Fragment, flat: FlatFragment, plan: QueryPlan, keep_state: bool = True
 ) -> FragmentQualifierOutput:
-    """Column-at-a-time qualifier pass over the window encoding."""
+    """Column-at-a-time qualifier pass over the window encoding; the columns
+    are computed whole, so without *keep_state* only the state is dropped."""
     output = FragmentQualifierOutput(fragment_id=fragment.fragment_id)
     n_items = plan.n_items
     if not plan.has_qualifiers:
@@ -38,7 +39,9 @@ def evaluate_fragment_qualifiers_vector(
 
     vf = vector_fragment(flat)
     tables = plan_tables(flat, plan)
-    analysis = output.state = qualifier_analysis(vf, flat, plan, tables)
+    analysis = qualifier_analysis(vf, flat, plan, tables)
+    if keep_state:
+        output.state = analysis
     output.root_head = analysis.root_head
     output.root_desc = analysis.root_desc
     # bool() materializes Python bools (numpy bool_ must never leave the columns)

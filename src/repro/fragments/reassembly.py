@@ -16,23 +16,36 @@ from repro.xmltree.nodes import ELEMENT, TEXT, XMLNode, XMLTree
 __all__ = ["reassemble"]
 
 
-def _copy_span(fragmentation: Fragmentation, fragment: Fragment, node: XMLNode) -> XMLNode:
-    """Deep-copy *node* (which belongs to *fragment*'s span), splicing child
-    fragments in place of virtual nodes.  Source node ids are preserved."""
+def _copy(node: XMLNode) -> XMLNode:
+    """A childless copy of *node* that keeps its source node id."""
     if node.is_text:
         copy = XMLNode(TEXT, value=node.value)
-        copy.node_id = node.node_id
-        return copy
-    copy = XMLNode(ELEMENT, tag=node.tag)
+    else:
+        copy = XMLNode(ELEMENT, tag=node.tag)
     copy.node_id = node.node_id
-    for child in node.children:
-        child_fragment_id = fragment.virtual_children.get(child.node_id)
-        if child_fragment_id is not None:
-            child_fragment = fragmentation[child_fragment_id]
-            copy.append(_copy_span(fragmentation, child_fragment, child_fragment.root))
-        else:
-            copy.append(_copy_span(fragmentation, fragment, child))
     return copy
+
+
+def _copy_spans(fragmentation: Fragmentation) -> XMLNode:
+    """Deep-copy the root fragment's span, splicing child fragments in place
+    of virtual nodes, on an explicit stack: a document, or a chain of
+    fragments, may be thousands of levels deep."""
+    root_fragment = fragmentation.root_fragment
+    root_copy = _copy(root_fragment.root)
+    stack = [(root_fragment, root_fragment.root, root_copy)]
+    while stack:
+        fragment, node, copy = stack.pop()
+        for child in node.children:
+            child_fragment_id = fragment.virtual_children.get(child.node_id)
+            if child_fragment_id is not None:
+                child_fragment = fragmentation[child_fragment_id]
+                child = child_fragment.root
+            else:
+                child_fragment = fragment
+            child_copy = copy.append(_copy(child))
+            if not child.is_text:
+                stack.append((child_fragment, child, child_copy))
+    return root_copy
 
 
 def reassemble(fragmentation: Fragmentation) -> XMLTree:
@@ -44,8 +57,6 @@ def reassemble(fragmentation: Fragmentation) -> XMLTree:
     against the original tree (the NaiveCentralized baseline) needs the
     real ids, not a renumbering.
     """
-    root_fragment = fragmentation.root_fragment
-    root_copy = _copy_span(fragmentation, root_fragment, root_fragment.root)
-    tree = XMLTree(root_copy, reindex=False)
+    tree = XMLTree(_copy_spans(fragmentation), reindex=False)
     tree.adopt_preassigned_ids()
     return tree

@@ -34,7 +34,6 @@ pinned version may since have been deleted.
 from __future__ import annotations
 
 import asyncio
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -129,21 +128,6 @@ class SnapshotManager:
         self.stats = SnapshotStats()
         self._snapshots: Dict[str, VersionSnapshot] = {}
         self._capacity_waiters: List[asyncio.Future] = []
-        self._loop_ref: Optional[weakref.ref] = None
-
-    # -- loop binding -------------------------------------------------------
-
-    def _bind_loop(self) -> asyncio.AbstractEventLoop:
-        loop = asyncio.get_running_loop()
-        bound = self._loop_ref() if self._loop_ref is not None else None
-        if bound is not loop:
-            # A fresh loop (the blocking facade runs each call under its
-            # own asyncio.run): pins and waiters from the dead loop cannot
-            # resolve any more — drop them.
-            self._snapshots.clear()
-            self._capacity_waiters.clear()
-            self._loop_ref = weakref.ref(loop)
-        return loop
 
     # -- reader side --------------------------------------------------------
 
@@ -172,7 +156,6 @@ class SnapshotManager:
         Must be called with the session at exactly *version* (no awaits
         between reading the session version and pinning).
         """
-        self._bind_loop()
         snapshot = self._snapshots.get(version)
         if snapshot is None:
             fragmentation = self.fragmentation
@@ -216,9 +199,8 @@ class SnapshotManager:
         grow while we wait — this converges as soon as any pinned reader
         finishes.
         """
-        loop = self._bind_loop()
         while len(self._snapshots) >= self.policy.max_retained_versions:
-            waiter: asyncio.Future = loop.create_future()
+            waiter: asyncio.Future = asyncio.get_running_loop().create_future()
             self._capacity_waiters.append(waiter)
             self.stats.writer_stalls += 1
             try:

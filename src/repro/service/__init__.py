@@ -74,7 +74,6 @@ from repro.service.cache import (
     CacheStats,
     DocumentCacheStats,
     QueryResultCache,
-    normalized_query,
     version_tag,
 )
 from repro.service.evaluator import evaluate_query_async
@@ -120,7 +119,6 @@ __all__ = [
     "CacheStats",
     "DocumentCacheStats",
     "QueryResultCache",
-    "normalized_query",
     "version_tag",
     "evaluate_query_async",
     "DocumentTotals",

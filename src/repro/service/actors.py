@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import weakref
 from contextlib import asynccontextmanager
 from typing import AsyncIterator, Dict, Iterable, Optional, Sequence
 
@@ -50,8 +49,7 @@ class SiteActor:
             raise ValueError("parallelism must be >= 1")
         self.site_id = site_id
         self.parallelism = parallelism
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._loop_id: Optional[int] = None
+        self._semaphore = asyncio.Semaphore(parallelism)
         #: requests served to completion
         self.requests = 0
         #: requests currently inside the semaphore
@@ -64,26 +62,11 @@ class SiteActor:
         #: wall-clock seconds requests spent queued for a slot
         self.queued_seconds = 0.0
 
-    def _bound_semaphore(self) -> asyncio.Semaphore:
-        """The semaphore, rebuilt whenever the running event loop changes.
-
-        ``asyncio`` primitives bind to the loop they are first awaited on; the
-        blocking facade creates a fresh loop per call, so a long-lived actor
-        must not keep a semaphore bound to a dead loop.
-        """
-        loop_id = id(asyncio.get_running_loop())
-        if self._semaphore is None or self._loop_id != loop_id:
-            self._semaphore = asyncio.Semaphore(self.parallelism)
-            self._loop_id = loop_id
-            self.in_flight = 0
-        return self._semaphore
-
     @asynccontextmanager
     async def slot(self, stage: str = "") -> AsyncIterator["SiteActor"]:
         """Hold one of the site's execution slots for the enclosed work."""
-        semaphore = self._bound_semaphore()
         queued_at = time.perf_counter()
-        async with semaphore:
+        async with self._semaphore:
             started = time.perf_counter()
             self.queued_seconds += started - queued_at
             if started - queued_at >= NEGLIGIBLE_WAIT_SECONDS:
@@ -146,11 +129,6 @@ class FragmentWaveBatcher:
         #: [(future, queued_at)])
         self._pending: Dict[str, Dict[tuple, tuple]] = {}
         self._flush_handle: Optional[asyncio.Handle] = None
-        #: weakref to the loop the pending state belongs to — a weakref, not
-        #: id(), because a dead loop's address can be reused by the next one,
-        #: which would make stale pending futures / a dead flush handle look
-        #: current and hang the next caller
-        self._loop_ref: Optional[weakref.ref] = None
 
     async def combined(
         self,
@@ -168,12 +146,6 @@ class FragmentWaveBatcher:
         fragment never share a pass.
         """
         loop = asyncio.get_running_loop()
-        if self._loop_ref is None or self._loop_ref() is not loop:
-            # The blocking facade runs every call in a fresh asyncio.run
-            # loop; pending futures bound to a dead loop must not leak in.
-            self._pending = {}
-            self._flush_handle = None
-            self._loop_ref = weakref.ref(loop)
         future = loop.create_future()
         queued_at = time.perf_counter()
         init_vector = tuple(init_vector)

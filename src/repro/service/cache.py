@@ -3,7 +3,8 @@
 Two syntactically different queries that normalize to the same form (Section
 2.2 of the paper) — e.g. ``//a/./b`` and ``//a/b``, or ``a//.//b`` and
 ``a//b`` — denote the same answer, so the cache keys on
-:func:`repro.xpath.normalize.normalize` output rather than the raw string.
+:func:`repro.xpath.normalize.normalize` output rather than the raw string
+(a session's :class:`~repro.service.prepared.PreparedQuery` ``key``).
 The key leads with a *document namespace* (the name the document is
 registered under in the host's :class:`~repro.service.store.DocumentStore`)
 — one shared LRU serves every tenant of a
@@ -32,42 +33,21 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.common import QueryInput
 from repro.distributed.stats import RunStats
 from repro.fragments.fragment_tree import Fragmentation
 from repro.service.store import DEFAULT_DOCUMENT
-from repro.xpath.ast import PathExpr
-from repro.xpath.normalize import normalize
-from repro.xpath.parser import parse_xpath
-from repro.xpath.plan import QueryPlan
 
 __all__ = [
     "CacheKey",
     "CacheStats",
     "DocumentCacheStats",
     "QueryResultCache",
-    "normalized_query",
     "update_dependencies",
     "version_tag",
 ]
 
 #: (document, normalized query, annotations flag, version tag)
 CacheKey = Tuple[str, str, bool, str]
-
-
-def normalized_query(query: QueryInput) -> str:
-    """The canonical cache-key text of a query: its normal form, stringified.
-
-    The rendering is a stable key, not guaranteed concrete syntax (e.g. the
-    Boolean query ``.[q]`` normalizes to the bare ``[q]``); never re-parse it.
-    """
-    if isinstance(query, QueryPlan):
-        # A compiled plan stores its path already normalized; its fingerprint
-        # is exactly the normal-form rendering, no re-parse needed.
-        return query.fingerprint
-    if isinstance(query, PathExpr):
-        return str(normalize(query))
-    return str(normalize(parse_xpath(query)))
 
 
 def version_tag(fragmentation: Fragmentation, placement: Mapping[str, str]) -> str:
@@ -258,15 +238,6 @@ class QueryResultCache:
         #: stored without dependencies are dropped by retire_version
         self._dependencies: dict = {}
         self.stats = CacheStats()
-
-    @staticmethod
-    def make_key(
-        query: QueryInput,
-        use_annotations: bool,
-        version: str,
-        document: str = DEFAULT_DOCUMENT,
-    ) -> CacheKey:
-        return (document, normalized_query(query), bool(use_annotations), version)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import bisect
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional
@@ -102,9 +101,7 @@ class WeightedFairAdmission:
     """Deficit-round-robin admission over per-document pending queues.
 
     Synchronous bookkeeping + futures: all state transitions happen
-    between awaits of one event loop, so no locking is needed.  The
-    scheduler survives loop turnover (the blocking facade runs each call
-    under a fresh ``asyncio.run``) by dropping state bound to a dead loop.
+    between awaits of one event loop, so no locking is needed.
     """
 
     def __init__(
@@ -129,24 +126,9 @@ class WeightedFairAdmission:
         #: unspent deficit because capacity (not its own budget) cut its
         #: turn short, so revisit it first without crediting it again.
         self._resume: tuple = ("", False)
-        self._loop_ref: Optional[weakref.ref] = None
-        # lifetime counters (loop-turnover safe: never reset)
+        # lifetime counters (never reset)
         self.grants = 0
         self.queued_grants = 0
-
-    # -- loop binding -------------------------------------------------------
-
-    def _bind_loop(self) -> asyncio.AbstractEventLoop:
-        loop = asyncio.get_running_loop()
-        bound = self._loop_ref() if self._loop_ref is not None else None
-        if bound is not loop:
-            self._queues.clear()
-            self._deficits.clear()
-            self._in_flight.clear()
-            self._in_flight_total = 0
-            self._resume = ("", False)
-            self._loop_ref = weakref.ref(loop)
-        return loop
 
     # -- introspection ------------------------------------------------------
 
@@ -197,7 +179,6 @@ class WeightedFairAdmission:
         on timeout or cancellation the waiter leaves no residue (a slot
         granted concurrently with the cancellation is handed back).
         """
-        loop = self._bind_loop()
         queue = self._queues.get(document)
         if (
             self._in_flight_total < self.capacity
@@ -210,7 +191,7 @@ class WeightedFairAdmission:
             # jumps anyone who could have been granted.
             self._grant(document, 0.0)
             return
-        future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         if queue is None:
             queue = self._queues[document] = deque()
         queue.append((future, time.perf_counter()))

@@ -39,9 +39,15 @@ from repro.xpath.ast import (
 from repro.xpath.errors import XPathSyntaxError
 from repro.xpath.lexer import Token, TokenKind, tokenize
 
-__all__ = ["parse_xpath"]
+__all__ = ["MAX_QUERY_DEPTH", "parse_xpath"]
 
 _KEYWORDS = {"and", "or", "not"}
+
+#: How deep a query's qualifiers may nest.  A ``[``, a ``(`` and a ``not(``
+#: each open a level, and each ``and`` / ``or`` adds one to its group (a
+#: chain nests left-deep), so parsing, normalizing, compiling and evaluating
+#: the query stay far inside Python's recursion limit.
+MAX_QUERY_DEPTH = 64
 
 
 class _Parser:
@@ -78,7 +84,37 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
+    def check_depth(self) -> None:
+        """Refuse a query nesting deeper than :data:`MAX_QUERY_DEPTH`, in one
+        scan of the tokens before any recursive descent.
+
+        Per open group: its ``and`` / ``or`` count and the deepest group it
+        closed; ``depth`` is the sum over open groups of one plus their
+        operator count, plus the innermost group's deepest closed group.
+        """
+        groups = [[0, 0]]
+        depth = 1
+        for token in self.tokens:
+            if token.kind in (TokenKind.LBRACKET, TokenKind.LPAREN):
+                groups.append([0, 0])
+                depth += 1
+            elif token.kind in (TokenKind.RBRACKET, TokenKind.RPAREN) and len(groups) > 1:
+                operators, deepest = groups.pop()
+                depth -= 1 + operators
+                groups[-1][1] = max(groups[-1][1], 1 + operators + deepest)
+            elif token.kind == TokenKind.NAME and token.value in ("and", "or"):
+                groups[-1][0] += 1
+                depth += 1
+            if depth + groups[-1][1] > MAX_QUERY_DEPTH:
+                raise XPathSyntaxError(
+                    f"query nests deeper than {MAX_QUERY_DEPTH} levels of qualifiers,"
+                    f" parentheses and and/or operands",
+                    token.position,
+                    self.query,
+                )
+
     def parse(self) -> PathExpr:
+        self.check_depth()
         path = self.parse_path(top_level=True)
         token = self.peek()
         if token.kind != TokenKind.EOF:

@@ -157,8 +157,8 @@ def test_parse_error_is_a_finding_not_a_crash(tmp_path, capsys):
 def test_list_rules(capsys):
     assert cli_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("permit-leak", "blocking-in-async", "loop-affinity",
-                    "staging-pairing", "shed-discipline", "span-discipline"):
+    for rule_id in ("permit-leak", "blocking-in-async", "staging-pairing",
+                    "shed-discipline", "span-discipline"):
         assert f"{rule_id}:" in out
 
 

@@ -2,10 +2,9 @@
 
 The fixture corpus under ``fixtures/`` is the rule contract: ``tp_<rule>.py``
 holds the bug shapes the rule exists to catch, ``fp_<rule>.py`` holds the
-accepted idioms from the real tree (guarded acquires, the rebinding helper,
-the staging protocol, recorded sheds, context-managed spans) that must not
-be flagged.  A rule change that breaks either side fails here before it can
-reach the CI gate.
+accepted idioms from the real tree (guarded acquires, the staging protocol,
+recorded sheds, context-managed spans) that must not be flagged.  A rule
+change that breaks either side fails here before it can reach the CI gate.
 """
 
 import pathlib
@@ -18,7 +17,6 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 RULES = [
     "blocking-in-async",
-    "loop-affinity",
     "permit-leak",
     "shed-discipline",
     "span-discipline",

@@ -4,7 +4,7 @@ Each case takes a real source file of the async serving path
 (``src/repro/service/`` and the async transport), applies a
 textual mutation that recreates a bug class this repo actually fixed
 (permit leaks across awaits, skipped counter restores, silent sheds, stage
-typos, dead loop-rebinding, blocking sleeps), and asserts the matching rule
+typos, blocking sleeps), and asserts the matching rule
 fires on the mutant while staying quiet on the pristine file.  If a rule
 rots to the point of missing its own motivating bug, this fails before the
 CI gate goes blind.
@@ -53,13 +53,6 @@ MUTATIONS = [
         'stage="cash"',
         "span-discipline",
         id="span-discipline:stage-typo",
-    ),
-    pytest.param(
-        "repro/service/actors.py",
-        "loop_id = id(asyncio.get_running_loop())",
-        "loop_id = 0",
-        "loop-affinity",
-        id="loop-affinity:rebinding-helper-stops-consulting-the-loop",
     ),
     pytest.param(
         "repro/service/evaluator.py",

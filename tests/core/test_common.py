@@ -17,6 +17,10 @@ from repro.core.common import (
 )
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import ENGINES
+from repro.core.naive import run_naive_centralized
+from repro.core.parbox import run_parbox
+from repro.core.pax2 import run_pax2
+from repro.core.pax3 import run_pax3
 from repro.distributed.messages import Message, MessageKind
 from repro.fragments.fragment_tree import build_fragmentation
 from repro.fragments.snapshots import SnapshotManager, SnapshotPolicy
@@ -25,6 +29,8 @@ from repro.updates import InsertSubtree, apply_mutation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xmltree.builder import element, text
 from repro.xmltree.nodes import XMLTree
+from repro.xmltree.parser import parse_xml
+from repro.xpath.centralized import evaluate_centralized
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
 
@@ -203,6 +209,38 @@ class TestAccountAnswers:
                 assert stats.answer_nodes_shipped == answer_subtree_nodes(
                     tree, stats.answer_ids
                 ), (query, stats.algorithm)
+
+
+#: nested one-``a`` fragments; the accounting once recursed once per level
+CHAIN_DEPTH = 2000
+
+
+@pytest.fixture(scope="module")
+def fragment_chain():
+    """A chain of CHAIN_DEPTH nested ``a`` elements, one fragment each, with a
+    ``b`` at the bottom: every ``a`` answers ``//a[.//b]``."""
+    tree = parse_xml("<a>" * CHAIN_DEPTH + "<b/>" + "</a>" * CHAIN_DEPTH)
+    cuts = [node.node_id for node in tree.root.iter_subtree() if node.tag == "a"][1:]
+    return build_fragmentation(tree, cuts)
+
+
+@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("run, query", [
+    (run_pax2, "//a[.//b]"), (run_pax3, "//a[.//b]"), (run_parbox, ".[//a[.//b]]"),
+])
+def test_a_deep_fragment_chain_is_answered_and_accounted(fragment_chain, run, query, engine):
+    fragmentation = fragment_chain
+    assert len(fragmentation) == CHAIN_DEPTH
+    tree = fragmentation.tree
+    stats = run(fragmentation, query, engine=engine)
+    assert stats.answer_ids == evaluate_centralized(tree, query).answer_ids
+    if run is not run_parbox:  # a Boolean query ships no answer nodes
+        assert stats.answer_nodes_shipped == answer_subtree_nodes(tree, stats.answer_ids)
+
+
+def test_a_deep_fragment_chain_reassembles_for_the_naive_baseline(fragment_chain):
+    stats = run_naive_centralized(fragment_chain, "//a[.//b]")
+    assert stats.answer_ids == evaluate_centralized(fragment_chain.tree, "//a[.//b]").answer_ids
 
 
 class TestBuildNetwork:

@@ -7,7 +7,6 @@ stage, and the same coordinator spans — and the coordinator's degrade rules
 can be driven by hand, with no event loop.
 """
 
-import asyncio
 from collections import Counter
 from contextlib import contextmanager
 
@@ -100,10 +99,7 @@ def test_a_warm_service_wave_builds_no_site_index(ft2, monkeypatch):
     host.register("doc", ft2.fragmentation, ft2.placement)
 
     def wave():
-        async def run():
-            return await asyncio.gather(*(host.submit("doc", q) for q in QUERIES))
-
-        return [result.stats.answer_ids for result in asyncio.run(run())]
+        return [result.stats.answer_ids for result in host.serve_batch("doc", QUERIES)]
 
     wave()  # prepared queries and encodings built
     built = []

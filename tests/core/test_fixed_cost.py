@@ -39,6 +39,7 @@ from repro.booleans.formula import And, Not, Or, Var
 from repro.core.engine import DistributedQueryEngine
 from repro.core.common import ensure_plan
 from repro.core import parbox
+from repro.core.kernel import qualifier as kernel_qualifier
 from repro.core.kernel.dispatch import ENGINES, KERNEL, REFERENCE, VECTOR, combined_pass
 from repro.core.kernel.tables import PlanTables
 from repro.core.pax2 import run_pax2
@@ -186,11 +187,8 @@ def test_a_never_seen_service_stream_keeps_the_intern_tables_bounded():
     host.register("doc", scenario.fragmentation, scenario.placement)
 
     def serve(requests):
-        async def stream():
-            for request in requests:
-                await host.submit("doc", QUERY.format(request + 0.25))
-
-        asyncio.run(stream())
+        for request in requests:
+            host.execute("doc", QUERY.format(request + 0.25))
         gc.collect()
         return intern_table_sizes()
 
@@ -358,6 +356,28 @@ def test_stage_two_resolves_only_the_values_at_symbolic_rows(monkeypatch, engine
         assert sum(calls.values()) > 0, name
         for fid, count in calls.items():
             assert count <= symbolic_rows(fragmentation.flat(fid)) * slots, (name, fid, count)
+
+
+def test_kernel_parbox_evaluates_the_selection_qualifiers_at_root_rows_only(monkeypatch):
+    # ParBoX reads only the root's values; no selection pass follows, so the
+    # walk evaluates no other row's (that was one call per element).
+    scenario = build_ft2(total_bytes=120_000, seed=5)
+    fragmentation = scenario.fragmentation
+    plan = ensure_plan(BOOLEAN)
+    selection_quals = [step.qual for step in plan.selection if step.kind == SELFQUAL]
+    calls = []
+    evaluate = kernel_qualifier.evaluate_qual_expr
+
+    def counting(qual, ex):
+        if qual in selection_quals:
+            calls.append(qual)
+        return evaluate(qual, ex)
+
+    expected = run_parbox(fragmentation, BOOLEAN, scenario.placement, engine=REFERENCE)
+    monkeypatch.setattr(kernel_qualifier, "evaluate_qual_expr", counting)
+    stats = run_parbox(fragmentation, plan, scenario.placement, engine=KERNEL)
+    assert stats.answer_ids == expected.answer_ids and stats.answer_ids
+    assert len(calls) == len(fragmentation) * len(selection_quals)
 
 
 #: qualifier-free, so no SELFQUAL step runs a column conjunction; without

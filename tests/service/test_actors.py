@@ -44,22 +44,6 @@ class TestSiteActor:
         asyncio.run(main())
         assert actor.peak_in_flight > 1
 
-    def test_survives_event_loop_changes(self):
-        # The blocking facade runs one asyncio.run() per call; the semaphore
-        # must rebind instead of erroring on the second loop.
-        actor = SiteActor("S0", parallelism=1)
-
-        async def main():
-            async def request():
-                async with actor.slot():
-                    await asyncio.sleep(0)
-
-            await asyncio.gather(request(), request())
-
-        asyncio.run(main())
-        asyncio.run(main())
-        assert actor.requests == 4
-
     def test_counters_reset(self):
         actor = SiteActor("S0")
 

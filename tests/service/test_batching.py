@@ -96,14 +96,6 @@ class TestConfiguration:
         assert "queries_per_scan" in payload
         assert "window_seconds" in payload
 
-    def test_batcher_survives_fresh_event_loops(self, ft2, expected):
-        # The blocking facade runs each call in its own asyncio.run loop;
-        # futures parked in a dead loop must not leak into the next call.
-        service = make_service(ft2)
-        for _ in range(3):
-            result = service.execute(PAPER_QUERIES["Q2"])
-            assert result.stats.answer_ids == expected[PAPER_QUERIES["Q2"]]
-
 
 class TestBatcherUnit:
     def test_duplicate_requests_share_one_output(self, ft2):

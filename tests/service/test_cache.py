@@ -9,13 +9,24 @@ import pytest
 
 from repro.distributed.placement import one_site_per_fragment
 from repro.distributed.stats import RunStats
-from repro.service.cache import QueryResultCache, normalized_query, version_tag
+from repro.service.cache import QueryResultCache, version_tag
+from repro.service.prepared import PreparedQueries
+from repro.service.store import DEFAULT_DOCUMENT
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xpath.parser import parse_xpath
 
 
 def stats_for(query: str) -> RunStats:
     return RunStats(algorithm="PaX2", query=query, answer_ids=[1, 2, 3])
+
+
+def normalized_query(query) -> str:
+    """The text a session's result-cache keys carry for *query*."""
+    return PreparedQueries(1).lookup(query)[0].key
+
+
+def cache_key(query, use_annotations, version, document=DEFAULT_DOCUMENT):
+    return (document, normalized_query(query), use_annotations, version)
 
 
 class TestNormalizedQuery:
@@ -123,7 +134,7 @@ class TestVersionTag:
 
 class TestQueryResultCache:
     def key(self, cache, query, version="v0"):
-        return cache.make_key(query, True, version)
+        return cache_key(query, True, version)
 
     def test_miss_then_hit(self):
         cache = QueryResultCache(capacity=4)
@@ -222,8 +233,8 @@ class TestQueryResultCache:
 
     def test_annotations_in_key(self):
         cache = QueryResultCache(capacity=8)
-        cache.put(cache.make_key("//a", True, "v0"), stats_for("//a"))
-        assert cache.get(cache.make_key("//a", False, "v0")) is None
+        cache.put(cache_key("//a", True, "v0"), stats_for("//a"))
+        assert cache.get(cache_key("//a", False, "v0")) is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -240,7 +251,7 @@ class TestTenantIsolation:
     """One shared LRU, many document namespaces (the ServiceHost contract)."""
 
     def key(self, cache, query, document, version="v0"):
-        return cache.make_key(query, True, version, document=document)
+        return cache_key(query, True, version, document=document)
 
     def test_same_query_and_version_separate_per_document(self):
         cache = QueryResultCache(capacity=8)

@@ -223,7 +223,6 @@ class TestWeightedFairAdmission:
                 queue_time_budget_seconds=0.01, shed_min_queue_depth=1
             )
             admission = WeightedFairAdmission(1, policy)
-            admission._bind_loop()
             # Seed a rolling window far over budget: with no queued request
             # the stale history must NOT shed anybody...
             from collections import deque
@@ -264,7 +263,7 @@ class TestOverloadShedding:
         host = self.host(fairness=FairnessPolicy(max_queue_depth=2))
 
         async def scenario():
-            admission = host._bound_admission()
+            admission = host._admission
             await admission.acquire("alpha")  # hold the only slot
             queued = [
                 asyncio.create_task(host.submit("alpha", "client/name"))
@@ -345,7 +344,7 @@ class TestDeadlineShedBoundaries:
             with pytest.raises(DeadlineExceededError) as excinfo:
                 await host.submit("alpha", "client/name", deadline=1e-9)
             assert excinfo.value.stage == "queued"
-            admission = host._bound_admission()
+            admission = host._admission
             assert admission.grants == 0 and admission.total_in_flight == 0
             assert host.session("alpha").snapshots.stats.pins == 0
 
@@ -370,7 +369,7 @@ class TestDeadlineShedBoundaries:
             assert excinfo.value.stage == "queued"
             assert "between admission grant and evaluation" in str(excinfo.value)
             # The granted slot was handed back, nothing evaluated.
-            admission = host._bound_admission()
+            admission = host._admission
             assert admission.total_in_flight == 0
 
         run(scenario())

@@ -1,12 +1,14 @@
 """The multi-document ServiceHost: catalog, routing, isolation, parallelism."""
 
 import asyncio
+import gc
 
 import pytest
 
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, use_fragment_engine
 from repro.distributed.async_transport import LatencyModel
+from repro.service import server
 from repro.service.server import AdmissionError, ServiceEngine, ServiceHost
 from repro.service.store import (
     DEFAULT_DOCUMENT,
@@ -21,6 +23,7 @@ from repro.workloads.queries import (
     clientele_example_tree,
     clientele_paper_fragmentation,
 )
+from repro.xpath.errors import XPathError
 
 
 def clientele_fragmentation():
@@ -190,10 +193,7 @@ class TestDropDocument:
         host = ServiceHost(max_in_flight=1, cache_capacity=0, coalesce=False)
         host.register("alpha", clientele_fragmentation())
 
-        async def burst():
-            await asyncio.gather(*(host.submit("alpha", "client/name") for _ in range(4)))
-
-        asyncio.run(burst())
+        host.serve_batch("alpha", ["client/name"] * 4)
         assert host._admission.recent_wait_p95("alpha") > 0
         assert host.metrics.queue_wait_quantiles("alpha")["p95"] > 0
         host.drop_document("alpha")
@@ -288,27 +288,6 @@ class TestPerDocumentWriteExclusivity:
         assert host.metrics.document("alpha").updates == 4
         assert host.metrics.document("beta").updates == 4
 
-    def test_writer_lock_rebinds_across_event_loops(self, twin_host):
-        # The blocking facade runs every call under its own asyncio.run; a
-        # contended writer lock binds to its loop, so without rebinding the
-        # next loop's contended write would raise "bound to a different
-        # event loop".
-        host = twin_host
-        session = host.session("alpha")
-        target = first_text_in(session.fragmentation)
-
-        async def contended_write(text):
-            async with session.writer_lock():
-                write = asyncio.ensure_future(
-                    host.apply_update("alpha", EditText(target.node_id, text))
-                )
-                await asyncio.sleep(0)  # the write now waits on the lock
-            return await asyncio.wait_for(write, timeout=5.0)
-
-        for text in ("x", "y", "z"):
-            asyncio.run(contended_write(text))
-        assert host.metrics.document("alpha").updates == 3
-
     def test_queued_writes_apply_in_arrival_order(self, twin_host):
         host = twin_host
         session = host.session("alpha")
@@ -325,15 +304,13 @@ class TestPerDocumentWriteExclusivity:
                     await asyncio.sleep(0)  # queued on the lock in this order
                 assert not any(write.done() for write in writes)
             await asyncio.wait_for(asyncio.gather(*writes), timeout=5.0)
+            return await host.submit("alpha", "client/name")
 
-        asyncio.run(scenario())
+        served = asyncio.run(scenario())
         assert target.value == texts[-1]
         assert host.metrics.document("alpha").updates == len(texts)
         solo = DistributedQueryEngine(session.fragmentation, placement=session.placement)
-        assert (
-            host.execute("alpha", "client/name").answer_ids
-            == solo.execute("client/name").answer_ids
-        )
+        assert served.answer_ids == solo.execute("client/name").answer_ids
 
     @pytest.mark.parametrize("abandon", ["cancelled", "timed-out"])
     def test_abandoned_queued_write_applies_nothing(self, twin_host, abandon):
@@ -433,6 +410,89 @@ class TestPerDocumentWriteExclusivity:
             assert [r.answer_ids for r in results] == expected
 
         asyncio.run(scenario())
+
+
+class TestOneEventLoop:
+    """A host serves from the first event loop that runs it; the blocking API
+    runs every call on one loop the host keeps."""
+
+    def test_a_second_event_loop_is_refused(self, twin_host):
+        host = twin_host
+        asyncio.run(host.submit("alpha", "client/name"))
+        target = first_text_in(host.session("beta").fragmentation)
+        for call in (
+            lambda: host.submit("alpha", "client/name"),
+            lambda: host.run_many("beta", ["client/name"]),
+            lambda: host.apply_update("beta", EditText(target.node_id, "x")),
+        ):
+            with pytest.raises(RuntimeError, match="keep one event loop per host"):
+                asyncio.run(call())
+        with pytest.raises(RuntimeError, match="build one host per loop"):
+            host.execute("beta", "client/name")
+        assert host.metrics.total_requests == 1
+        assert host.metrics.total_updates == 0
+
+    def test_blocking_calls_share_one_loop(self, monkeypatch):
+        # Site semaphores and the writer lock are built once and contended in
+        # every call; on a second loop they would fail or hang.
+        host = ServiceHost(site_parallelism=1, cache_capacity=0, coalesce=False)
+        session = host.register("alpha", clientele_fragmentation())
+        target = first_text_in(session.fragmentation)
+        queries = list(CLIENTELE_QUERIES.values())
+        loops = []
+        evaluate = server.evaluate_query_async
+
+        async def recording(*args, **kwargs):
+            loops.append(asyncio.get_running_loop())
+            return await evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(server, "evaluate_query_async", recording)
+
+        async def contended_write(text):
+            loops.append(asyncio.get_running_loop())
+            async with session.writer_lock():
+                write = asyncio.ensure_future(
+                    host.apply_update("alpha", EditText(target.node_id, text))
+                )
+                await asyncio.sleep(0)  # the write now waits on the lock
+            return await asyncio.wait_for(write, timeout=5.0)
+
+        solo = DistributedQueryEngine(session.fragmentation, placement=session.placement)
+        for text in ("x", "y", "z"):
+            served = host.serve_batch("alpha", queries)
+            assert [r.answer_ids for r in served] == [
+                solo.execute(q).answer_ids for q in queries
+            ]
+            host._run_blocking(contended_write(text))
+            host.update("alpha", EditText(target.node_id, text * 2))
+        assert len(loops) == 3 * (len(queries) + 1)
+        assert all(loop is loops[0] for loop in loops)
+        assert host.actors.peak_in_flight() == 1
+        assert host.metrics.document("alpha").updates == 6
+        assert target.value == "zz"
+
+    def test_a_raising_serve_batch_leaves_no_task_or_permit(self):
+        host = ServiceHost(site_parallelism=1, cache_capacity=0, coalesce=False)
+        session = host.register("alpha", clientele_fragmentation())
+        queries = list(CLIENTELE_QUERIES.values())
+        with pytest.raises(XPathError):
+            host.serve_batch("alpha", queries + ["client[["])
+        assert not asyncio.all_tasks(host._blocking_loop)
+        assert host._admission.total_in_flight == 0
+        assert host._pending_evaluations == 0
+        assert all(actor.in_flight == 0 for actor in host.actors.actors.values())
+        assert session.snapshots.retained == 0
+        assert len(host.serve_batch("alpha", queries)) == len(queries)
+
+    def test_the_blocking_loop_closes_with_its_host(self):
+        host = ServiceHost()
+        host.register("alpha", clientele_fragmentation())
+        host.execute("alpha", "client/name")
+        loop = host._blocking_loop
+        assert not loop.is_closed()
+        del host
+        gc.collect()
+        assert loop.is_closed()
 
 
 class TestColumnarEnginesOnly:

@@ -324,6 +324,15 @@ class TestMalformedXPath:
         assert captured.err == self.DIAGNOSTIC
 
 
+    def test_a_hostile_query_ends_in_one_diagnostic(self, catalog_path, capsys):
+        query = "//book[" + " or ".join(["title"] * 5000) + "]"
+        assert main(["query", catalog_path, query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: query nests deeper than")
+        assert captured.err.count("repro:") == 1 and "Traceback" not in captured.err
+
+
 class TestServeTracingFlags:
     def test_trace_artifacts_written(self, catalog_path, tmp_path, capsys):
         import json

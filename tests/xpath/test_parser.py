@@ -16,9 +16,15 @@ from repro.xpath.ast import (
     ValCompareQual,
     WildcardTest,
 )
+from repro.core.engine import DistributedQueryEngine
+from repro.xpath.centralized import evaluate_centralized
 from repro.xpath.errors import XPathSyntaxError
-from repro.xpath.parser import parse_xpath
-from repro.workloads.queries import PAPER_QUERIES
+from repro.xpath.parser import MAX_QUERY_DEPTH, parse_xpath
+from repro.workloads.queries import (
+    PAPER_QUERIES,
+    clientele_example_tree,
+    clientele_paper_fragmentation,
+)
 
 
 class TestSelectionPaths:
@@ -166,3 +172,45 @@ class TestParserErrors:
             assert error.position is not None
         else:  # pragma: no cover
             pytest.fail("expected a syntax error")
+
+
+def or_chain(width: int) -> str:
+    return "//broker[" + " or ".join(["name"] * width) + "]/name"
+
+
+def nested(depth: int) -> str:
+    return "//broker" + "[." * depth + "]" * depth + "/name"
+
+
+HOSTILE = 10_000
+
+
+class TestQueryDepthBound:
+    """Hostile nesting and width end in one XPathSyntaxError naming the bound,
+    found before any recursive descent; every query inside it evaluates."""
+
+    @pytest.mark.parametrize("query", [
+        nested(HOSTILE),
+        "//a" + "[b" * HOSTILE,
+        or_chain(HOSTILE),
+        "//a[" + " and ".join(["b"] * HOSTILE) + "]",
+        "//a[" + "not(" * HOSTILE + "b" + ")" * HOSTILE + "]",
+        "//a[" + "(" * HOSTILE + "b" + ")" * HOSTILE + "]",
+    ], ids=["nested", "nested-unclosed", "or-chain", "and-chain", "not", "parentheses"])
+    def test_hostile_queries_end_in_a_syntax_error(self, query):
+        with pytest.raises(XPathSyntaxError, match=f"deeper than {MAX_QUERY_DEPTH} levels"):
+            parse_xpath(query)
+
+    @pytest.mark.parametrize("query, over", [
+        (or_chain(MAX_QUERY_DEPTH - 1), or_chain(MAX_QUERY_DEPTH)),
+        (nested(MAX_QUERY_DEPTH - 1), nested(MAX_QUERY_DEPTH)),
+    ], ids=["or-chain", "nested"])
+    def test_queries_at_the_bound_evaluate(self, query, over):
+        with pytest.raises(XPathSyntaxError, match="deeper than"):
+            parse_xpath(over)
+        fragmentation = clientele_paper_fragmentation(clientele_example_tree())
+        expected = evaluate_centralized(fragmentation.tree, query).answer_ids
+        assert expected
+        for algorithm in ("pax2", "pax3"):
+            engine = DistributedQueryEngine(fragmentation, algorithm=algorithm)
+            assert engine.run(query).answer_ids == expected, algorithm
