@@ -9,11 +9,14 @@ machinery as the figure benchmarks:
   only with the number of fragment-tree edges (`O(|Q| |FT|)`);
 * **placement** — ten fragments placed on 1, 2, 5, 10 sites: fewer sites mean
   less parallelism but never more visits per site than the guarantee.
+
+The tables report the parallel time; the claims about it are asserted on
+what it tracks, the operations of the busiest site.
 """
 
 from __future__ import annotations
 
-from conftest import scaled, write_report
+from conftest import largest_site_operations, scaled, write_report
 
 from repro.bench.reporting import format_table
 from repro.core.pax2 import run_pax2
@@ -30,7 +33,10 @@ QUERY = PAPER_QUERIES["Q3"]
 def _granularity_rows(total_bytes: int):
     tree = generate_sites_document([SiteSpec.from_bytes(total_bytes // 2)] * 2, seed=17)
     expected = evaluate_centralized(tree, QUERY).answer_ids
-    rows = [["fragments", "largest fragment (elems)", "parallel ms", "traffic units", "max visits"]]
+    rows = [[
+        "fragments", "largest fragment (elems)", "parallel ms", "busiest site ops",
+        "traffic units", "max visits",
+    ]]
     measurements = []
     for budget in (tree.element_count(), 2_000, 800, 400, 200):
         fragmentation = cut_by_size(tree, max_elements=budget)
@@ -41,6 +47,7 @@ def _granularity_rows(total_bytes: int):
             str(len(fragmentation)),
             str(fragmentation.max_fragment_elements()),
             f"{stats.parallel_seconds * 1000:.1f}",
+            str(largest_site_operations(stats)),
             str(stats.communication_units),
             str(stats.max_site_visits),
         ])
@@ -57,9 +64,9 @@ def test_ablation_fragment_granularity(benchmark, results_dir):
         "===============================================\n" + format_table(rows),
     )
     coarsest, finest = measurements[0], measurements[-1]
-    # Finer fragmentation shrinks the largest fragment and the parallel time...
+    # Finer fragmentation shrinks the largest fragment and the busiest site's work...
     assert finest[1] < coarsest[1]
-    assert finest[2].parallel_seconds < coarsest[2].parallel_seconds
+    assert largest_site_operations(finest[2]) < largest_site_operations(coarsest[2])
     # ...while the visit guarantee holds at every granularity.
     assert all(stats.max_site_visits <= 2 for _, _, stats in measurements)
 
@@ -67,7 +74,7 @@ def test_ablation_fragment_granularity(benchmark, results_dir):
 def _placement_rows(total_bytes: int):
     scenario = build_ft1(fragment_count=10, total_bytes=total_bytes, seed=19)
     expected = evaluate_centralized(scenario.tree, QUERY).answer_ids
-    rows = [["sites", "parallel ms", "total ms", "max visits", "traffic units"]]
+    rows = [["sites", "parallel ms", "total ms", "busiest site ops", "max visits", "traffic units"]]
     measurements = []
     for site_count in (1, 2, 5, 10):
         placement = round_robin_placement(scenario.fragmentation, site_count=site_count)
@@ -78,6 +85,7 @@ def _placement_rows(total_bytes: int):
             str(site_count),
             f"{stats.parallel_seconds * 1000:.1f}",
             f"{stats.total_seconds * 1000:.1f}",
+            str(largest_site_operations(stats)),
             str(stats.max_site_visits),
             str(stats.communication_units),
         ])
@@ -95,8 +103,8 @@ def test_ablation_placement(benchmark, results_dir):
     )
     single_site = measurements[0][1]
     ten_sites = measurements[-1][1]
-    # Spreading fragments over more sites reduces the parallel time...
-    assert ten_sites.parallel_seconds < single_site.parallel_seconds
+    # Spreading fragments over more sites reduces the busiest site's work...
+    assert largest_site_operations(ten_sites) < largest_site_operations(single_site)
     # ...and the per-site visit bound is independent of how many fragments a
     # site holds (the paper's property (a)/(d)).
     assert all(stats.max_site_visits <= 2 for _, stats in measurements)

@@ -1,21 +1,22 @@
 """Figure 9: evaluation time vs. number of machines/fragments (Experiment 1).
 
 Regenerates both sub-figures over the FT1 fragment tree with a constant
-cumulative size and 1..10 fragments, and checks the paper's qualitative
-claims:
+cumulative size and 1..10 fragments.  The timed series are the figure; the
+paper's qualitative claims are asserted on the counts the same variants
+carry, and on the clock only where the margin is wide:
 
-* fragmentation helps: the most fragmented iteration is faster than the
-  single-fragment iteration for every variant;
+* fragmentation helps: at 10 fragments the busiest site runs fewer
+  operations than the single site of the unfragmented iteration, for every
+  variant;
 * XPath-annotations let PaX3 skip the answer-retrieval stage on Q1: one
-  visit per site instead of two (a Q1 run is under a millisecond, so the
-  claim is asserted on the visit count, not on the clock);
+  visit per site instead of two;
 * PaX2 is faster than PaX3 on Q4 (one pass instead of two).
 """
 
 from __future__ import annotations
 
 import pytest
-from conftest import scaled, write_report
+from conftest import largest_site_operations, scaled, write_report
 
 from repro.bench.experiment1 import run_experiment1
 from repro.bench.harness import measure_run
@@ -38,30 +39,42 @@ def figures(results_dir):
     return reports
 
 
-def test_fig9a_q1_fragmentation(figures):
+@pytest.fixture(scope="module")
+def ends():
+    """The first and the last iteration's FT1: 1 and MAX_FRAGMENTS fragments."""
+    return [
+        build_ft1(fragment_count=count, total_bytes=TOTAL_BYTES, seed=7)
+        for count in (1, MAX_FRAGMENTS)
+    ]
+
+
+def _fragmentation_helps(ends, label, query):
+    """Whether the busiest site runs fewer operations at MAX_FRAGMENTS
+    fragments than the one site of the unfragmented iteration."""
+    single, spread = (
+        largest_site_operations(measure_run(label, scenario, query)) for scenario in ends
+    )
+    return spread < single
+
+
+def test_fig9a_q1_fragmentation(figures, ends):
     """Figure 9(a): PaX3 on Q1, with and without annotations."""
-    fig = figures["fig9a"]
-    na = _series(fig, "PaX3-NA-Q1")
-    xa = _series(fig, "PaX3-XA-Q1")
-    # Parallelism: the 10-fragment iteration beats the unfragmented one.
-    assert na[-1] < na[0]
-    assert xa[-1] < xa[0]
+    # Parallelism: the 10-fragment iteration splits the work.
+    for label in ("PaX3-NA", "PaX3-XA"):
+        assert _fragmentation_helps(ends, label, PAPER_QUERIES["Q1"]), label
     # Annotations remove the candidate-resolution stage.
-    scenario = build_ft1(fragment_count=MAX_FRAGMENTS, total_bytes=TOTAL_BYTES, seed=7)
     visits = {
-        label: measure_run(label, scenario, PAPER_QUERIES["Q1"]).max_site_visits
+        label: measure_run(label, ends[-1], PAPER_QUERIES["Q1"]).max_site_visits
         for label in ("PaX3-NA", "PaX3-XA")
     }
     assert visits == {"PaX3-NA": 2, "PaX3-XA": 1}
 
 
-def test_fig9b_q4_fragmentation(figures):
+def test_fig9b_q4_fragmentation(figures, ends):
     """Figure 9(b): PaX3 vs PaX2 on Q4 (no annotations)."""
-    fig = figures["fig9b"]
-    pax3 = _series(fig, "PaX3-NA-Q4")
-    pax2 = _series(fig, "PaX2-NA-Q4")
     # Fragmentation helps both algorithms.
-    assert pax3[-1] < pax3[0]
-    assert pax2[-1] < pax2[0]
+    for label in ("PaX3-NA", "PaX2-NA"):
+        assert _fragmentation_helps(ends, label, PAPER_QUERIES["Q4"]), label
     # Combining the two passes makes PaX2 the faster algorithm overall.
-    assert sum(pax2) < sum(pax3)
+    fig = figures["fig9b"]
+    assert sum(_series(fig, "PaX2-NA-Q4")) < sum(_series(fig, "PaX3-NA-Q4"))

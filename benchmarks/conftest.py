@@ -55,3 +55,8 @@ def scaled(value: int) -> int:
     """Apply the REPRO_BENCH_SCALE factor to a byte size."""
     return int(value * BENCH_SCALE)
 
+
+def largest_site_operations(stats) -> int:
+    """The most operations one site ran: what the parallel time tracks,
+    counted, so a claim about it holds on a shared machine too."""
+    return max(site.operations for site in stats.sites.values())

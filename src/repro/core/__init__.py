@@ -12,7 +12,8 @@ reaches its site:
 * :func:`repro.core.parbox.run_parbox` — the Boolean-query baseline of [5],
 * :func:`repro.core.naive.run_naive_centralized` — the ship-everything
   baseline,
-* :mod:`repro.core.pruning` — the XPath-annotation optimization.
+* :mod:`repro.core.pruning` — the XPath-annotation optimization and the
+  schedule the PaX2 and PaX3 coordinators read.
 
 The service's async driver is :func:`repro.service.evaluator.evaluate_query_async`.
 """
@@ -23,7 +24,7 @@ from repro.core.pax3 import run_pax3
 from repro.core.pax2 import run_pax2
 from repro.core.parbox import run_parbox
 from repro.core.naive import run_naive_centralized
-from repro.core.pruning import relevant_fragments, initial_vector_from_labels
+from repro.core.pruning import relevant_fragments
 
 __all__ = [
     "DistributedQueryEngine",
@@ -34,5 +35,4 @@ __all__ = [
     "run_parbox",
     "run_naive_centralized",
     "relevant_fragments",
-    "initial_vector_from_labels",
 ]

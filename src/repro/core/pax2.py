@@ -12,7 +12,9 @@ visited at most twice:
    bindings (their own initialization variables plus the qualifier values of
    their sub-fragments), decide the candidates and ship the answers.
 
-With XPath-annotations the combined pass is only executed over fragments
+The coordinator reads which fragments stage 1 evaluates, their sites and
+their init vectors off a :class:`~repro.core.pruning.Schedule` built before
+any site works.  With XPath-annotations the schedule keeps only fragments
 that can matter for the query (the pruner is conservative with respect to
 both answers and qualifier scopes), and for qualifier-free queries the
 initialization is concrete so the second visit disappears.
@@ -36,7 +38,7 @@ from repro.core.kernel.dispatch import (
     FragmentEngine, combined_pass, prewarm_fragments, resolve_engine,
 )
 from repro.core.common import QueryInput, account_answers, build_network, ensure_plan, plan_units
-from repro.core.pruning import relevant_fragments, stage1_init_vector
+from repro.core.pruning import Schedule, build_schedule
 from repro.core.rounds import Envelope, SiteRound, Stage, outputs_by_fragment, run_inline
 from repro.core.unify import (
     resolve_candidates,
@@ -46,7 +48,7 @@ from repro.core.unify import (
     unify_selection_vectors,
 )
 from repro.distributed.messages import MessageKind
-from repro.distributed.network import Network, SiteIndex
+from repro.distributed.network import Network
 from repro.distributed.site import Site
 from repro.distributed.stats import RunStats, StageStats
 from repro.fragments.fragment_tree import Fragmentation
@@ -58,8 +60,6 @@ __all__ = [
     "COMBINED",
     "ANSWERS",
     "CombinedPass",
-    "Pax2Schedule",
-    "pax2_schedule",
     "pax2_coordinator",
     "run_pax2",
 ]
@@ -67,61 +67,6 @@ __all__ = [
 #: the stage keys of PaX2's two site visits
 COMBINED = "pax2:combined"
 ANSWERS = "pax2:answers"
-
-
-@dataclass(frozen=True, eq=False)
-class Pax2Schedule:
-    """The request-invariant half of a PaX2 run: what the coordinator
-    decides from the plan and the fragment tree before any site works.
-
-    It reads the plan, the site index and the label paths down to the
-    fragment roots (paper Section 5), never fragment content, so it holds
-    across every write through :mod:`repro.updates` and changes only with
-    the fragment tree — when *sites* stops being current (see
-    :attr:`~repro.fragments.fragment_tree.Fragmentation.structure_version`).
-    """
-
-    #: the site index the stage-1 sites were read from
-    sites: SiteIndex
-    #: whether the annotations pruned and initialized this schedule
-    use_annotations: bool
-    #: fragments stage 1 evaluates, in fragment-id order
-    evaluated: Tuple[str, ...]
-    #: fragments the annotations pruned, sorted (empty without annotations)
-    pruned: Tuple[str, ...]
-    #: (site id, the evaluated fragments it holds), by site id
-    stage1: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    #: fragment id -> the initialization vector its stage-1 pass starts from
-    init_vectors: Mapping[str, Tuple[FormulaLike, ...]]
-
-
-def pax2_schedule(
-    fragmentation: Fragmentation,
-    plan: QueryPlan,
-    use_annotations: bool,
-    sites: SiteIndex,
-) -> Pax2Schedule:
-    """Prune, group the evaluated fragments by site and build their init
-    vectors — the one schedule builder of every PaX2 driver."""
-    if use_annotations:
-        decision = relevant_fragments(fragmentation, plan)
-        evaluated = tuple(fid for fid in fragmentation.fragment_ids() if decision.keeps(fid))
-        pruned = tuple(sorted(decision.pruned))
-    else:
-        evaluated = tuple(fragmentation.fragment_ids())
-        pruned = ()
-    kept = set(evaluated)
-    stage1 = []
-    for site_id in sorted({sites.placement[fid] for fid in evaluated}):
-        held = sites.fragments_on[site_id]
-        stage1.append((site_id, tuple(fid for fid in held if fid in kept)))
-    # Qualifier-free annotated vectors repeat across fragments: share them.
-    distinct: Dict[Tuple[FormulaLike, ...], Tuple[FormulaLike, ...]] = {}
-    init_vectors = {}
-    for fid in evaluated:
-        vector = tuple(stage1_init_vector(fragmentation, plan, fid, use_annotations))
-        init_vectors[fid] = distinct.setdefault(vector, vector)
-    return Pax2Schedule(sites, use_annotations, evaluated, pruned, tuple(stage1), init_vectors)
 
 
 @dataclass(slots=True, eq=False)
@@ -275,7 +220,7 @@ def _degrade(stats: RunStats, stage: Stage, results: Sequence[Any], why: str) ->
 def pax2_coordinator(
     fragmentation: Fragmentation,
     plan: QueryPlan,
-    schedule: Pax2Schedule,
+    schedule: Schedule,
     flat_of: Optional[Callable[[str], FlatFragment]] = None,
     engine: Optional[FragmentEngine] = None,
 ) -> Generator[Stage, List[Any], RunStats]:
@@ -401,6 +346,6 @@ def run_pax2(
     engine = resolve_engine(engine)
     if network is None:
         network = build_network(fragmentation, placement)
-    schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
+    schedule = build_schedule(fragmentation, plan, use_annotations, network.index)
     prewarm_fragments(fragmentation, schedule.evaluated, engine)
     return run_inline(pax2_coordinator(fragmentation, plan, schedule, engine=engine), network)

@@ -17,10 +17,12 @@ Three stages, each visiting a participating site at most once:
    they receive the resolved initialization values, decide their candidates
    and ship the remaining answers.
 
-With XPath-annotations (``use_annotations=True``), fragments that can neither
-contain answers nor fall inside a qualifier scope are excluded from stages 2
-and 3, and — when the query has no qualifiers — the selection stack is
-initialized with concrete values so stage 3 vanishes.
+Stages 2 and 3 read their fragments, sites and init vectors off the same
+:class:`~repro.core.pruning.Schedule` as PaX2's stage 1, built before any
+site works.  With XPath-annotations (``use_annotations=True``), fragments
+that can neither contain answers nor fall inside a qualifier scope are
+excluded from stages 2 and 3, and — when the query has no qualifiers — the
+selection stack is initialized with concrete values so stage 3 vanishes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.kernel.dispatch import (
     FragmentEngine, prewarm_fragments, qualifier_pass, resolve_engine, selection_pass,
 )
 from repro.core.pax2 import _answer_rounds, _gather
-from repro.core.pruning import relevant_fragments, stage1_init_vector
+from repro.core.pruning import Schedule, build_schedule
 from repro.core.qualifiers import FragmentQualifierOutput
 from repro.core.rounds import Envelope, SiteRound, Stage, outputs_by_fragment, run_inline
 from repro.core.unify import (
@@ -124,28 +126,19 @@ def unify_qualifier_stage(
 def pax3_coordinator(
     fragmentation: Fragmentation,
     plan: QueryPlan,
-    sites: SiteIndex,
-    use_annotations: bool,
+    schedule: Schedule,
     engine: Optional[FragmentEngine] = None,
 ) -> Generator[Stage, List[Any], RunStats]:
-    """PaX3's coordinator: yields the qualifier stage (when the query has
-    qualifiers), the selection stage and — when some fragment kept
-    candidates — the answers stage; see :mod:`repro.core.rounds`."""
+    """PaX3's coordinator over *schedule*: yields the qualifier stage (when
+    the query has qualifiers), the selection stage and — when some fragment
+    kept candidates — the answers stage; see :mod:`repro.core.rounds`."""
     engine = resolve_engine(engine)
-    stats = RunStats(algorithm="PaX3", query=plan.source, use_annotations=use_annotations)
+    stats = RunStats(algorithm="PaX3", query=plan.source, use_annotations=schedule.use_annotations)
     # Annotation-based pruning applies to the selection stages only; the
     # qualifier stage must see every fragment (a qualifier may look anywhere
     # below the node it is attached to).
-    if use_annotations:
-        decision = relevant_fragments(fragmentation, plan)
-        selection_fragments = [
-            fid for fid in fragmentation.fragment_ids() if decision.keeps(fid)
-        ]
-        stats.fragments_pruned = sorted(decision.pruned)
-    else:
-        selection_fragments = fragmentation.fragment_ids()
-    stats.fragments_evaluated = list(selection_fragments)
-    selection_set = set(selection_fragments)
+    stats.fragments_evaluated = list(schedule.evaluated)
+    stats.fragments_pruned = list(schedule.pruned)
     root_fragment_id = fragmentation.root_fragment_id
     request_units = plan_units(plan)
 
@@ -153,7 +146,7 @@ def pax3_coordinator(
     qual_env = Environment()
     if plan.has_qualifiers:
         stage = qualifier_stage(
-            fragmentation, plan, sites, engine, "pax3:qualifiers", "stage 1",
+            fragmentation, plan, schedule.sites, engine, "pax3:qualifiers", "stage 1",
             lambda output: vector_units((
                 map(output.root_head.__getitem__, plan.head_item_ids),
                 map(output.root_desc.__getitem__, plan.desc_item_ids),
@@ -171,8 +164,7 @@ def pax3_coordinator(
     def select(site: Site, fragment_id: str):
         return selection_pass(
             fragmentation, fragment_id, plan, site.storage[fragment_id].get("qualifiers"),
-            bindings.get(fragment_id),
-            stage1_init_vector(fragmentation, plan, fragment_id, use_annotations),
+            bindings.get(fragment_id), schedule.init_vectors[fragment_id],
             is_root_fragment=(fragment_id == root_fragment_id), engine=engine,
         )
 
@@ -191,8 +183,7 @@ def pax3_coordinator(
         return [reply for reply in replies if reply[1]]
 
     rounds = []
-    for site_id in sorted({sites.placement[fid] for fid in selection_fragments}):
-        fragment_ids = [fid for fid in sites.fragments_on[site_id] if fid in selection_set]
+    for site_id, fragment_ids in schedule.stage1:
         requests = [(
             MessageKind.EXEC_REQUEST, request_units * len(fragment_ids),
             "stage 2: evaluate selection path",
@@ -266,7 +257,6 @@ def run_pax3(
     engine = resolve_engine(engine)
     if network is None:
         network = build_network(fragmentation, placement)
+    schedule = build_schedule(fragmentation, plan, use_annotations, network.index)
     prewarm_fragments(fragmentation, engine=engine)
-    return run_inline(
-        pax3_coordinator(fragmentation, plan, network.index, use_annotations, engine), network
-    )
+    return run_inline(pax3_coordinator(fragmentation, plan, schedule, engine), network)

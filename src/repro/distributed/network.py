@@ -17,7 +17,7 @@ class SiteIndex:
 
     Static for as long as the fragment set and the placement are, so its
     owner (an engine, a service session) builds it once and shares it:
-    every :class:`Network` over the pair, every PaX2 schedule, and every
+    every :class:`Network` over the pair, every schedule, and every
     run's :class:`~repro.distributed.stats.SiteStats`, which hand out these
     tuples instead of allocating their own.
     """

@@ -39,7 +39,8 @@ import time
 from typing import Mapping, Optional
 
 from repro.core.kernel.dispatch import FragmentEngine, resolve_engine
-from repro.core.pax2 import COMBINED, Pax2Schedule, pax2_coordinator, pax2_schedule
+from repro.core.pax2 import COMBINED, pax2_coordinator
+from repro.core.pruning import Schedule
 from repro.core.rounds import Coordinator, SiteRound, record_site_times
 from repro.distributed.async_transport import AsyncTransport, LatencyModel, RoundBuffer
 from repro.distributed.faults import FaultInjector, TransportError
@@ -61,36 +62,30 @@ async def evaluate_query_async(
     plan: QueryPlan,
     actors: ActorPool,
     snapshot: VersionSnapshot,
-    use_annotations: bool = True,
+    schedule: Schedule,
     latency: Optional[LatencyModel] = None,
     engine: Optional[FragmentEngine] = None,
     batcher: Optional[FragmentWaveBatcher] = None,
     injector: Optional[FaultInjector] = None,
     resilience: Optional[ResilienceContext] = None,
-    schedule: Optional[Pax2Schedule] = None,
 ) -> RunStats:
     """Evaluate one query with PaX2 through the actor pool; return its RunStats.
 
     ``snapshot`` is the pinned version every pass and the answer accounting
     read, so the run is exact at that version regardless of concurrent
-    writes.  ``engine`` is the passes' columnar tier (``None``: the process
+    writes.  ``schedule`` is the run's :class:`~repro.core.pruning.Schedule`,
+    prepared for this fragment tree (its ``use_annotations`` labels the
+    stats).  ``engine`` is the passes' columnar tier (``None``: the process
     default).  ``batcher`` routes stage-1 passes through the batcher,
     which runs identical concurrent passes once (outputs and accounting
     unchanged).  ``injector`` makes
     the wire unreliable; ``resilience`` adds the per-round
     retry/breaker/deadline machinery and degradation to partial answers —
-    without either, a lost round fails the query.  ``schedule`` is the
-    run's :class:`~repro.core.pax2.Pax2Schedule` when the caller prepared
-    it for this fragment tree; without one it is built here with
-    ``use_annotations`` (the schedule's own setting labels the stats).
+    without either, a lost round fails the query.
     """
     engine = resolve_engine(engine)
     with trace_span("network:setup", stage="compile"):
-        network = Network(
-            fragmentation, placement, schedule.sites if schedule is not None else None
-        )
-        if schedule is None:
-            schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
+        network = Network(fragmentation, placement, schedule.sites)
     transport = AsyncTransport(
         network,
         latency,

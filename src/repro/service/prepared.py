@@ -1,9 +1,10 @@
 """Prepared queries: what a document session pays for a query only once.
 
-A request's text, its normal form, its compiled plan and its PaX2 schedule
-(pruning, stage-1 sites, init vectors — paper Section 5) depend only on the
-query and on the label paths of the document's fragment tree.  None of them
-changes when the document is written through :mod:`repro.updates`, so a
+A request's text, its normal form, its compiled plan and its
+:class:`~repro.core.pruning.Schedule` (pruning, stage-1 sites, init vectors
+— paper Section 5) depend only on the query and on the label paths of the
+document's fragment tree.  None of them changes when the document is
+written through :mod:`repro.updates`, so a
 :class:`~repro.service.server.DocumentSession` keeps them in one
 :class:`PreparedQueries` LRU keyed by the raw request text: a recurring
 request is one dictionary lookup away from its result-cache key, and a
@@ -19,7 +20,7 @@ from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 
 from repro.core.common import QueryInput
-from repro.core.pax2 import Pax2Schedule, pax2_schedule
+from repro.core.pruning import Schedule, build_schedule
 from repro.distributed.network import SiteIndex
 from repro.fragments.fragment_tree import Fragmentation
 from repro.obs.trace import span as trace_span
@@ -36,8 +37,7 @@ class PreparedQuery:
 
     ``key`` is the normalized text the result cache is keyed under, ``plan``
     the compiled plan; :meth:`schedule` adds, per annotations setting and on
-    first use, the request-invariant PaX2 schedule for the current fragment
-    tree.
+    first use, the request-invariant schedule for the current fragment tree.
     """
 
     __slots__ = ("key", "plan", "_schedules", "__weakref__")
@@ -45,12 +45,12 @@ class PreparedQuery:
     def __init__(self, key: str, plan: QueryPlan):
         self.key = key
         self.plan = plan
-        self._schedules: Dict[bool, Pax2Schedule] = {}
+        self._schedules: Dict[bool, Schedule] = {}
 
     def schedule(
         self, fragmentation: Fragmentation, sites: SiteIndex, use_annotations: bool
-    ) -> Pax2Schedule:
-        """This query's PaX2 schedule over *fragmentation*, built once.
+    ) -> Schedule:
+        """This query's schedule over *fragmentation*, built once.
 
         *sites* is the document's current site index; a schedule read from
         another one is rebuilt.  The session replaces its index only when
@@ -61,7 +61,7 @@ class PreparedQuery:
         schedule = self._schedules.get(use_annotations)
         if schedule is None or schedule.sites is not sites:
             with trace_span("plan:schedule", stage="compile"):
-                schedule = self._schedules[use_annotations] = pax2_schedule(
+                schedule = self._schedules[use_annotations] = build_schedule(
                     fragmentation, self.plan, use_annotations, sites
                 )
         return schedule

@@ -218,7 +218,7 @@ class DocumentSession:
             if config.batching
             else None
         )
-        #: raw query text -> prepared entry (key text, plan, PaX2 schedules)
+        #: raw query text -> prepared entry (key text, plan, schedules)
         self.prepared = PreparedQueries(self.MAX_PLANS)
         self._sites = SiteIndex(entry.fragmentation, entry.placement)
         self._writer = asyncio.Lock()
@@ -665,15 +665,14 @@ class ServiceHost:
                             prepared.plan,
                             self.actors,
                             snapshot,
-                            use_annotations=use_annotations,
+                            prepared.schedule(
+                                session.fragmentation, session.sites, use_annotations
+                            ),
                             latency=self.config.latency,
                             engine=self.engine,
                             batcher=session.batcher,
                             injector=self.config.fault_injector,
                             resilience=resilience,
-                            schedule=prepared.schedule(
-                                session.fragmentation, session.sites, use_annotations
-                            ),
                         )
                     return stats, snapshot.version
                 finally:
@@ -742,7 +741,7 @@ class ServiceHost:
         fragments exclude the mutated one are re-keyed under the new tag and
         keep serving hits; only answers the mutation could have changed are
         dropped, and only within this document's namespace.  The
-        prepared queries (plans and PaX2 schedules) always survive.
+        prepared queries (plans and schedules) always survive.
         """
         started = time.perf_counter()
         self._check_loop()

@@ -16,6 +16,7 @@ from repro.fragments.fragmenters import cut_random
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.workloads.scenarios import build_ft1, build_ft2
 from repro.xmltree.nodes import ELEMENT, TEXT, XMLNode, XMLTree
+from repro.xmltree.parser import parse_xml
 
 #: tags / texts used by the random-document helpers
 RANDOM_TAGS = ["a", "b", "c", "d", "e"]
@@ -216,3 +217,17 @@ def small_ft1_scenario():
 def small_ft2_scenario():
     """A small FT2 scenario (Experiment 2/3 layout) shared across tests."""
     return build_ft2(total_bytes=120_000, seed=5)
+
+
+#: nested one-``a`` fragments; the accounting once recursed once per level,
+#: the schedule once rebuilt each fragment's label path from the root
+CHAIN_DEPTH = 2000
+
+
+@pytest.fixture(scope="session")
+def fragment_chain():
+    """A chain of CHAIN_DEPTH nested ``a`` elements, one fragment each, with a
+    ``b`` at the bottom: every ``a`` answers ``//a[.//b]``."""
+    tree = parse_xml("<a>" * CHAIN_DEPTH + "<b/>" + "</a>" * CHAIN_DEPTH)
+    cuts = [node.node_id for node in tree.root.iter_subtree() if node.tag == "a"][1:]
+    return build_fragmentation(tree, cuts)

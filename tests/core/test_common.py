@@ -29,12 +29,11 @@ from repro.updates import InsertSubtree, apply_mutation
 from repro.workloads.queries import clientele_example_tree, clientele_paper_fragmentation
 from repro.xmltree.builder import element, text
 from repro.xmltree.nodes import XMLTree
-from repro.xmltree.parser import parse_xml
 from repro.xpath.centralized import evaluate_centralized
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import QueryPlan, compile_plan
 
-from tests.conftest import assert_accounting_matches_tree, available_engines
+from tests.conftest import CHAIN_DEPTH, assert_accounting_matches_tree, available_engines
 
 
 def insert_before_every_span(fragmentation):
@@ -209,19 +208,6 @@ class TestAccountAnswers:
                 assert stats.answer_nodes_shipped == answer_subtree_nodes(
                     tree, stats.answer_ids
                 ), (query, stats.algorithm)
-
-
-#: nested one-``a`` fragments; the accounting once recursed once per level
-CHAIN_DEPTH = 2000
-
-
-@pytest.fixture(scope="module")
-def fragment_chain():
-    """A chain of CHAIN_DEPTH nested ``a`` elements, one fragment each, with a
-    ``b`` at the bottom: every ``a`` answers ``//a[.//b]``."""
-    tree = parse_xml("<a>" * CHAIN_DEPTH + "<b/>" + "</a>" * CHAIN_DEPTH)
-    cuts = [node.node_id for node in tree.root.iter_subtree() if node.tag == "a"][1:]
-    return build_fragmentation(tree, cuts)
 
 
 @pytest.mark.parametrize("engine", available_engines())

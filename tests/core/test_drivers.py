@@ -16,7 +16,8 @@ from repro.core.common import ensure_plan
 from repro.core.kernel.dispatch import KERNEL, VECTOR
 from repro.core.naive import run_naive_centralized
 from repro.core.parbox import run_parbox
-from repro.core.pax2 import pax2_coordinator, pax2_schedule, run_pax2
+from repro.core.pax2 import pax2_coordinator, run_pax2
+from repro.core.pruning import build_schedule
 from repro.core.pax3 import run_pax3
 from repro.core.rounds import Coordinator, run_round
 from repro.core.vector import numpy_available
@@ -129,7 +130,7 @@ def drive_losing(scenario, plan, stage_key, choose):
     *choose* accepts; returns the stats and the lost round."""
     fragmentation = scenario.fragmentation
     network = Network(fragmentation, scenario.placement)
-    schedule = pax2_schedule(fragmentation, plan, False, network.index)
+    schedule = build_schedule(fragmentation, plan, False, network.index)
     coordinator = Coordinator(pax2_coordinator(fragmentation, plan, schedule))
     lost_round = None
     stage = coordinator.advance()
@@ -231,7 +232,7 @@ def test_the_schedule_labels_the_run(ft2):
     network = Network(fragmentation, placement)
     plan = ensure_plan(QUERIES[2])
     for use_annotations in (False, True):
-        schedule = pax2_schedule(fragmentation, plan, use_annotations, network.index)
+        schedule = build_schedule(fragmentation, plan, use_annotations, network.index)
         assert schedule.use_annotations is use_annotations
         coordinator = Coordinator(pax2_coordinator(fragmentation, plan, schedule))
         stage = coordinator.advance()

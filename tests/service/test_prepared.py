@@ -1,5 +1,5 @@
 """Prepared queries: a document session pays for a query's text, plan and
-PaX2 schedule once, and pays again only when the fragment tree changes.
+schedule once, and pays again only when the fragment tree changes.
 
 The counting cases patch every binding of a function inside ``repro`` (the
 function object itself, wherever a module imported it), so they count what
@@ -81,10 +81,7 @@ class TestWhatARequestPays:
         host = host_for(ft2.fragmentation, ft2.placement, cache_capacity=0)
         first = {query: host.execute("doc", query) for query in (QUALIFIED, LABELS_ONLY)}
         assert all(len(r.stats.fragments_pruned) > 0 for r in first.values())
-        counts = count_calls(
-            monkeypatch,
-            pruning.relevant_fragments, pruning.stage1_init_vector, annotations.root_label_path,
-        )
+        counts = count_calls(monkeypatch, pruning.build_schedule, annotations.edge_annotation)
         for query, result in first.items():
             again = host.execute("doc", query)
             assert again.stats is not result.stats  # evaluated again, not cached
@@ -157,9 +154,9 @@ class TestWhenSchedulesChange:
         )
         host.drop_document("doc")
         host.register("doc", coarse)
-        counts = count_calls(monkeypatch, pruning.relevant_fragments)
+        counts = count_calls(monkeypatch, pruning.build_schedule)
         after = host.execute("doc", LABELS_ONLY)
-        assert counts["relevant_fragments"] == 1
+        assert counts["build_schedule"] == 1
         assert after.answer_ids == before.answer_ids
         assert set(after.stats.fragments_evaluated) <= set(coarse.fragment_ids())
         assert len(coarse) < len(ft2.fragmentation)

@@ -16,6 +16,7 @@ from repro.core.common import ensure_plan
 from repro.core.engine import DistributedQueryEngine
 from repro.core.kernel.dispatch import KERNEL, REFERENCE, VECTOR
 from repro.core.kernel.tables import plan_tables
+from repro.core.pruning import build_schedule
 from repro.core.vector import numpy_available
 from repro.service.actors import ActorPool
 from repro.service.evaluator import evaluate_query_async
@@ -105,9 +106,11 @@ def test_service_host_reads_across_a_write_that_adds_a_tag(engine):
         assert pinned.flat(touched).tag_table is fragmentation.flat(touched).tag_table
         assert NEW_TAG in pinned.flat(touched).tags
         for query, expected in ((QUERY, before), (NEW_TAG_QUERY, [])):
+            plan = ensure_plan(query)
             stats = await evaluate_query_async(
-                fragmentation, session.placement, ensure_plan(query),
-                ActorPool(session.placement.values()), pinned, engine=engine,
+                fragmentation, session.placement, plan,
+                ActorPool(session.placement.values()), pinned,
+                build_schedule(fragmentation, plan, True, session.sites), engine=engine,
             )
             assert stats.answer_ids == expected
         session.snapshots.release(pinned)
